@@ -21,7 +21,7 @@ from .fubini_bell import (BELL_DEGENERATE, FUBINI_CLASSICAL, FUBINI_DEGENERATE,
 from .gfun import degen_exp, degen_log1p
 from .harmonic import degen_harmonic, degen_hyperharmonic, harmonic_gf
 from .identities import CHECK_IDS, SuiteBounds, run_suite, suite_json
-from .kernel import QL, QQ, LambdaPoly, TruncSeries, XPoly
+from .kernel import QL, QLX, QQ, LambdaPoly, TruncSeries, XPoly
 from .render import (lambda_poly_ascii, lambda_poly_json, parse_lambda_poly,
                      parse_rational, parse_series, parse_xpoly, rational_str,
                      series_json, xpoly_json)

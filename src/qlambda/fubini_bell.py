@@ -107,11 +107,6 @@ def family_series(family: PolyFamily, order: int) -> TruncSeries:
     return series
 
 
-def _clear_gf_cache() -> None:
-    with _GF_LOCK:
-        _GF_CACHE.clear()
-
-
 def poly_by_gf(family: PolyFamily, n: int, order: int) -> XPoly:
     """n! times the t^n coefficient of the family's generating series."""
     if n < 0:

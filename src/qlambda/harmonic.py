@@ -37,19 +37,23 @@ def degen_harmonic(n: int) -> LambdaPoly:
 
 
 def degen_hyperharmonic(n: int, r: int) -> LambdaPoly:
-    """Degenerate hyperharmonic number of order r >= 1 (partial-sum recursion)."""
+    """Degenerate hyperharmonic number of order r >= 1 (iterated partial sums).
+
+    Each row of order 2..r is extended to index n from the row below it,
+    so a large r needs no recursion.
+    """
     if n < 0:
         raise ValueError("index must be >= 0")
     if r < 1:
         raise ValueError("order must be >= 1")
-    if r == 1:
-        return degen_harmonic(n)
     with _LOCK:
-        values = _HYPER.setdefault(r, [LambdaPoly.zero()])
-        while len(values) <= n:
-            m = len(values)
-            values.append(values[m - 1] + degen_hyperharmonic(m, r - 1))
-        return values[n]
+        degen_harmonic(n)  # extends the order-1 row to index n
+        row = _HARMONIC
+        for q in range(2, r + 1):
+            lower, row = row, _HYPER.setdefault(q, [LambdaPoly.zero()])
+            for m in range(len(row), n + 1):
+                row.append(row[m - 1] + lower[m])
+        return row[n]
 
 
 def harmonic_gf(r: int, order: int) -> TruncSeries:

@@ -17,7 +17,6 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 
 from . import stirling
 from .factorials import degen_falling, gen_binomial
@@ -25,13 +24,12 @@ from .fubini_bell import RFUBINI_DEGENERATE, PolyFamily, poly_by_sum, rfubini_nu
 from .gfun import classical_exp, degen_log_one_minus, inv_one_minus
 from .harmonic import degen_harmonic, degen_hyperharmonic
 from .kernel import QL, LambdaPoly, TruncSeries, XPoly
-from .operators import theorem1_check, theorem2_check
+from .operators import theorem1_check, theorem2_blocks, theorem2_check
 from .report import CheckReport, Counterexample, first_mismatch, make_report
 
 CHECK_IDS = ("thm1", "thm2", "thm3", "thm4", "thm5", "thm6", "cor7", "thm8")
 
 
-@lru_cache(maxsize=None)
 def _x_over_one_minus_powers(order: int, kmax: int) -> tuple[TruncSeries, ...]:
     """(x/(1-x))^k for k = 0..kmax, all tracked to ``order``."""
     u = inv_one_minus(order - 1).shift(1) if order else TruncSeries.zero(QL, 0)
@@ -241,11 +239,12 @@ def _run_thm2(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
     for name in ("exp", "geometric", "harmonic"):
         g = _named_g(name, g_order)
         for r in range(bounds.thm2_rmax + 1):
+            blocks = theorem2_blocks(g, r, bounds.thm2_order, bounds.thm2_degmax)
             params = {"g": name, "r": r, "order": bounds.thm2_order,
                       "trials": bounds.thm2_trials, "seed": seed}
             failure = None
             for i, f in enumerate(polys):
-                rep = theorem2_check(f, g, r, bounds.thm2_order)
+                rep = theorem2_check(f, g, r, bounds.thm2_order, blocks)
                 if not rep.passed:
                     failure = Counterexample(f"trial {i}: {rep.counterexample.location}",
                                              rep.counterexample.lhs, rep.counterexample.rhs)
@@ -327,10 +326,3 @@ def run_suite(selection, bounds: SuiteBounds | None = None, seed: int = 0) -> li
 def suite_json(reports) -> str:
     """Canonical JSON array for a report list (byte-stable for fixed inputs)."""
     return json.dumps([rep.to_json() for rep in reports], sort_keys=True, indent=2)
-
-
-def _clear_identity_caches() -> None:
-    _x_over_one_minus_powers.cache_clear()
-
-
-stirling.register_cache_clearer(_clear_identity_caches)

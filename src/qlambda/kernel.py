@@ -23,29 +23,6 @@ from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
-_ARITH_OPS = ("add", "sub", "mul", "div")
-
-
-def rational_arith(a: Fraction, b: Fraction, op: str) -> Fraction:
-    """Exact rational arithmetic with an explicit operation selector.
-
-    Division by zero raises ``ZeroDivisionError``; there is no NaN-like
-    sentinel in this kernel.
-    """
-    a = Fraction(a)
-    b = Fraction(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise ZeroDivisionError("rational division by zero")
-        return a / b
-    raise ValueError(f"unknown op {op!r}; expected one of {_ARITH_OPS}")
-
 
 def _as_fraction(value: Scalar) -> Fraction:
     if isinstance(value, Fraction):
@@ -349,13 +326,6 @@ class XPoly:
         acc = LambdaPoly.zero()
         for c in reversed(self.coeffs):
             acc = acc * v + c
-        return acc
-
-    def subs_x(self, q: "XPoly") -> "XPoly":
-        """Substitute another polynomial for x (used for x -> x + r shifts)."""
-        acc = _XP_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * q + XPoly.const(c)
         return acc
 
     def subs_lambda(self, value: Scalar) -> tuple[Fraction, ...]:

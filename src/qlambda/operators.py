@@ -9,16 +9,17 @@ equality is the first operator identity the suite verifies.
 
 ``theorem2_check`` verifies the general two-series identity (both
 forms) for a polynomial f against a truncated series g; f is restricted
-to polynomials so both sides are finite-order computable.  Intermediate
-per-(g, r) work is memoized; the memo is registered with the triangle
-cache so fault injection invalidates it.
+to polynomials so both sides are finite-order computable.  The g-side
+work (shifted derivatives, Stirling mixes, falling-factorial values)
+depends only on (g, r, order); ``theorem2_blocks`` builds it once so a
+caller checking many f against one g can pass it to every check.
+Nothing is memoized, so a triangle fault is always seen by the next check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 from . import stirling
@@ -143,95 +144,109 @@ def theorem1_check(m: int, r: int, mode: str, jmax: int = 10) -> CheckReport:
     return make_report("thm1", params, None)
 
 
-@lru_cache(maxsize=None)
-def _shifted_derivative(g: TruncSeries, k: int, order: int) -> TruncSeries:
-    """x^k d^k/dx^k g, tracked to exactly ``order``."""
-    d = g
-    for _ in range(k):
-        d = d.derive()
-    return d.truncate(order - k).shift(k)
+@dataclass(frozen=True)
+class Theorem2Blocks:
+    """The g-side work of the two-series identity for one (g, r, order).
+
+    ``derivs[k]`` is x^k g^(k), ``main[n]`` is sum_k {n+r over k+r}_r x^k g^(k)
+    and ``shifted[m]`` is sum_{k >= r} {m over k}_r x^k g^(k) (zero for
+    m < r); all are tracked to ``order`` and cover polynomials f of degree
+    <= ``degmax``.  ``falling[a][m]`` is the degenerate falling factorial
+    (a)_{m,l} for a <= order + r.
+    """
+
+    g: TruncSeries
+    r: int
+    order: int
+    degmax: int
+    derivs: tuple[TruncSeries, ...]
+    main: tuple[TruncSeries, ...]
+    shifted: tuple[TruncSeries, ...]
+    falling: tuple[tuple[LambdaPoly, ...], ...]
 
 
-@lru_cache(maxsize=None)
-def _stirling_derivative_mix(g: TruncSeries, r: int, n: int, order: int) -> TruncSeries:
-    """sum_k {n+r over k+r}_r x^k g^(k), the g-side block of the main form."""
-    fam = stirling.StirlingFamily(stirling.S2R_DEGENERATE, r)
-    out = TruncSeries.zero(QL, order)
-    for k in range(n + 1):
-        w = stirling.stirling_value(fam, n, k)
+def _stirling_mix(derivs, weights) -> TruncSeries:
+    out = TruncSeries.zero(QL, derivs[0].order)
+    for k, w in weights:
         if not w.is_zero():
-            out = out + _shifted_derivative(g, k, order).scale(w)
+            out = out + derivs[k].scale(w)
     return out
 
 
-@lru_cache(maxsize=None)
-def _falling_at(arg: int, m: int) -> LambdaPoly:
-    return degen_falling(arg, m)
+def theorem2_blocks(g: TruncSeries, r: int, order: int, degmax: int) -> Theorem2Blocks:
+    """Everything ``theorem2_check`` needs from g, for every f of degree <= degmax.
 
-
-def _clear_theorem2_caches() -> None:
-    _stirling_derivative_mix.cache_clear()
-
-
-stirling.register_cache_clearer(_clear_theorem2_caches)
-
-
-def theorem2_check(f: XPoly, g: TruncSeries, r: int, order: int) -> CheckReport:
-    """Both forms of the two-power-series identity, coefficientwise to ``order``.
-
-    Requires g tracked to at least order + deg f, since each derivative
-    loses one coefficient.
+    Requires g tracked to at least order + degmax, so that every g^(k)
+    it uses is itself tracked to ``order``.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    deg = max(f.degree, 0)
-    if g.order < order + deg:
-        raise ValueError(f"g must be tracked to >= {order + deg} (got {g.order})")
+    if degmax < 0:
+        raise ValueError("degmax must be >= 0")
+    if g.order < order + degmax:
+        raise ValueError(f"g must be tracked to >= {order + degmax} (got {g.order})")
+    # The x^n coefficient of x^k g^(k) is n(n-1)...(n-k+1) g_n, zero for k > n.
+    derivs = tuple(TruncSeries(QL, (g.coeffs[n] * math.perm(n, k) for n in range(order + 1)))
+                   for k in range(degmax + 1))
+    tri = stirling.triangle(stirling.StirlingFamily(stirling.S2R_DEGENERATE, r), degmax)
+    main = tuple(_stirling_mix(derivs, ((k, tri.entry(n, k)) for k in range(n + 1)))
+                 for n in range(degmax + 1))
+    shifted = tuple(_stirling_mix(derivs, ((k, tri.entry(m - r, k - r)) for k in range(r, m + 1)))
+                    for m in range(degmax + 1))
+    falling = tuple(tuple(degen_falling(a, m) for m in range(degmax + 1))
+                    for a in range(order + r + 1))
+    return Theorem2Blocks(g, r, order, degmax, derivs, main, shifted, falling)
+
+
+def theorem2_check(f: XPoly, g: TruncSeries, r: int, order: int,
+                   blocks: Theorem2Blocks | None = None) -> CheckReport:
+    """Both forms of the two-series identity, coefficientwise to ``order``.
+
+    ``blocks`` is ``theorem2_blocks(g, r, order, degmax)`` for some
+    degmax >= deg f; it is built here when not given.
+    """
+    if blocks is None:
+        blocks = theorem2_blocks(g, r, order, max(f.degree, 0))
+    elif (blocks.r, blocks.order) != (r, order) or blocks.g != g:
+        raise ValueError("blocks were built for a different g, r or order")
+    if f.degree > blocks.degmax:
+        raise ValueError(f"blocks cover degree <= {blocks.degmax}, f has degree {f.degree}")
     params = {"r": r, "order": order, "deg_f": f.degree}
+    falling = blocks.falling
 
     # Main form: sum_n a_n (sum_k {...} x^k g^(k)) == sum_n b_n f_l(n+r) x^n.
     lhs = TruncSeries.zero(QL, order)
     for n in range(f.degree + 1):
         a = f.coeff(n)
         if not a.is_zero():
-            lhs = lhs + _stirling_derivative_mix(g, r, n, order).scale(a)
+            lhs = lhs + blocks.main[n].scale(a)
     rhs_coeffs = []
     for n in range(order + 1):
-        b = g.coeffs[n]
         value = LambdaPoly.zero()
         for m_ in range(f.degree + 1):
             a = f.coeff(m_)
             if not a.is_zero():
-                value = value + a * _falling_at(n + r, m_)
-        rhs_coeffs.append(b * value)
+                value = value + a * falling[n + r][m_]
+        rhs_coeffs.append(g.coeffs[n] * value)
     rhs = TruncSeries(QL, rhs_coeffs)
     bad = first_mismatch(lhs, rhs, "main form")
     if bad is not None:
         return make_report("thm2", params, bad)
 
     # Shifted form: only the a_m with m >= r participate.
-    fam = stirling.StirlingFamily(stirling.S2R_DEGENERATE, r)
     lhs2 = TruncSeries.zero(QL, order)
     for m_ in range(r, f.degree + 1):
         a = f.coeff(m_)
-        if a.is_zero():
-            continue
-        block = TruncSeries.zero(QL, order)
-        for k in range(r, m_ + 1):
-            w = stirling.stirling_value(fam, m_ - r, k - r)
-            if not w.is_zero():
-                block = block + _shifted_derivative(g, k, order).scale(w)
-        lhs2 = lhs2 + block.scale(a)
+        if not a.is_zero():
+            lhs2 = lhs2 + blocks.shifted[m_].scale(a)
     rhs2_coeffs = [QL.zero] * (order + 1)
-    rfact = math.factorial(r)
     for n in range(r, order + 1):
-        b = g.coeffs[n]
         value = LambdaPoly.zero()
         for m_ in range(r, f.degree + 1):
             a = f.coeff(m_)
             if not a.is_zero():
-                value = value + a * _falling_at(n, m_ - r)
-        rhs2_coeffs[n] = b * value * (math.comb(n, r) * rfact)
+                value = value + a * falling[n][m_ - r]
+        rhs2_coeffs[n] = g.coeffs[n] * value * math.perm(n, r)
     rhs2 = TruncSeries(QL, rhs2_coeffs)
     bad = first_mismatch(lhs2, rhs2, "shifted form")
     return make_report("thm2", params, bad)

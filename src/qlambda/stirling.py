@@ -195,17 +195,6 @@ def unsigned_first_kind(n: int, k: int) -> LambdaPoly:
 _LOCK = threading.Lock()
 _TRIANGLES: dict[tuple[str, int], Triangle] = {}
 _FAULTS: dict[tuple[str, int, int, int], LambdaPoly] = {}
-_DEPENDENT_CACHE_CLEARERS: list = []
-
-
-def register_cache_clearer(fn) -> None:
-    """Register a callable that drops memoized state derived from triangles."""
-    _DEPENDENT_CACHE_CLEARERS.append(fn)
-
-
-def _clear_dependent_caches() -> None:
-    for fn in _DEPENDENT_CACHE_CLEARERS:
-        fn()
 
 
 def _build_rows(family: StirlingFamily, nmax: int) -> tuple[tuple[LambdaPoly, ...], ...]:
@@ -257,17 +246,15 @@ def stirling_value(family: StirlingFamily, n: int, k: int) -> LambdaPoly:
 def inject_fault(family: StirlingFamily, n: int, k: int, delta: LambdaPoly) -> None:
     """Testing hook: additively corrupt one triangle entry everywhere.
 
-    Clears the triangle cache and every registered dependent cache so the
-    corruption is visible to all consumers.
+    Clears the triangle cache so the corruption is visible to all
+    consumers; no other module keeps state derived from triangles.
     """
     with _LOCK:
         _FAULTS[(family.id, family.r, n, k)] = delta
         _TRIANGLES.clear()
-    _clear_dependent_caches()
 
 
 def clear_faults() -> None:
     with _LOCK:
         _FAULTS.clear()
         _TRIANGLES.clear()
-    _clear_dependent_caches()

@@ -165,6 +165,26 @@ def test_eval_series_payload():
     assert got["coeffs"] == ["0", "1", "-1/2", "1/3"]
 
 
+def test_eval_xpoly_series_payload():
+    body = run_cli("series", "fubini-gf", "--order", "3").stdout
+    proc = run_cli("eval", stdin=body)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == json.loads(body)
+
+    proc = run_cli("eval", "--lambda", "1/2", stdin=body)
+    assert proc.returncode == 0, proc.stderr
+    expect = run_cli("series", "fubini-gf", "--order", "3", "--lambda", "1/2").stdout
+    assert json.loads(proc.stdout) == json.loads(expect)
+
+
+def test_hyperharmonic_large_r():
+    proc = run_cli("table", "hyperharmonic", "--r", "5000", "--nmax", "2")
+    assert proc.returncode == 0, proc.stderr
+    values = json.loads(proc.stdout)["values"]
+    assert len(values) == 3
+    assert values[2] == ["10001/2", "-1/2"]  # r + 1/2 - l/2
+
+
 def test_negative_lambda_equals_form():
     proc = run_cli("table", "stirling2d", "--nmax", "2", "--lambda=-2/7", "--format", "csv")
     assert proc.returncode == 0

@@ -132,6 +132,16 @@ def test_fault_localization(family, n, k, checks):
     assert all(r.passed for r in reports)
 
 
+def test_thm2_sees_fault_after_a_clean_run():
+    # one process: no derived state may outlive a run and hide the fault
+    bounds = SuiteBounds(thm2_trials=3, thm2_order=6, thm2_degmax=3, thm2_rmax=1)
+    assert all(r.passed for r in run_suite({"thm2"}, bounds, seed=2))
+    st.inject_fault(st.StirlingFamily(st.S2R_DEGENERATE, 0), 3, 1, LambdaPoly.one())
+    assert not all(r.passed for r in run_suite({"thm2"}, bounds, seed=2))
+    st.clear_faults()
+    assert all(r.passed for r in run_suite({"thm2"}, bounds, seed=2))
+
+
 def test_check_report_invariant():
     rep = check_thm4(3)
     assert rep.passed == (rep.counterexample is None)

@@ -5,28 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from qlambda.kernel import (QL, QQ, LambdaPoly, SeriesOrderError, TruncSeries,
-                            XPoly, rational_arith)
+from qlambda.kernel import QL, QQ, LambdaPoly, SeriesOrderError, TruncSeries, XPoly
 from qlambda.gfun import degen_exp, degen_log1p, inv_one_minus, one_minus_var
 
 from oracles import convolve
-
-
-def test_rational_arith_examples():
-    assert rational_arith(Fraction(1, 2), Fraction(1, 3), "add") == Fraction(5, 6)
-    assert rational_arith(Fraction(1, 2), Fraction(0), "mul") == Fraction(0)
-    out = rational_arith(Fraction(7, 3), Fraction(7, 3), "sub")
-    assert out == 0 and out.numerator == 0 and out.denominator == 1
-
-
-def test_rational_division_by_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        rational_arith(Fraction(1), Fraction(0), "div")
-
-
-def test_rational_unknown_op():
-    with pytest.raises(ValueError):
-        rational_arith(Fraction(1), Fraction(1), "pow")
 
 
 def _random_fraction(rng):

@@ -10,7 +10,8 @@ from qlambda.factorials import degen_falling
 from qlambda.gfun import classical_exp, degen_log_one_minus, inv_one_minus
 from qlambda.kernel import QL, LambdaPoly, TruncSeries, XPoly
 from qlambda.operators import (OperatorSpec, degen_transform, degen_transform_value,
-                               euler_apply, rhs_theorem1, theorem1_check, theorem2_check)
+                               euler_apply, rhs_theorem1, theorem1_check, theorem2_blocks,
+                               theorem2_check)
 
 X = XPoly.x()
 
@@ -130,6 +131,57 @@ def test_theorem2_random_polynomials_all_gs():
 def test_theorem2_insufficient_order_is_error():
     with pytest.raises(ValueError):
         theorem2_check(XPoly.monomial(1, 3), inv_one_minus(10), 0, 10)
+    with pytest.raises(ValueError):
+        theorem2_blocks(inv_one_minus(10), 0, 10, 3)
+
+
+def test_theorem2_shared_blocks_match_own_blocks():
+    rng = random.Random(5)
+    order, degmax = 10, 5
+    for name in ("geometric", "exp", "harmonic"):
+        g = _g_for(name, order + degmax)
+        for r in range(3):
+            blocks = theorem2_blocks(g, r, order, degmax)
+            for _ in range(4):
+                f = XPoly([LambdaPoly([Fraction(rng.randint(-6, 6), rng.randint(1, 4))])
+                           for _ in range(rng.randint(1, degmax + 1))])
+                shared = theorem2_check(f, g, r, order, blocks)
+                assert shared.passed, shared.to_json()
+                assert shared == theorem2_check(f, g, r, order)
+
+
+def test_theorem2_blocks_shapes():
+    g = _g_for("exp", 9)
+    blocks = theorem2_blocks(g, 2, 6, 3)
+    assert len(blocks.derivs) == len(blocks.main) == len(blocks.shifted) == 4
+    assert all(s.order == 6 for s in blocks.derivs + blocks.main + blocks.shifted)
+    assert blocks.derivs[0] == g.truncate(6)
+    assert blocks.derivs[1] == g.derive().truncate(5).shift(1)
+    # f with m < r contributes nothing to the shifted form
+    assert blocks.shifted[0] == blocks.shifted[1] == TruncSeries.zero(QL, 6)
+    assert len(blocks.falling) == 6 + 2 + 1
+    assert blocks.falling[5][2] == degen_falling(5, 2)
+
+
+def test_theorem2_rejects_mismatched_blocks():
+    g = _g_for("geometric", 14)
+    blocks = theorem2_blocks(g, 1, 10, 2)
+    with pytest.raises(ValueError):
+        theorem2_check(XPoly.monomial(1, 3), g, 1, 10, blocks)  # degmax below deg f
+    with pytest.raises(ValueError):
+        theorem2_check(X, g, 0, 10, blocks)
+    with pytest.raises(ValueError):
+        theorem2_check(X, g, 1, 9, blocks)
+    with pytest.raises(ValueError):
+        theorem2_check(X, _g_for("exp", 14), 1, 10, blocks)
+    assert theorem2_check(X, g, 1, 10, blocks).passed
+
+
+def test_theorem2_degree_above_order():
+    # x^k g^(k) vanishes mod x^(order+1) once k > order; the identity still holds
+    for r in range(3):
+        rep = theorem2_check(XPoly([1, 2, 0, 0, 0, 3]), _g_for("harmonic", 8), r, 3)
+        assert rep.passed, rep.to_json()
 
 
 def test_shifted_mode_requires_enough_length():
