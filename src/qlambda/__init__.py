@@ -15,20 +15,20 @@ from .operators import (OperatorSpec, degen_transform, degen_transform_value, eu
                         rhs_theorem1, theorem1_check, theorem2_blocks, theorem2_check)
 from .report import CheckReport, Counterexample
 from .stirling import (StirlingFamily, Triangle, stirling2_by_recurrence, stirling_by_basis,
-                       stirling_by_gf, stirling_value, triangle, unsigned_first_kind)
+                       stirling_value, triangle, unsigned_first_kind)
+from .tables import Tables
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BasisId", "CHECK_IDS", "CheckReport", "Counterexample", "LambdaPoly",
     "OperatorSpec", "PolyFamily", "QL", "QLX", "QQ", "SeriesOrderError",
-    "StirlingFamily", "SuiteBounds", "Triangle", "TruncSeries", "XPoly",
+    "StirlingFamily", "SuiteBounds", "Tables", "Triangle", "TruncSeries", "XPoly",
     "classical_falling", "classical_harmonic", "classical_rising",
     "degen_falling", "degen_harmonic", "degen_hyperharmonic", "degen_rising",
     "degen_transform", "degen_transform_value", "euler_apply", "family_series",
     "from_basis", "gen_binomial", "harmonic_gf", "poly_by_gf", "poly_by_sum",
-    "rfubini_numbers", "rhs_theorem1", "run_suite",
-    "stirling2_by_recurrence", "stirling_by_basis", "stirling_by_gf",
-    "stirling_value", "suite_json", "theorem1_check", "theorem2_blocks", "theorem2_check",
-    "to_basis", "triangle", "unsigned_first_kind",
+    "rfubini_numbers", "rhs_theorem1", "run_suite", "stirling2_by_recurrence",
+    "stirling_by_basis", "stirling_value", "suite_json", "theorem1_check", "theorem2_blocks",
+    "theorem2_check", "to_basis", "triangle", "unsigned_first_kind",
 ]

@@ -25,6 +25,7 @@ from .kernel import QL, QLX, QQ, LambdaPoly, TruncSeries, XPoly
 from .render import (lambda_poly_ascii, lambda_poly_json, parse_lambda_poly,
                      parse_rational, parse_series, parse_xpoly, rational_str,
                      series_json, xpoly_json)
+from .tables import Tables
 
 DEFAULT_CAP = 64
 MAX_CAP = 512
@@ -46,7 +47,7 @@ _POLY_FAMILIES = {
     "fubini-d": FUBINI_DEGENERATE,
     "rfubini-d": RFUBINI_DEGENERATE,
 }
-_HARMONIC_FAMILIES = ("harmonic", "hyperharmonic")
+_SEQUENCE_FAMILIES = ("harmonic", "hyperharmonic")
 _SERIES_NAMES = ("degen-exp", "degen-log", "harmonic-gf", "hyperharmonic-gf",
                  "fubini-gf", "rfubini-gf")
 
@@ -97,13 +98,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_cap(value: int, cap: int, what: str) -> None:
+def _check_sizes(args) -> None:
+    """Every size argument lies in 0..cap: --cap where the command has it, else the default."""
+    cap = getattr(args, "cap", DEFAULT_CAP)
     if cap < 0 or cap > MAX_CAP:
         raise UsageError(f"--cap must be between 0 and {MAX_CAP}")
-    if value < 0:
-        raise UsageError(f"{what} must be >= 0")
-    if value > cap:
-        raise UsageError(f"{what} {value} exceeds the cap {cap} (raise with --cap, max {MAX_CAP})")
+    hint = f" (raise with --cap, max {MAX_CAP})" if hasattr(args, "cap") else ""
+    for flag in ("nmax", "order", "rmax", "r"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            raise UsageError(f"--{flag} must be >= 0")
+        if value is not None and value > cap:
+            raise UsageError(f"--{flag} {value} exceeds the cap {cap}{hint}")
 
 
 def _parse_lambda(text):
@@ -115,24 +121,11 @@ def _parse_lambda(text):
         raise UsageError(str(exc)) from None
 
 
-def _triangle_payload(short: str, fid: str, r: int, nmax: int, lam):
+def _triangle_rows(fid: str, r: int, nmax: int, lam, symbolic):
+    """Triangle rows as cells: ``symbolic(entry)``, or the value at ``lam`` if given."""
     tri = stirling.triangle(stirling.StirlingFamily(fid, r), nmax)
-    if lam is None:
-        rows = [[lambda_poly_json(tri.entry(n, k)) for k in range(n + 1)]
-                for n in range(nmax + 1)]
-    else:
-        rows = [[rational_str(tri.entry(n, k).subs(lam)) for k in range(n + 1)]
-                for n in range(nmax + 1)]
-    return {"family": short, "r": r, "nmax": nmax, "rows": rows}
-
-
-def _triangle_csv_rows(fid: str, r: int, nmax: int, lam):
-    tri = stirling.triangle(stirling.StirlingFamily(fid, r), nmax)
-    for n in range(nmax + 1):
-        if lam is None:
-            yield [lambda_poly_ascii(tri.entry(n, k)) for k in range(n + 1)]
-        else:
-            yield [rational_str(tri.entry(n, k).subs(lam)) for k in range(n + 1)]
+    cell = symbolic if lam is None else (lambda p: rational_str(p.subs(lam)))
+    return [[cell(tri.entry(n, k)) for k in range(n + 1)] for n in range(nmax + 1)]
 
 
 def _poly_cells(p: XPoly, n: int, lam):
@@ -146,7 +139,6 @@ def _poly_cells(p: XPoly, n: int, lam):
 def cmd_table(args) -> int:
     lam = _parse_lambda(args.lam)
     short = args.family
-    _check_cap(args.nmax, args.cap, "--nmax")
     out = sys.stdout
     if short in _STIRLING_FAMILIES:
         fid = _STIRLING_FAMILIES[short]
@@ -154,16 +146,14 @@ def cmd_table(args) -> int:
         if r and fid not in stirling.R_FAMILY_IDS:
             raise UsageError(f"family {short} does not take --r")
         if args.format == "json":
-            json.dump(_triangle_payload(short, fid, r, args.nmax, lam), out, indent=2)
+            rows = _triangle_rows(fid, r, args.nmax, lam, lambda_poly_json)
+            json.dump({"family": short, "r": r, "nmax": args.nmax, "rows": rows}, out, indent=2)
             out.write("\n")
         else:
-            writer = csv.writer(out)
-            for row in _triangle_csv_rows(fid, r, args.nmax, lam):
-                writer.writerow(row)
+            csv.writer(out).writerows(_triangle_rows(fid, r, args.nmax, lam, lambda_poly_ascii))
         return 0
     if short in _POLY_FAMILIES:
-        fam = PolyFamily(_POLY_FAMILIES[short],
-                         args.r if args.r is not None else 0)
+        fam = PolyFamily(_POLY_FAMILIES[short], args.r or 0)
         polys = [poly_by_sum(fam, n) for n in range(args.nmax + 1)]
         if args.format == "json":
             if lam is None:
@@ -178,7 +168,7 @@ def cmd_table(args) -> int:
             for n, p in enumerate(polys):
                 writer.writerow(_poly_cells(p, n, lam))
         return 0
-    if short in _HARMONIC_FAMILIES:
+    if short in _SEQUENCE_FAMILIES:
         if short == "harmonic":
             r = 1
             values = [degen_harmonic(n) for n in range(args.nmax + 1)]
@@ -230,7 +220,6 @@ def _series_subs_lambda(s: TruncSeries, lam: Fraction):
 
 def cmd_series(args) -> int:
     lam = _parse_lambda(args.lam)
-    _check_cap(args.order, args.cap, "--order")
     s = _named_series(args.name, args.order, args.r)
     out = sys.stdout
     if args.format == "json":
@@ -251,7 +240,7 @@ def cmd_series(args) -> int:
     return 0
 
 
-def _apply_fault(spec: str) -> None:
+def _fault_tables(spec: str) -> Tables:
     parts = spec.split(":")
     if len(parts) not in (4, 5):
         raise UsageError("--fault expects FAMILY:R:N:K[:DELTA]")
@@ -260,23 +249,26 @@ def _apply_fault(spec: str) -> None:
         raise UsageError(f"unknown triangle family {short!r} in --fault")
     try:
         r, n, k = int(r_s), int(n_s), int(k_s)
+        if not 0 <= k <= n:
+            raise ValueError(f"entry ({n}, {k}) is outside every triangle")
         delta = parse_rational(parts[4]) if len(parts) == 5 else Fraction(1)
         family = stirling.StirlingFamily(_STIRLING_FAMILIES[short], r)
     except ValueError as exc:
         raise UsageError(f"bad --fault value: {exc}") from None
-    stirling.inject_fault(family, n, k, LambdaPoly.const(delta))
+    return Tables({(family.id, family.r, n, k): LambdaPoly.const(delta)})
 
 
 def cmd_verify(args) -> int:
-    if args.fault:
-        _apply_fault(args.fault)
+    tables = _fault_tables(args.fault) if args.fault else None
     selection = set(CHECK_IDS) if args.suite == "all" else {
         piece.strip() for piece in args.suite.split(",") if piece.strip()}
     bounds = SuiteBounds().with_cli_overrides(args.nmax, args.rmax, args.order)
     try:
-        reports = run_suite(selection, bounds, args.seed)
+        reports = run_suite(selection, bounds, args.seed, tables)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if not reports:
+        raise UsageError("the selected checks and bounds yield no checks")
     sys.stdout.write(suite_json(reports) + "\n")
     failed = sum(1 for rep in reports if not rep.passed)
     print(f"checks: {len(reports)} passed: {len(reports) - failed} failed: {failed}",
@@ -288,16 +280,11 @@ def _eval_payload(value, lam, x):
     if isinstance(value, str):
         return rational_str(parse_rational(value))
     if isinstance(value, dict) and "order" in value:
-        ring = QL
-        for c in value.get("coeffs", []):
-            if isinstance(c, str):
-                ring = None  # plain rational coefficients: substitution is a no-op
-                break
-            if isinstance(c, list) and c:
-                ring = QLX if isinstance(c[0], list) else QL
-                break
-        if ring is None:
+        raw = value.get("coeffs")
+        first = next((c for c in raw if c), None) if isinstance(raw, list) else None
+        if isinstance(first, str):  # plain rational coefficients: substitution is a no-op
             return series_json(parse_series(value, QQ))
+        ring = QLX if isinstance(first, list) and isinstance(first[0], list) else QL
         s = parse_series(value, ring)
         if lam is None:
             return series_json(s)
@@ -322,7 +309,7 @@ def cmd_eval(args) -> int:
     x = _parse_lambda(args.x)
     try:
         value = json.load(sys.stdin)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, too deep
         raise UsageError(f"stdin is not valid JSON: {exc}") from None
     try:
         result = _eval_payload(value, lam, x)
@@ -340,6 +327,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_sizes(args)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -81,7 +81,7 @@ def gen_binomial(top: Union[int, Fraction, LambdaPoly], k: int) -> LambdaPoly:
     return classical_falling(top, k) / math.factorial(k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def basis_poly(basis: BasisId, k: int) -> XPoly:
     """The k-th basis polynomial (monic of degree k in x)."""
     arg = XPoly.x() + XPoly.const(basis.shift) if basis.shift else XPoly.x()

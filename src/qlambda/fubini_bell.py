@@ -14,13 +14,13 @@ tail bound, never floating point.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import stirling
 from .gfun import classical_exp, degen_exp, lift_to_xpoly
 from .kernel import QLX, TruncSeries, XPoly
+from .tables import current
 
 BELL_DEGENERATE = "bell-degenerate"
 RBELL_DEGENERATE = "rbell-degenerate"
@@ -79,15 +79,10 @@ def poly_by_sum(family: PolyFamily, n: int) -> XPoly:
     return XPoly(coeffs)
 
 
-_GF_LOCK = threading.Lock()
-_GF_CACHE: dict[tuple[str, int, int], TruncSeries] = {}
-
-
 def family_series(family: PolyFamily, order: int) -> TruncSeries:
-    """The family's generating series in t, with XPoly coefficients."""
-    key = (family.id, family.r, order)
-    with _GF_LOCK:
-        hit = _GF_CACHE.get(key)
+    """The family's generating series in t, with XPoly coefficients (memoized)."""
+    tables, key = current(), (family.id, family.r, order)
+    hit = tables.series.get(key)
     if hit is not None:
         return hit
     x = XPoly.x()
@@ -102,9 +97,7 @@ def family_series(family: PolyFamily, order: int) -> TruncSeries:
         series = (one - e_minus_1.scale(x)).reciprocal()
     if family.r:
         series = series * lift_to_xpoly(degen_exp(order, family.r))
-    with _GF_LOCK:
-        _GF_CACHE.setdefault(key, series)
-    return series
+    return tables.remember(tables.series, key, series)
 
 
 def poly_by_gf(family: PolyFamily, n: int, order: int) -> XPoly:

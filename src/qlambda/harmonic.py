@@ -11,29 +11,27 @@ generating function is the independent cross-check.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 
 from .factorials import classical_falling
 from .gfun import degen_log_one_minus, inv_one_minus
 from .kernel import LambdaPoly, TruncSeries
-
-_LOCK = threading.RLock()
-_HARMONIC: list[LambdaPoly] = [LambdaPoly.zero()]
-_HYPER: dict[int, list[LambdaPoly]] = {}
+from .tables import current
 
 
 def degen_harmonic(n: int) -> LambdaPoly:
     """Degenerate harmonic number; 0 at n = 0."""
     if n < 0:
         raise ValueError("harmonic index must be >= 0")
-    with _LOCK:
-        while len(_HARMONIC) <= n:
-            k = len(_HARMONIC)
+    tables = current()
+    with tables.lock:
+        row = tables.harmonic
+        while len(row) <= n:
+            k = len(row)
             summand = classical_falling(LambdaPoly.param() - 1, k - 1) / math.factorial(k)
             summand = summand * ((-1) ** (k - 1))
-            _HARMONIC.append(_HARMONIC[k - 1] + summand)
-        return _HARMONIC[n]
+            row.append(row[k - 1] + summand)
+        return row[n]
 
 
 def degen_hyperharmonic(n: int, r: int) -> LambdaPoly:
@@ -46,11 +44,12 @@ def degen_hyperharmonic(n: int, r: int) -> LambdaPoly:
         raise ValueError("index must be >= 0")
     if r < 1:
         raise ValueError("order must be >= 1")
-    with _LOCK:
+    tables = current()
+    with tables.lock:
         degen_harmonic(n)  # extends the order-1 row to index n
-        row = _HARMONIC
+        row = tables.harmonic
         for q in range(2, r + 1):
-            lower, row = row, _HYPER.setdefault(q, [LambdaPoly.zero()])
+            lower, row = row, tables.hyper.setdefault(q, [LambdaPoly.zero()])
             for m in range(len(row), n + 1):
                 row.append(row[m - 1] + lower[m])
         return row[n]

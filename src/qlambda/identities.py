@@ -26,6 +26,7 @@ from .harmonic import degen_harmonic, degen_hyperharmonic
 from .kernel import QL, LambdaPoly, TruncSeries, XPoly
 from .operators import theorem1_check, theorem2_blocks, theorem2_check
 from .report import CheckReport, Counterexample, first_mismatch, make_report
+from .tables import Tables, current, use
 
 CHECK_IDS = ("thm1", "thm2", "thm3", "thm4", "thm5", "thm6", "cor7", "thm8")
 
@@ -303,11 +304,13 @@ _RUNNERS = {
 }
 
 
-def run_suite(selection, bounds: SuiteBounds | None = None, seed: int = 0) -> list[CheckReport]:
+def run_suite(selection, bounds: SuiteBounds | None = None, seed: int = 0,
+              tables: Tables | None = None) -> list[CheckReport]:
     """Run the selected checks over their bounded grids; deterministic output.
 
     Reports come back sorted by check id and then by parameters regardless
     of execution order.  Unknown ids raise with the list of valid ones.
+    The checks read and fill ``tables`` when given, else the current ones.
     """
     ids = sorted(set(selection))
     for check_id in ids:
@@ -316,8 +319,9 @@ def run_suite(selection, bounds: SuiteBounds | None = None, seed: int = 0) -> li
     if bounds is None:
         bounds = SuiteBounds()
     reports: list[CheckReport] = []
-    for check_id in ids:
-        reports.extend(_RUNNERS[check_id](bounds, seed))
+    with use(tables or current()):
+        for check_id in ids:
+            reports.extend(_RUNNERS[check_id](bounds, seed))
     reports.sort(key=lambda rep: (rep.check_id,
                                   json.dumps(dict(rep.params), sort_keys=True, default=str)))
     return reports

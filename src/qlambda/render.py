@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .kernel import QL, QLX, LambdaPoly, TruncSeries, XPoly
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^-?\d+(/0*[1-9]\d*)?$")
 
 
 def rational_str(q: Fraction) -> str:
@@ -28,6 +28,8 @@ def rational_str(q: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
+    if not isinstance(text, str):
+        raise ValueError(f"expected a rational string, got {type(text).__name__}")
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a canonical rational: {text!r}")
@@ -39,8 +41,8 @@ def lambda_poly_json(p: LambdaPoly) -> list[str]:
 
 
 def parse_lambda_poly(items) -> LambdaPoly:
-    if isinstance(items, str):
-        raise ValueError("expected an array of rational strings, got a bare string")
+    if not isinstance(items, list):
+        raise ValueError(f"expected an array of rational strings, got {type(items).__name__}")
     return LambdaPoly(parse_rational(s) for s in items)
 
 
@@ -49,8 +51,8 @@ def xpoly_json(p: XPoly) -> list[list[str]]:
 
 
 def parse_xpoly(items) -> XPoly:
-    if isinstance(items, str):
-        raise ValueError("expected an array of coefficient arrays, got a bare string")
+    if not isinstance(items, list):
+        raise ValueError(f"expected an array of coefficient arrays, got {type(items).__name__}")
     return XPoly(parse_lambda_poly(row) for row in items)
 
 
@@ -65,8 +67,9 @@ def series_json(s: TruncSeries) -> dict:
 
 
 def parse_series(obj, ring) -> TruncSeries:
-    order = obj["order"]
-    raw = obj["coeffs"]
+    order, raw = obj.get("order"), obj.get("coeffs")
+    if type(order) is not int or not isinstance(raw, list):
+        raise ValueError("a series needs an integer order and a coeffs array")
     if len(raw) != order + 1:
         raise ValueError(f"series claims order {order} but has {len(raw)} coefficients")
     if ring is QLX:

@@ -6,23 +6,23 @@ can be cross-checked against coefficient extraction from its exponential
 generating function.  Values are polynomials in the degeneracy parameter;
 the classical families come out as degree-0 polynomials.
 
-Triangles are memoized per (family id, r) behind a lock; completed
-triangles are immutable, so concurrent readers share one object.  The
-fault-injection hook exists so the identity suite can prove it notices a
-corrupted table; it is for testing only.
+``triangle`` memoizes whole triangles per (family id, r) in the current
+``tables.Tables``; completed triangles are immutable, so concurrent
+readers share one object.  A ``Tables`` built with faults adds each fault
+to its own triangles only, so the identity suite can prove it notices a
+corrupted table without touching anyone else's.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .factorials import BasisId, basis_poly, to_basis
 from .gfun import classical_exp, classical_log1p, degen_exp, degen_log1p, degen_log_one_minus, inv_one_minus
 from .kernel import QL, LambdaPoly, TruncSeries
+from .tables import current
 
 S1_CLASSICAL = "S1-classical"
 S2_CLASSICAL = "S2-classical"
@@ -97,7 +97,6 @@ def _row_by_basis(family: StirlingFamily, n: int) -> tuple[LambdaPoly, ...]:
     return tuple(row)
 
 
-@lru_cache(maxsize=None)
 def _recurrence_rows(nmax: int) -> tuple[tuple[LambdaPoly, ...], ...]:
     """Second-kind degenerate triangle from its additive recurrence."""
     lam = LambdaPoly.param()
@@ -159,21 +158,6 @@ def _gf_parts(family: StirlingFamily, order: int):
     return base, extra
 
 
-def stirling_by_gf(family: StirlingFamily, n: int, k: int, order: int) -> LambdaPoly:
-    """n! times the t^n coefficient of the column-k generating series."""
-    if n < 0:
-        raise ValueError("negative index")
-    if order < n:
-        raise ValueError(f"order {order} < n {n}")
-    if k > n or k < 0:
-        return LambdaPoly.zero()
-    base, extra = _gf_parts(family, order)
-    series = base.pow(k)
-    if extra is not None:
-        series = series * extra
-    return series.coeff(n) * Fraction(math.factorial(n), math.factorial(k))
-
-
 def triangle_by_gf(family: StirlingFamily, nmax: int) -> Triangle:
     """Whole triangle from the generating functions (cross-check route)."""
     base, extra = _gf_parts(family, nmax)
@@ -192,11 +176,6 @@ def unsigned_first_kind(n: int, k: int) -> LambdaPoly:
     return stirling_value(StirlingFamily(S1_UNSIGNED_DEGENERATE), n, k)
 
 
-_LOCK = threading.Lock()
-_TRIANGLES: dict[tuple[str, int], Triangle] = {}
-_FAULTS: dict[tuple[str, int, int, int], LambdaPoly] = {}
-
-
 def _build_rows(family: StirlingFamily, nmax: int) -> tuple[tuple[LambdaPoly, ...], ...]:
     if family.id == S2_DEGENERATE:
         return _recurrence_rows(nmax)
@@ -208,53 +187,29 @@ def _build_rows(family: StirlingFamily, nmax: int) -> tuple[tuple[LambdaPoly, ..
 
 
 def triangle(family: StirlingFamily, nmax: int) -> Triangle:
-    """All entries 0 <= k <= n <= nmax by the family's cheapest route (cached)."""
+    """All entries 0 <= k <= n <= nmax by the family's cheapest route (memoized)."""
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
+    tables = current()
     key = (family.id, family.r)
-    with _LOCK:
-        cached = _TRIANGLES.get(key)
-        if cached is not None and cached.nmax >= nmax:
-            if cached.nmax == nmax:
-                return cached
-            return Triangle(family, nmax, cached.rows[: nmax + 1])
-        faults = dict(_FAULTS)
-    rows = _build_rows(family, nmax)
-    if faults:
-        patched = [list(row) for row in rows]
-        for (fid, fr, fn_, fk), delta in faults.items():
-            if fid == family.id and fr == family.r and fn_ <= nmax and 0 <= fk <= fn_:
-                patched[fn_][fk] = patched[fn_][fk] + delta
-        rows = tuple(tuple(row) for row in patched)
-    built = Triangle(family, nmax, rows)
-    with _LOCK:
-        cached = _TRIANGLES.get(key)
-        if cached is None or cached.nmax < built.nmax:
-            _TRIANGLES[key] = built
-    return built
+    with tables.lock:
+        cached = tables.triangles.get(key)
+        if cached is None or cached.nmax < nmax:
+            rows = [list(row) for row in _build_rows(family, nmax)]
+            for (fid, fr, n, k), delta in tables.faults.items():
+                if (fid, fr) == key and n <= nmax and 0 <= k <= n:
+                    rows[n][k] = rows[n][k] + delta
+            built = Triangle(family, nmax, tuple(map(tuple, rows)))
+            cached = tables.remember(tables.triangles, key, built)
+    if cached.nmax == nmax:
+        return cached
+    return Triangle(family, nmax, cached.rows[: nmax + 1])
 
 
 def stirling_value(family: StirlingFamily, n: int, k: int) -> LambdaPoly:
-    """Triangle entry through the shared cache (the route other modules use)."""
+    """Triangle entry through the memoized triangle (the route other modules use)."""
     if n < 0:
         raise ValueError("negative index")
     if k < 0 or k > n:
         return LambdaPoly.zero()
     return triangle(family, n).entry(n, k)
-
-
-def inject_fault(family: StirlingFamily, n: int, k: int, delta: LambdaPoly) -> None:
-    """Testing hook: additively corrupt one triangle entry everywhere.
-
-    Clears the triangle cache so the corruption is visible to all
-    consumers; no other module keeps state derived from triangles.
-    """
-    with _LOCK:
-        _FAULTS[(family.id, family.r, n, k)] = delta
-        _TRIANGLES.clear()
-
-
-def clear_faults() -> None:
-    with _LOCK:
-        _FAULTS.clear()
-        _TRIANGLES.clear()

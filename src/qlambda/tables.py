@@ -1,0 +1,58 @@
+"""The memo tables every check reads, owned by one object.
+
+A ``Tables`` holds the Stirling triangles, the degenerate harmonic and
+hyperharmonic rows and the Bell/Fubini generating series behind one lock,
+plus the triangle faults it was built with; the faults never change.  Code
+finds the instance in force with ``current()``: a shared, fault-free
+default, or whatever a ``use(tables)`` block installed for its thread or
+task.  A faulted instance shares no store with the default, so a
+self-test cannot corrupt a concurrent library user.
+"""
+
+from __future__ import annotations
+
+import threading
+from contextlib import contextmanager
+from contextvars import ContextVar
+
+from .kernel import LambdaPoly
+
+MAX_KEYS = 64  # keys per triangle or series store; the oldest key goes first
+
+
+class Tables:
+    """Memo stores for triangles, harmonic rows and series, plus fixed triangle faults."""
+
+    def __init__(self, faults=None):
+        self.faults = dict(faults or {})  # (family id, r, n, k) -> LambdaPoly added there
+        self.lock = threading.RLock()
+        self.triangles = {}  # (family id, r) -> stirling.Triangle
+        self.series = {}  # (family id, r, order) -> TruncSeries
+        self.harmonic, self.hyper = [LambdaPoly.zero()], {}  # order 1; order q >= 2 -> row
+
+    def remember(self, store: dict, key, value):
+        """Store ``value`` under ``key``, evicting the oldest key when full."""
+        with self.lock:
+            store.pop(key, None)
+            if len(store) >= MAX_KEYS:
+                del store[next(iter(store))]
+            store[key] = value
+        return value
+
+
+_CURRENT: ContextVar[Tables] = ContextVar("qlambda_tables", default=Tables())
+
+
+def current() -> Tables:
+    """The instance in force: the shared default unless a ``use`` block set another."""
+    return _CURRENT.get()
+
+
+@contextmanager
+def use(tables: Tables):
+    """Make ``tables`` the current instance inside the block (this context only)."""
+    token = _CURRENT.set(tables)
+    try:
+        yield tables
+    finally:
+        _CURRENT.reset(token)

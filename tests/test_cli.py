@@ -7,7 +7,14 @@ import subprocess
 import sys
 from fractions import Fraction
 
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
 from qlambda import stirling as st
+from qlambda.cli import main
 from qlambda.fubini_bell import FUBINI_DEGENERATE, PolyFamily, poly_by_sum
 from qlambda.harmonic import degen_harmonic
 from qlambda.kernel import QL, LambdaPoly
@@ -115,6 +122,9 @@ def test_verify_fault_injection_exits_one():
     reports = json.loads(proc.stdout)
     bad = [r for r in reports if not r["passed"]]
     assert bad and all(r["counterexample"] for r in bad)
+    for fault in ("stirling1ru:1:-2:1", "stirling1ru:1:2:3"):  # no such entry
+        proc = run_cli("verify", "--suite", "thm5", "--nmax", "4", "--fault", fault)
+        assert proc.returncode == 2 and "outside every triangle" in proc.stderr
 
 
 def test_verify_determinism_bytes():
@@ -179,10 +189,13 @@ def test_eval_xpoly_series_payload():
 
 def test_hyperharmonic_large_r():
     proc = run_cli("table", "hyperharmonic", "--r", "5000", "--nmax", "2")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--r 5000 exceeds the cap 64" in proc.stderr
+    proc = run_cli("table", "hyperharmonic", "--r", "512", "--nmax", "2", "--cap", "512")
     assert proc.returncode == 0, proc.stderr
     values = json.loads(proc.stdout)["values"]
     assert len(values) == 3
-    assert values[2] == ["10001/2", "-1/2"]  # r + 1/2 - l/2
+    assert values[2] == ["1025/2", "-1/2"]  # r + 1/2 - l/2
 
 
 def test_negative_lambda_equals_form():
@@ -190,3 +203,60 @@ def test_negative_lambda_equals_form():
     assert proc.returncode == 0
     rows = list(csv.reader(io.StringIO(proc.stdout)))
     assert rows[2] == ["0", "9/7", "1"]  # 1 - l at l = -2/7
+
+
+def test_every_size_argument_is_capped():
+    for args in (("verify", "--suite", "thm4", "--nmax", "65"),
+                 ("verify", "--suite", "thm2", "--order", "65"),
+                 ("verify", "--suite", "thm5", "--rmax", "65"),
+                 ("verify", "--suite", "thm4", "--nmax", "-1"),
+                 ("series", "rfubini-gf", "--r", "65"),
+                 ("series", "degen-exp", "--order", "9", "--cap", "8"),
+                 ("table", "stirling2r", "--r", "-1"),
+                 ("table", "rbell-d", "--r", "9", "--cap", "8")):
+        proc = run_cli(*args)
+        assert proc.returncode == 2, args
+        assert proc.stdout == "" and proc.stderr.startswith("error: "), args
+    assert run_cli("series", "rfubini-gf", "--r", "9", "--order", "2",
+                   "--cap", "9").returncode == 0
+
+
+def test_empty_check_grid_is_a_usage_error():
+    for args in (("verify", "--suite", ""), ("verify", "--suite", "thm5", "--nmax", "0")):
+        proc = run_cli(*args)
+        assert proc.returncode == 2, args
+        assert proc.stdout == "" and "no checks" in proc.stderr, args
+
+
+def test_eval_bad_payloads_exit_two_without_traceback():
+    for body in ('{"order": "x", "coeffs": []}', "[1, 2]",
+                 '{"order": 1, "coeffs": [["1"], [["2"]]]}', '{"order": 1}',
+                 '{"order": 0, "coeffs": 5}', '"1/0"', "[" * 100000):
+        proc = run_cli("eval", stdin=body)
+        assert proc.returncode == 2, body[:50]
+        assert proc.stdout == "" and proc.stderr.startswith("error: "), body[:50]
+        assert "Traceback" not in proc.stderr, body[:50]
+
+
+_JSON_LEAVES = hst.one_of(hst.none(), hst.booleans(), hst.integers(-3, 3),
+                          hst.sampled_from(["0", "1", "-1/2", "3/4", "1/0", "x", ""]))
+_JSON_VALUES = hst.recursive(
+    _JSON_LEAVES,
+    lambda inner: hst.one_of(
+        hst.lists(inner, max_size=4),
+        hst.fixed_dictionaries({"order": inner}, optional={"coeffs": inner})),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON_VALUES, lam=hst.sampled_from([None, "1/2"]),
+       x=hst.sampled_from([None, "2"]))
+def test_eval_fuzz_exits_zero_or_two(value, lam, x):
+    # in process: any exception other than a usage error fails the test
+    argv = ["eval"] + (["--lambda", lam] if lam else []) + (["--x", x] if x else [])
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(value))), \
+            redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    assert (code == 2) == err.getvalue().startswith("error: ")

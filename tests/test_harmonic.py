@@ -1,6 +1,8 @@
 """Harmonic and hyperharmonic values, their generating series and limits."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from qlambda import stirling as st
 from qlambda.harmonic import (classical_harmonic, degen_harmonic, degen_hyperharmonic,
                               harmonic_gf)
 from qlambda.kernel import LambdaPoly
+from qlambda.tables import Tables, use
 
 from oracles import harmonic_sum, hyperharmonic_sum
 
@@ -68,3 +71,35 @@ def test_first_column_bridge_to_unsigned_r_triangles():
 def test_degree_grows_linearly():
     for n in range(1, 16):
         assert degen_harmonic(n).degree == n - 1
+
+
+def test_large_order_rows_are_built_without_recursion():
+    # rows of order 2..r extend one from the next; r far past the recursion limit
+    with use(Tables()):  # private rows: the default store would keep all 5000
+        assert degen_hyperharmonic(2, 5000) == LambdaPoly([Fraction(10001, 2), Fraction(-1, 2)])
+
+
+def test_rows_grow_consistently_under_threads():
+    tables = Tables()
+    expect = [degen_hyperharmonic(n, r) for r in (1, 2, 3) for n in range(13)]
+
+    def grab(seed):
+        with use(tables):
+            for step in range(24):
+                n, r = (seed * 5 + step * 7) % 13, 1 + (seed + step) % 3
+                degen_hyperharmonic(n, r)
+
+    threads = [threading.Thread(target=grab, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    with use(tables):  # a lost or doubled append shifts a row
+        assert [degen_hyperharmonic(n, r) for r in (1, 2, 3) for n in range(13)] == expect
+    assert len(tables.harmonic) == 13 and all(len(tables.hyper[q]) == 13 for q in (2, 3))

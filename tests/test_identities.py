@@ -10,13 +10,7 @@ from qlambda.identities import (SuiteBounds, check_cor7, check_thm3, check_thm3_
                                 check_thm4, check_thm5, check_thm6, check_thm8, run_suite,
                                 suite_json)
 from qlambda.kernel import LambdaPoly, XPoly
-
-
-@pytest.fixture(autouse=True)
-def _clean_faults():
-    st.clear_faults()
-    yield
-    st.clear_faults()
+from qlambda.tables import Tables, current, use
 
 
 def test_thm3_small_instances():
@@ -119,15 +113,14 @@ def test_fault_localization(family, n, k, checks):
     bounds = SuiteBounds(thm2_trials=4, thm2_order=10, thm2_degmax=4,
                          thm3_order=10, thm3_mmax=5,
                          thm4_nmax=6, thm5_nmax=6, thm6_order=10, thm8_order=10)
-    st.inject_fault(family, n, k, LambdaPoly.one())
-    reports = run_suite(checks, bounds, seed=1)
+    faulted = Tables({(family.id, family.r, n, k): LambdaPoly.one()})
+    reports = run_suite(checks, bounds, seed=1, tables=faulted)
     failed = [r for r in reports if not r.passed]
     assert failed, f"fault in {family} went unnoticed"
     assert all(r.counterexample is not None for r in failed)
     # counterexamples name the first divergent coefficient
     assert any("coefficient" in r.counterexample.location or
                r.counterexample.location for r in failed)
-    st.clear_faults()
     reports = run_suite(checks, bounds, seed=1)
     assert all(r.passed for r in reports)
 
@@ -136,10 +129,32 @@ def test_thm2_sees_fault_after_a_clean_run():
     # one process: no derived state may outlive a run and hide the fault
     bounds = SuiteBounds(thm2_trials=3, thm2_order=6, thm2_degmax=3, thm2_rmax=1)
     assert all(r.passed for r in run_suite({"thm2"}, bounds, seed=2))
-    st.inject_fault(st.StirlingFamily(st.S2R_DEGENERATE, 0), 3, 1, LambdaPoly.one())
-    assert not all(r.passed for r in run_suite({"thm2"}, bounds, seed=2))
-    st.clear_faults()
+    faulted = Tables({(st.S2R_DEGENERATE, 0, 3, 1): LambdaPoly.one()})
+    assert not all(r.passed for r in run_suite({"thm2"}, bounds, seed=2, tables=faulted))
     assert all(r.passed for r in run_suite({"thm2"}, bounds, seed=2))
+
+
+def _stores(tables):
+    return (dict(tables.triangles), list(tables.harmonic),
+            {q: list(row) for q, row in tables.hyper.items()}, dict(tables.series))
+
+
+def test_run_suite_with_own_tables_leaves_the_default_alone():
+    default = current()
+    before = _stores(default)
+    own = Tables()
+    bounds = SuiteBounds(thm1_mmax=4, thm1_rmax=2, thm1_jmax=4, thm5_nmax=5, thm5_rmax=3,
+                         cor7_nmax=4, cor7_kmax=4)
+    reports = run_suite({"thm1", "thm5", "cor7"}, bounds, seed=0, tables=own)
+    assert reports and all(r.passed for r in reports)
+    with use(own):
+        poly_by_gf(PolyFamily(FUBINI_DEGENERATE), 3, 5)
+    assert current() is default
+    assert _stores(default) == before
+    assert (st.S2R_DEGENERATE, 2) in own.triangles
+    assert (st.S1R_UNSIGNED_DEGENERATE, 3) in own.triangles
+    assert len(own.harmonic) > 5 and 5 in own.hyper
+    assert (FUBINI_DEGENERATE, 0, 5) in own.series
 
 
 def test_check_report_invariant():

@@ -19,7 +19,7 @@ def test_rational_strings():
     assert parse_rational("-3") == Fraction(-3)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "1/-2", "a", "1/2/3", ""])
+@pytest.mark.parametrize("bad", ["1.5", "1/-2", "a", "1/2/3", "", "1/0", 3, ["1"]])
 def test_rational_parse_rejects_non_canonical(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
@@ -57,5 +57,8 @@ def test_round_trips():
 def test_series_json_shape():
     s = TruncSeries(QL, [LambdaPoly.zero(), LambdaPoly.one()])
     assert series_json(s) == {"order": 1, "coeffs": [[], ["1"]]}
-    with pytest.raises(ValueError):
-        parse_series({"order": 3, "coeffs": [[], ["1"]]}, QL)
+    for bad in ({"order": 3, "coeffs": [[], ["1"]]}, {"order": "x", "coeffs": []},
+                {"order": True, "coeffs": [[], []]}, {"order": 0, "coeffs": 5}, {"order": 0},
+                {"order": 0, "coeffs": [5]}):
+        with pytest.raises(ValueError):
+            parse_series(bad, QL)

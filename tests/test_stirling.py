@@ -1,5 +1,6 @@
 """Stirling families: examples, route agreement, limits, cache behavior."""
 
+import sys
 import threading
 from fractions import Fraction
 
@@ -7,18 +8,12 @@ import pytest
 
 from qlambda import stirling as st
 from qlambda.kernel import LambdaPoly
+from qlambda.tables import Tables, current, use
 
 from oracles import cycle_counts, stirling2_counts
 
 F2D = st.StirlingFamily(st.S2_DEGENERATE)
 F1D = st.StirlingFamily(st.S1_DEGENERATE)
-
-
-@pytest.fixture(autouse=True)
-def _clean_faults():
-    st.clear_faults()
-    yield
-    st.clear_faults()
 
 
 def test_by_basis_examples():
@@ -43,11 +38,11 @@ def test_recurrence_examples():
 def test_by_gf_examples():
     for r in range(4):
         fam = st.StirlingFamily(st.S1R_UNSIGNED_DEGENERATE, r)
-        assert st.stirling_by_gf(fam, 1, 1, 4) == LambdaPoly.one()
-    assert st.stirling_by_gf(F2D, 2, 1, 6) == LambdaPoly([1, -1])
-    assert st.stirling_by_gf(F1D, 2, 1, 6) == LambdaPoly([-1, 1])
+        assert st.triangle_by_gf(fam, 1).entry(1, 1) == LambdaPoly.one()
+    assert st.triangle_by_gf(F2D, 2).entry(2, 1) == LambdaPoly([1, -1])
+    assert st.triangle_by_gf(F1D, 2).entry(2, 1) == LambdaPoly([-1, 1])
     with pytest.raises(ValueError):
-        st.stirling_by_gf(F2D, 5, 2, 4)
+        st.triangle_by_gf(F2D, 4).entry(5, 2)
 
 
 def test_unsigned_first_kind_examples():
@@ -149,36 +144,91 @@ def test_triangle_examples_and_zero_conventions():
 
 
 def test_triangle_cache_is_idempotent_under_threads():
-    st.clear_faults()  # also clears the triangle cache
+    tables = Tables()  # a fresh store, shared by every thread
     results = []
 
     def grab():
-        results.append(st.triangle(st.StirlingFamily(st.S2R_DEGENERATE, 1), 9))
+        with use(tables):
+            results.append(st.triangle(st.StirlingFamily(st.S2R_DEGENERATE, 1), 9))
 
     threads = [threading.Thread(target=grab) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(tri.rows == results[0].rows for tri in results)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8
+    assert all(tri is results[0] for tri in results)
     # after the dust settles, repeated requests hand back the cached object
-    again = st.triangle(st.StirlingFamily(st.S2R_DEGENERATE, 1), 9)
-    assert again.rows == results[0].rows
+    with use(tables):
+        assert st.triangle(st.StirlingFamily(st.S2R_DEGENERATE, 1), 9) is results[0]
 
 
 def test_fault_injection_changes_exactly_one_entry():
     fam = st.StirlingFamily(st.S2R_DEGENERATE, 1)
     clean = st.triangle(fam, 5)
-    st.inject_fault(fam, 3, 1, LambdaPoly.const(Fraction(1, 7)))
-    dirty = st.triangle(fam, 5)
+    delta = LambdaPoly.const(Fraction(1, 7))
+    with use(Tables({(fam.id, fam.r, 3, 1): delta})):
+        dirty = st.triangle(fam, 5)
     for n in range(6):
         for k in range(n + 1):
             if (n, k) == (3, 1):
-                assert dirty.entry(n, k) == clean.entry(n, k) + LambdaPoly.const(Fraction(1, 7))
+                assert dirty.entry(n, k) == clean.entry(n, k) + delta
             else:
                 assert dirty.entry(n, k) == clean.entry(n, k)
-    st.clear_faults()
     assert st.triangle(fam, 5).rows == clean.rows
+
+
+def test_faulted_build_never_reaches_a_concurrent_clean_store(monkeypatch):
+    # The faulted build pauses inside the row builder; meanwhile the main
+    # thread reads the same family from the default tables.  A global fault
+    # flag cleared mid-build used to let the faulted triangle into the
+    # shared cache, where every later clean read saw it.
+    fam = st.StirlingFamily(st.S2R_DEGENERATE, 1)
+    expect = st.triangle_by_gf(fam, 5)
+    faulted = Tables({(fam.id, fam.r, 3, 1): LambdaPoly.const(Fraction(1, 7))})
+    building, release = threading.Event(), threading.Event()
+    real_build = st._build_rows
+
+    def paused_build(family, nmax):
+        if current() is faulted:
+            building.set()
+            assert release.wait(30)
+        return real_build(family, nmax)
+
+    monkeypatch.setattr(st, "_build_rows", paused_build)
+    dirty = []
+
+    def faulted_run():
+        with use(faulted):
+            dirty.append(st.triangle(fam, 6))
+
+    worker = threading.Thread(target=faulted_run)
+    worker.start()
+    try:
+        assert building.wait(30)
+        assert st.triangle(fam, 5).entry(3, 1) == expect.entry(3, 1)
+    finally:
+        release.set()
+        worker.join(60)
+    assert not worker.is_alive()
+    assert dirty[0].entry(3, 1) == expect.entry(3, 1) + LambdaPoly.const(Fraction(1, 7))
+    assert st.triangle(fam, 5).rows == expect.rows
+    assert current().triangles[(fam.id, fam.r)].entry(3, 1) == expect.entry(3, 1)
+
+
+def test_stores_are_bounded(monkeypatch):
+    monkeypatch.setattr("qlambda.tables.MAX_KEYS", 3)
+    tables = Tables()
+    with use(tables):
+        for r in range(5):
+            st.triangle(st.StirlingFamily(st.S2R_DEGENERATE, r), 2)
+    assert list(tables.triangles) == [(st.S2R_DEGENERATE, r) for r in (2, 3, 4)]
 
 
 def test_family_validation():
