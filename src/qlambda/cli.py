@@ -1,9 +1,9 @@
 """Command-line interface: tables, series, identity verification, substitution.
 
 Exit codes are a stable contract for CI consumers: 0 success, 1 identity
-failure, 2 usage error.  All output schemas are the kernel's canonical
-renderings; CSV cells use the ASCII polynomial rule with the letter "l"
-for the degeneracy parameter.
+failure, 2 usage error.  This module parses arguments, picks what to
+compute and writes it; ``render`` decides every text form (JSON, CSV
+cells, substituted values, parsed input).
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ from .fubini_bell import (BELL_DEGENERATE, FUBINI_CLASSICAL, FUBINI_DEGENERATE,
 from .gfun import degen_exp, degen_log1p
 from .harmonic import degen_harmonic, degen_hyperharmonic, harmonic_gf
 from .identities import CHECK_IDS, SuiteBounds, run_suite, suite_json
-from .kernel import QL, QLX, QQ, LambdaPoly, TruncSeries, XPoly
-from .render import (lambda_poly_ascii, lambda_poly_json, parse_lambda_poly,
-                     parse_rational, parse_series, parse_xpoly, rational_str,
-                     series_json, xpoly_json)
+from .kernel import LambdaPoly, TruncSeries, XPoly
+from .render import parse_rational, parse_value, to_cells, to_json
 from .tables import Tables
 
 DEFAULT_CAP = 64
@@ -47,7 +45,6 @@ _POLY_FAMILIES = {
     "fubini-d": FUBINI_DEGENERATE,
     "rfubini-d": RFUBINI_DEGENERATE,
 }
-_SEQUENCE_FAMILIES = ("harmonic", "hyperharmonic")
 _SERIES_NAMES = ("degen-exp", "degen-log", "harmonic-gf", "hyperharmonic-gf",
                  "fubini-gf", "rfubini-gf")
 
@@ -121,77 +118,48 @@ def _parse_lambda(text):
         raise UsageError(str(exc)) from None
 
 
-def _triangle_rows(fid: str, r: int, nmax: int, lam, symbolic):
-    """Triangle rows as cells: ``symbolic(entry)``, or the value at ``lam`` if given."""
-    tri = stirling.triangle(stirling.StirlingFamily(fid, r), nmax)
-    cell = symbolic if lam is None else (lambda p: rational_str(p.subs(lam)))
-    return [[cell(tri.entry(n, k)) for k in range(n + 1)] for n in range(nmax + 1)]
+def _family(cls, fid: str, short: str, r: int):
+    try:
+        return cls(fid, r)
+    except ValueError:  # r < 0 is caught earlier: the family takes no r
+        raise UsageError(f"family {short} does not take --r") from None
 
 
-def _poly_cells(p: XPoly, n: int, lam):
-    cells = []
-    for k in range(max(p.degree, n) + 1 if p.degree >= 0 else n + 1):
-        c = p.coeff(k)
-        cells.append(lambda_poly_ascii(c) if lam is None else rational_str(c.subs(lam)))
-    return cells
+def _write(fmt: str, lam, header: dict, key: str, body, widen: bool = False) -> None:
+    """``header`` plus ``key: body`` as indented JSON, or one CSV row per body item;
+    ``widen`` pads item n to n + 1 cells."""
+    out = sys.stdout
+    if fmt == "json":
+        json.dump({**header, key: to_json(body, lam)}, out, indent=2)
+        out.write("\n")
+        return
+    writer = csv.writer(out)
+    for n, item in enumerate(body):
+        writer.writerow(to_cells(item, lam, n + 1 if widen else 1))
 
 
 def cmd_table(args) -> int:
     lam = _parse_lambda(args.lam)
-    short = args.family
-    out = sys.stdout
+    short, nmax, r = args.family, args.nmax, args.r or 0
     if short in _STIRLING_FAMILIES:
-        fid = _STIRLING_FAMILIES[short]
-        r = args.r if args.r is not None else 0
-        if r and fid not in stirling.R_FAMILY_IDS:
-            raise UsageError(f"family {short} does not take --r")
-        if args.format == "json":
-            rows = _triangle_rows(fid, r, args.nmax, lam, lambda_poly_json)
-            json.dump({"family": short, "r": r, "nmax": args.nmax, "rows": rows}, out, indent=2)
-            out.write("\n")
-        else:
-            csv.writer(out).writerows(_triangle_rows(fid, r, args.nmax, lam, lambda_poly_ascii))
-        return 0
-    if short in _POLY_FAMILIES:
-        fam = PolyFamily(_POLY_FAMILIES[short], args.r or 0)
-        polys = [poly_by_sum(fam, n) for n in range(args.nmax + 1)]
-        if args.format == "json":
-            if lam is None:
-                body = [xpoly_json(p) for p in polys]
-            else:
-                body = [[rational_str(c) for c in p.subs_lambda(lam)] for p in polys]
-            payload = {"family": short, "r": fam.r, "nmax": args.nmax, "polys": body}
-            json.dump(payload, out, indent=2)
-            out.write("\n")
-        else:
-            writer = csv.writer(out)
-            for n, p in enumerate(polys):
-                writer.writerow(_poly_cells(p, n, lam))
-        return 0
-    if short in _SEQUENCE_FAMILIES:
-        if short == "harmonic":
-            r = 1
-            values = [degen_harmonic(n) for n in range(args.nmax + 1)]
-        else:
-            if args.r is None or args.r < 1:
-                raise UsageError("hyperharmonic requires --r >= 1")
-            r = args.r
-            values = [degen_hyperharmonic(n, r) for n in range(args.nmax + 1)]
-        if args.format == "json":
-            body = [lambda_poly_json(v) if lam is None else rational_str(v.subs(lam))
-                    for v in values]
-            payload = {"family": short, "r": r, "nmax": args.nmax, "values": body}
-            json.dump(payload, out, indent=2)
-            out.write("\n")
-        else:
-            writer = csv.writer(out)
-            for v in values:
-                writer.writerow([lambda_poly_ascii(v) if lam is None
-                                 else rational_str(v.subs(lam))])
-        return 0
-    raise UsageError(f"unknown family {short!r}; known: "
-                     + ", ".join(sorted({**_STIRLING_FAMILIES, **_POLY_FAMILIES}))
-                     + ", harmonic, hyperharmonic")
+        family = _family(stirling.StirlingFamily, _STIRLING_FAMILIES[short], short, r)
+        key, body = "rows", stirling.triangle(family, nmax).rows
+    elif short in _POLY_FAMILIES:
+        family = _family(PolyFamily, _POLY_FAMILIES[short], short, r)
+        key, body = "polys", [poly_by_sum(family, n) for n in range(nmax + 1)]
+    elif short == "harmonic":
+        key, r, body = "values", 1, [degen_harmonic(n) for n in range(nmax + 1)]
+    elif short == "hyperharmonic":
+        if r < 1:
+            raise UsageError("hyperharmonic requires --r >= 1")
+        key, body = "values", [degen_hyperharmonic(n, r) for n in range(nmax + 1)]
+    else:
+        raise UsageError(f"unknown family {short!r}; known: "
+                         + ", ".join(sorted({**_STIRLING_FAMILIES, **_POLY_FAMILIES}))
+                         + ", harmonic, hyperharmonic")
+    _write(args.format, lam, {"family": short, "r": r, "nmax": nmax}, key, body,
+           widen=short in _POLY_FAMILIES)
+    return 0
 
 
 def _named_series(name: str, order: int, r) -> TruncSeries:
@@ -212,31 +180,10 @@ def _named_series(name: str, order: int, r) -> TruncSeries:
     raise UsageError(f"unknown series {name!r}; known: " + ", ".join(_SERIES_NAMES))
 
 
-def _series_subs_lambda(s: TruncSeries, lam: Fraction):
-    if s.ring is QL:
-        return [rational_str(c.subs(lam)) for c in s.coeffs]
-    return [[rational_str(v) for v in c.subs_lambda(lam)] for c in s.coeffs]
-
-
 def cmd_series(args) -> int:
     lam = _parse_lambda(args.lam)
     s = _named_series(args.name, args.order, args.r)
-    out = sys.stdout
-    if args.format == "json":
-        if lam is None:
-            payload = series_json(s)
-        else:
-            payload = {"order": s.order, "coeffs": _series_subs_lambda(s, lam)}
-        json.dump(payload, out, indent=2)
-        out.write("\n")
-        return 0
-    writer = csv.writer(out)
-    for c in s.coeffs:
-        if s.ring is QL:
-            cells = [lambda_poly_ascii(c) if lam is None else rational_str(c.subs(lam))]
-        else:
-            cells = _poly_cells(c, 0, lam)
-        writer.writerow(cells)
+    _write(args.format, lam, {"order": s.order}, "coeffs", s.coeffs)
     return 0
 
 
@@ -276,34 +223,6 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _eval_payload(value, lam, x):
-    if isinstance(value, str):
-        return rational_str(parse_rational(value))
-    if isinstance(value, dict) and "order" in value:
-        raw = value.get("coeffs")
-        first = next((c for c in raw if c), None) if isinstance(raw, list) else None
-        if isinstance(first, str):  # plain rational coefficients: substitution is a no-op
-            return series_json(parse_series(value, QQ))
-        ring = QLX if isinstance(first, list) and isinstance(first[0], list) else QL
-        s = parse_series(value, ring)
-        if lam is None:
-            return series_json(s)
-        return {"order": s.order, "coeffs": _series_subs_lambda(s, lam)}
-    if isinstance(value, list):
-        nested = any(isinstance(item, list) for item in value)
-        if nested or not value:
-            p = parse_xpoly(value)
-            if x is not None:
-                q = p.eval_x(x)
-                return rational_str(q.subs(lam)) if lam is not None else lambda_poly_json(q)
-            if lam is not None:
-                return [rational_str(c) for c in p.subs_lambda(lam)]
-            return xpoly_json(p)
-        p = parse_lambda_poly(value)
-        return rational_str(p.subs(lam)) if lam is not None else lambda_poly_json(p)
-    raise UsageError("stdin JSON must be a rational string, polynomial array, or series object")
-
-
 def cmd_eval(args) -> int:
     lam = _parse_lambda(args.lam)
     x = _parse_lambda(args.x)
@@ -312,10 +231,12 @@ def cmd_eval(args) -> int:
     except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, too deep
         raise UsageError(f"stdin is not valid JSON: {exc}") from None
     try:
-        result = _eval_payload(value, lam, x)
+        value = parse_value(value)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    json.dump(result, sys.stdout, indent=2)
+    if x is not None and isinstance(value, XPoly):
+        value = value.eval_x(x)
+    json.dump(to_json(value, lam), sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .factorials import classical_falling
 from .gfun import degen_log_one_minus, inv_one_minus
 from .kernel import LambdaPoly, TruncSeries
-from .tables import current
+from .tables import MAX_KEYS, current
 
 
 def degen_harmonic(n: int) -> LambdaPoly:
@@ -38,7 +38,8 @@ def degen_hyperharmonic(n: int, r: int) -> LambdaPoly:
     """Degenerate hyperharmonic number of order r >= 1 (iterated partial sums).
 
     Each row of order 2..r is extended to index n from the row below it,
-    so a large r needs no recursion.
+    so a large r needs no recursion.  The current ``Tables`` keeps the rows
+    of order up to ``MAX_KEYS``; higher ones are built for this call only.
     """
     if n < 0:
         raise ValueError("index must be >= 0")
@@ -49,7 +50,8 @@ def degen_hyperharmonic(n: int, r: int) -> LambdaPoly:
         degen_harmonic(n)  # extends the order-1 row to index n
         row = tables.harmonic
         for q in range(2, r + 1):
-            lower, row = row, tables.hyper.setdefault(q, [LambdaPoly.zero()])
+            fresh = [LambdaPoly.zero()]
+            lower, row = row, (tables.hyper.setdefault(q, fresh) if q <= MAX_KEYS else fresh)
             for m in range(len(row), n + 1):
                 row.append(row[m - 1] + lower[m])
         return row[n]

@@ -22,7 +22,7 @@ from . import stirling
 from .factorials import degen_falling, gen_binomial
 from .fubini_bell import RFUBINI_DEGENERATE, PolyFamily, poly_by_sum, rfubini_numbers
 from .gfun import classical_exp, degen_log_one_minus, inv_one_minus
-from .harmonic import degen_harmonic, degen_hyperharmonic
+from .harmonic import degen_harmonic, degen_hyperharmonic, harmonic_gf
 from .kernel import QL, LambdaPoly, TruncSeries, XPoly
 from .operators import theorem1_check, theorem2_blocks, theorem2_check
 from .report import CheckReport, Counterexample, first_mismatch, make_report
@@ -114,7 +114,7 @@ def check_thm6(k: int, order: int) -> CheckReport:
     if order < k:
         raise ValueError("order must be >= k")
     params = {"k": k, "order": order}
-    g = (-degen_log_one_minus(order + k)) * inv_one_minus(order + k)
+    g = harmonic_gf(1, order + k)
     derived = g
     for _ in range(k):
         derived = derived.derive()
@@ -228,7 +228,7 @@ def _named_g(name: str, order: int) -> TruncSeries:
     if name == "exp":
         return classical_exp(order, QL)
     if name == "harmonic":
-        return (-degen_log_one_minus(order)) * inv_one_minus(order)
+        return harmonic_gf(1, order)
     raise ValueError(f"unknown series name {name!r}")
 
 

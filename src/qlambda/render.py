@@ -1,6 +1,7 @@
-"""Canonical text renderings and their parsers.
+"""Every text form of a kernel value, and its parser.
 
-These are the wire formats used by the CLI and by test fixtures:
+This module alone decides how a value becomes text; the CLI picks what to
+compute and hands the value over.  The wire formats:
 
 * Rational        -> "p/q" with q > 0, plain "p" when q = 1
 * LambdaPoly      -> JSON array of Rational strings, ascending degree
@@ -8,6 +9,11 @@ These are the wire formats used by the CLI and by test fixtures:
 * TruncSeries     -> {"order": N, "coeffs": [...]}
 * ASCII (for CSV) -> "c0 + c1 l + c2 l^2", with the letter "l" for the
   degeneracy parameter and canonical Rational coefficients.
+
+``to_json`` and ``to_cells`` take an optional rational ``lam`` to
+substitute for the parameter first: a ``LambdaPoly`` then renders as one
+Rational and an ``XPoly`` as its Rational x-coefficients.  ``parse_value``
+reads any of the JSON forms back.
 
 Parsing is strict: a rational string must match ``p`` or ``p/q`` with an
 unsigned q, so round trips are exact.
@@ -18,7 +24,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .kernel import QL, QLX, LambdaPoly, TruncSeries, XPoly
+from .kernel import QL, QLX, QQ, LambdaPoly, TruncSeries, XPoly
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/0*[1-9]\d*)?$")
 
@@ -46,24 +52,37 @@ def parse_lambda_poly(items) -> LambdaPoly:
     return LambdaPoly(parse_rational(s) for s in items)
 
 
-def xpoly_json(p: XPoly) -> list[list[str]]:
-    return [lambda_poly_json(c) for c in p.coeffs]
-
-
 def parse_xpoly(items) -> XPoly:
     if not isinstance(items, list):
         raise ValueError(f"expected an array of coefficient arrays, got {type(items).__name__}")
     return XPoly(parse_lambda_poly(row) for row in items)
 
 
-def series_json(s: TruncSeries) -> dict:
-    if s.ring is QLX:
-        coeffs = [xpoly_json(c) for c in s.coeffs]
-    elif s.ring is QL:
-        coeffs = [lambda_poly_json(c) for c in s.coeffs]
-    else:
-        coeffs = [rational_str(c) for c in s.coeffs]
-    return {"order": s.order, "coeffs": coeffs}
+def to_json(value, lam: Fraction | None = None):
+    """JSON form of a kernel value, or of a list or tuple of them, at ``lam`` if given."""
+    if isinstance(value, LambdaPoly):  # nearly every call
+        return lambda_poly_json(value) if lam is None else rational_str(value.subs(lam))
+    if isinstance(value, XPoly):  # its LambdaPoly coefficients, or rationals at lam
+        return to_json(value.coeffs if lam is None else value.subs_lambda(lam))
+    if isinstance(value, TruncSeries):
+        return {"order": value.order, "coeffs": to_json(value.coeffs, lam)}
+    if isinstance(value, (list, tuple)):
+        return [to_json(v, lam) for v in value]
+    if isinstance(value, Fraction):
+        return rational_str(value)
+    raise TypeError(f"no JSON form for {type(value).__name__}")
+
+
+def to_cells(value, lam: Fraction | None = None, width: int = 1) -> list[str]:
+    """CSV cells: one per ``LambdaPoly``, one per x-coefficient of an ``XPoly``
+    (at least ``width`` of them), and a list's elements' cells in order."""
+    if isinstance(value, LambdaPoly):
+        return [lambda_poly_ascii(value) if lam is None else rational_str(value.subs(lam))]
+    if isinstance(value, XPoly):
+        return to_cells([value.coeff(k) for k in range(max(len(value.coeffs), width))], lam)
+    if isinstance(value, (list, tuple)):
+        return [cell for v in value for cell in to_cells(v, lam)]
+    raise TypeError(f"no CSV form for {type(value).__name__}")
 
 
 def parse_series(obj, ring) -> TruncSeries:
@@ -79,6 +98,26 @@ def parse_series(obj, ring) -> TruncSeries:
     else:
         coeffs = [parse_rational(c) for c in raw]
     return TruncSeries(ring, coeffs)
+
+
+def parse_value(obj):
+    """A value from its JSON form: a rational string, a ``LambdaPoly`` array, an
+    ``XPoly`` array of arrays (``[]`` included) or a series object, whose ring
+    is read off its first non-empty coefficient."""
+    if isinstance(obj, str):
+        return parse_rational(obj)
+    if isinstance(obj, dict) and "order" in obj:
+        raw = obj.get("coeffs")
+        first = next((c for c in raw if c), None) if isinstance(raw, list) else None
+        ring = QQ if isinstance(first, str) else QL
+        if isinstance(first, list) and isinstance(first[0], list):
+            ring = QLX
+        return parse_series(obj, ring)
+    if isinstance(obj, list):
+        if not obj or any(isinstance(item, list) for item in obj):
+            return parse_xpoly(obj)
+        return parse_lambda_poly(obj)
+    raise ValueError("stdin JSON must be a rational string, polynomial array, or series object")
 
 
 def _term_ascii(mag: Fraction, power: int, var: str) -> str:

@@ -70,6 +70,7 @@ _BASIS_ROUTES = {
     S1R_DEGENERATE: ("falling", "degen-falling"),
     S2R_DEGENERATE: ("degen-falling", "falling"),
     S1R_UNSIGNED_DEGENERATE: ("rising", "degen-rising"),
+    S1_UNSIGNED_DEGENERATE: ("rising", "degen-rising"),
 }
 
 
@@ -130,9 +131,6 @@ def stirling_by_basis(family: StirlingFamily, n: int, k: int) -> LambdaPoly:
         raise ValueError("negative index")
     if k > n or k < 0:
         return LambdaPoly.zero()
-    if family.id == S1_UNSIGNED_DEGENERATE:
-        base = stirling_by_basis(StirlingFamily(S1_DEGENERATE), n, k)
-        return base * ((-1) ** (n - k))
     return _row_by_basis(family, n)[k]
 
 
@@ -172,17 +170,13 @@ def triangle_by_gf(family: StirlingFamily, nmax: int) -> Triangle:
 
 
 def unsigned_first_kind(n: int, k: int) -> LambdaPoly:
-    """Unsigned degenerate first kind: sign-flipped signed values."""
+    """Unsigned degenerate first kind: the rising factorial in the degenerate rising basis."""
     return stirling_value(StirlingFamily(S1_UNSIGNED_DEGENERATE), n, k)
 
 
 def _build_rows(family: StirlingFamily, nmax: int) -> tuple[tuple[LambdaPoly, ...], ...]:
     if family.id == S2_DEGENERATE:
         return _recurrence_rows(nmax)
-    if family.id == S1_UNSIGNED_DEGENERATE:
-        signed = _build_rows(StirlingFamily(S1_DEGENERATE), nmax)
-        return tuple(tuple(signed[n][k] * ((-1) ** (n - k)) for k in range(n + 1))
-                     for n in range(nmax + 1))
     return tuple(_row_by_basis(family, n) for n in range(nmax + 1))
 
 

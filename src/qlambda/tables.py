@@ -17,7 +17,9 @@ from contextvars import ContextVar
 
 from .kernel import LambdaPoly
 
-MAX_KEYS = 64  # keys per triangle or series store; the oldest key goes first
+# Keys per triangle or series store, the oldest going first; also the
+# highest hyperharmonic order whose row is stored.
+MAX_KEYS = 64
 
 
 class Tables:
@@ -28,7 +30,7 @@ class Tables:
         self.lock = threading.RLock()
         self.triangles = {}  # (family id, r) -> stirling.Triangle
         self.series = {}  # (family id, r, order) -> TruncSeries
-        self.harmonic, self.hyper = [LambdaPoly.zero()], {}  # order 1; order q >= 2 -> row
+        self.harmonic, self.hyper = [LambdaPoly.zero()], {}  # order 1; order 2..MAX_KEYS -> row
 
     def remember(self, store: dict, key, value):
         """Store ``value`` under ``key``, evicting the oldest key when full."""

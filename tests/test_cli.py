@@ -1,11 +1,13 @@
 """CLI contract: schemas round-trip, substitution commutes, exit codes hold."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
@@ -13,6 +15,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from qlambda import cli
 from qlambda import stirling as st
 from qlambda.cli import main
 from qlambda.fubini_bell import FUBINI_DEGENERATE, PolyFamily, poly_by_sum
@@ -26,6 +29,18 @@ CLI = [sys.executable, "-m", "qlambda"]
 
 def run_cli(*args, stdin=None):
     return subprocess.run(CLI + list(args), capture_output=True, text=True, input=stdin)
+
+
+def run_in_process(argv, stdin=""):
+    """(exit code, stdout, stderr) of ``main(argv)``; argparse's exit counts as its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
+            redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_table_triangle_json_round_trip():
@@ -141,6 +156,8 @@ def test_usage_errors_exit_two():
     assert run_cli("series", "nosuch").returncode == 2
     assert run_cli("badcommand").returncode == 2
     assert run_cli("table", "stirling2d", "--lambda", "0.5").returncode == 2
+    proc = run_cli("table", "bell-d", "--r", "2")  # used to raise a traceback
+    assert proc.returncode == 2 and proc.stderr == "error: family bell-d does not take --r\n"
 
 
 def test_cap_override_is_bounded():
@@ -254,9 +271,81 @@ _JSON_VALUES = hst.recursive(
 def test_eval_fuzz_exits_zero_or_two(value, lam, x):
     # in process: any exception other than a usage error fails the test
     argv = ["eval"] + (["--lambda", lam] if lam else []) + (["--x", x] if x else [])
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(value))), \
-            redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+    code, _, err = run_in_process(argv, json.dumps(value))
     assert code in (0, 2)
-    assert (code == 2) == err.getvalue().startswith("error: ")
+    assert (code == 2) == err.startswith("error: ")
+
+
+def _flag(name, values):
+    """Either no flag, or ``name`` with one of ``values`` (a value of None: the bare token)."""
+    return hst.one_of(hst.just([]), hst.sampled_from(values).map(
+        lambda v: [name] if v is None else [name, v]))
+
+
+# Sizes stay at or below 6 and --nmax for verify at or below 4, so no example
+# starts a long symbolic run; -2 and -1 exercise the usage errors.
+_SIZES = [str(v) for v in range(-2, 7)]
+_LAMBDA = _flag("--lambda", ["0", "1/2", "3", "abc", "1/0", "-1/3"])
+_FORMAT = _flag("--format", ["json", "csv", "xml"])
+_COMMON = {"--nmax": _SIZES, "--r": _SIZES, "--cap": [str(v) for v in range(-1, 9)]}
+_TABLE_NAMES = sorted(cli._STIRLING_FAMILIES) + sorted(cli._POLY_FAMILIES) + [
+    "harmonic", "hyperharmonic", "nosuch", ""]
+_SERIES = list(cli._SERIES_NAMES) + ["nosuch"]
+_FAULTS = ["stirling2r:1:3:2", "stirling1du:0:4:2", "stirling2d:0:2:1:1/3", "nosuch:0:1:1",
+           "stirling2r:1:3", "stirling2r:x:3:2", "stirling2r:1:2:5", "stirling2d:0:2:1:1/0"]
+_STDIN = ['"1/2"', '["1", "-1"]', '[["1"], ["0", "1"]]', "[]", "not json",
+          '{"order": 1, "coeffs": ["1", "2"]}', '{"order": 1, "coeffs": [[], [["1"]]]}']
+
+
+@hst.composite
+def _argv(draw):
+    command = draw(hst.sampled_from(["table", "series", "verify", "eval", "frobnicate"]))
+    argv = [command]
+    if command == "table":
+        argv.append(draw(hst.sampled_from(_TABLE_NAMES)))
+        flags = [_flag(f, v) for f, v in _COMMON.items()] + [_LAMBDA, _FORMAT]
+    elif command == "series":
+        argv.append(draw(hst.sampled_from(_SERIES)))
+        flags = [_flag("--order", _SIZES), _flag("--r", _SIZES),
+                 _flag("--cap", _COMMON["--cap"]), _LAMBDA, _FORMAT]
+    elif command == "verify":
+        argv += ["--suite", draw(hst.sampled_from(["thm4", "thm5", "cor7", "", "nosuch"])),
+                 "--nmax", draw(hst.sampled_from([v for v in _SIZES if int(v) <= 4]))]
+        flags = [_flag("--rmax", _SIZES), _flag("--order", _SIZES), _flag("--fault", _FAULTS),
+                 _flag("--seed", ["0", "7"])]
+    else:
+        flags = [_LAMBDA, _flag("--x", ["2", "q"])]
+    for group in flags:
+        argv += draw(group)
+    if draw(hst.booleans()) and command != "frobnicate":  # sometimes a stray or bare flag
+        argv += draw(hst.sampled_from([["--lambda"], ["--bogus", "1"], ["extra"], ["--nmax"]]))
+    return argv
+
+
+@settings(max_examples=250, deadline=None)
+@given(argv=_argv(), stdin=hst.sampled_from(_STDIN))
+def test_argv_fuzz_keeps_the_exit_code_contract(argv, stdin):
+    code, out, err = run_in_process(argv, stdin)
+    assert "Traceback" not in out + err
+    if code == 1:  # only a failing identity check
+        assert argv[0] == "verify" and not all(rep["passed"] for rep in json.loads(out))
+    else:
+        assert code in (0, 2)
+    if code == 2:
+        assert out == ""
+
+
+REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
+
+
+def test_cli_mix_menu_matches_the_benchmark_references():
+    # every cli-mix command, in process: exit code and stdout sha256 as recorded
+    refs = json.loads(REFERENCES.read_text(encoding="utf-8"))["cli-mix"]
+    assert len(refs) == 59
+    mismatches = []
+    for key, ref in refs.items():
+        command, _, stdin = key.partition(" <<< ")
+        code, out, _ = run_in_process(command.split(" "), stdin)
+        if (code, hashlib.sha256(out.encode()).hexdigest()) != (ref["exit"], ref["sha256"]):
+            mismatches.append(key)
+    assert mismatches == []

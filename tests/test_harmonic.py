@@ -11,7 +11,7 @@ from qlambda import stirling as st
 from qlambda.harmonic import (classical_harmonic, degen_harmonic, degen_hyperharmonic,
                               harmonic_gf)
 from qlambda.kernel import LambdaPoly
-from qlambda.tables import Tables, use
+from qlambda.tables import MAX_KEYS, Tables, use
 
 from oracles import harmonic_sum, hyperharmonic_sum
 
@@ -75,8 +75,12 @@ def test_degree_grows_linearly():
 
 def test_large_order_rows_are_built_without_recursion():
     # rows of order 2..r extend one from the next; r far past the recursion limit
-    with use(Tables()):  # private rows: the default store would keep all 5000
+    with use(Tables()) as t:
         assert degen_hyperharmonic(2, 5000) == LambdaPoly([Fraction(10001, 2), Fraction(-1, 2)])
+        assert len(t.hyper) <= MAX_KEYS  # orders above the cap are built per call
+        for r in (MAX_KEYS, MAX_KEYS + 1, MAX_KEYS + 3):  # a longer row across the cap
+            assert degen_hyperharmonic(4, r).subs(0) == hyperharmonic_sum(4, r), r
+        assert len(t.hyper) <= MAX_KEYS
 
 
 def test_rows_grow_consistently_under_threads():

@@ -52,6 +52,18 @@ def test_unsigned_first_kind_examples():
     assert st.unsigned_first_kind(3, 1).subs(0) == 2
 
 
+def test_unsigned_first_kind_is_the_sign_flipped_signed_kind():
+    # symbolic in l: the rising-basis route (S1-unsigned and S1r-unsigned at r = 0
+    # share it) against the signed triangle's own route
+    signed = st.triangle(F1D, 12)
+    for fam in (st.StirlingFamily(st.S1_UNSIGNED_DEGENERATE),
+                st.StirlingFamily(st.S1R_UNSIGNED_DEGENERATE, 0)):
+        unsigned = st.triangle(fam, 12)
+        for n in range(13):
+            for k in range(n + 1):
+                assert unsigned.entry(n, k) == signed.entry(n, k) * ((-1) ** (n - k)), (fam, n, k)
+
+
 def _families(rmax):
     fams = [st.StirlingFamily(fid) for fid in st.FAMILY_IDS if fid not in st.R_FAMILY_IDS]
     for fid in st.R_FAMILY_IDS:
