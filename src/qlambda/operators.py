@@ -49,18 +49,10 @@ class OperatorSpec:
             raise ValueError("shifted mode requires m >= r")
 
 
-def _diagonal_xpoly(f: XPoly, r: int, length: int) -> XPoly:
-    coeffs = [LambdaPoly.zero()] * r + [
-        f.coeff(k) * degen_falling(k + r, length) for k in range(f.degree + 1)
-    ]
-    return XPoly(coeffs)
-
-
-def _diagonal_series(f: TruncSeries, r: int, length: int) -> TruncSeries:
-    coeffs = [QL.zero] * r + [
-        f.coeffs[k] * degen_falling(k + r, length) for k in range(f.order + 1)
-    ]
-    return TruncSeries(QL, coeffs)
+def _diagonal(coeffs, r: int, length: int) -> list[LambdaPoly]:
+    """x^r times the diagonal action; zero coefficients skip their factorial."""
+    return [QL.zero] * r + [c if c.is_zero() else c * degen_falling(k + r, length)
+                            for k, c in enumerate(coeffs)]
 
 
 def euler_apply(spec: OperatorSpec, f: Operand) -> Operand:
@@ -78,9 +70,8 @@ def euler_apply(spec: OperatorSpec, f: Operand) -> Operand:
     else:
         g = f
         length = spec.m
-    if isinstance(g, XPoly):
-        return _diagonal_xpoly(g, spec.r, length)
-    return _diagonal_series(g, spec.r, length)
+    coeffs = _diagonal(g.coeffs, spec.r, length)
+    return XPoly(coeffs) if isinstance(g, XPoly) else TruncSeries(QL, coeffs)
 
 
 def rhs_theorem1(spec: OperatorSpec, f: Operand) -> Operand:

@@ -130,6 +130,18 @@ def test_verify_exit_codes_and_schema():
     assert len(json.loads(proc.stdout)) == 4
 
 
+def test_verify_rmax_bounds_every_check():
+    # thm5 starts at r = 1, so --rmax 0 leaves it no instance
+    code, out, err = run_in_process(["verify", "--suite", "all", "--nmax", "3", "--rmax", "0",
+                                     "--order", "6"])
+    assert code == 0, err
+    reports = json.loads(out)
+    assert {r["check"] for r in reports} == {"thm1", "thm2", "thm3", "thm4", "thm6", "cor7",
+                                             "thm8"}
+    assert all(r["params"].get("r", 0) == 0 for r in reports
+               if r["params"].get("kind") != "numeric")
+
+
 def test_verify_fault_injection_exits_one():
     proc = run_cli("verify", "--suite", "thm5", "--nmax", "4", "--rmax", "2",
                    "--fault", "stirling1ru:1:2:1")
@@ -239,7 +251,8 @@ def test_every_size_argument_is_capped():
 
 
 def test_empty_check_grid_is_a_usage_error():
-    for args in (("verify", "--suite", ""), ("verify", "--suite", "thm5", "--nmax", "0")):
+    for args in (("verify", "--suite", ""), ("verify", "--suite", "thm5", "--nmax", "0"),
+                 ("verify", "--suite", "thm5", "--nmax", "1", "--rmax", "0")):
         proc = run_cli(*args)
         assert proc.returncode == 2, args
         assert proc.stdout == "" and "no checks" in proc.stderr, args

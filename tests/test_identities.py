@@ -1,15 +1,18 @@
 """Identity checks: spec'd instances, determinism, failure localization."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from qlambda import identities
 from qlambda import stirling as st
 from qlambda.fubini_bell import FUBINI_DEGENERATE, PolyFamily, poly_by_gf, poly_by_sum
 from qlambda.identities import (SuiteBounds, check_cor7, check_thm3, check_thm3_numeric,
                                 check_thm4, check_thm5, check_thm6, check_thm8, run_suite,
                                 suite_json)
 from qlambda.kernel import LambdaPoly, XPoly
+from qlambda.operators import theorem2_check
 from qlambda.tables import Tables, current, use
 
 
@@ -132,6 +135,74 @@ def test_thm2_sees_fault_after_a_clean_run():
     faulted = Tables({(st.S2R_DEGENERATE, 0, 3, 1): LambdaPoly.one()})
     assert not all(r.passed for r in run_suite({"thm2"}, bounds, seed=2, tables=faulted))
     assert all(r.passed for r in run_suite({"thm2"}, bounds, seed=2))
+
+
+_BASIS_BOUNDS = SuiteBounds(thm2_trials=5, thm2_order=8, thm2_degmax=4, thm2_rmax=2)
+
+
+def _thm2_by_trials(bounds, seed, tables):
+    """thm2 by trials alone: (index, counterexample) of the first failing f per (g, r)."""
+    rng = random.Random(seed)
+    polys = [identities._random_poly(rng, bounds.thm2_degmax) for _ in range(bounds.thm2_trials)]
+    out = {}
+    with use(tables):
+        for name in ("exp", "geometric", "harmonic"):
+            g = identities._named_g(name, bounds.thm2_order + bounds.thm2_degmax)
+            for r in range(bounds.thm2_rmax + 1):
+                out[name, r] = None
+                for i, f in enumerate(polys):
+                    rep = theorem2_check(f, g, r, bounds.thm2_order)
+                    if not rep.passed:
+                        out[name, r] = (i, rep.counterexample)
+                        break
+    return out
+
+
+@pytest.mark.parametrize("fault", [None] + [(r, n, n - 1) for r in range(3) for n in range(1, 5)])
+def test_thm2_basis_verdict_equals_the_trial_verdict(fault):
+    tables = Tables({} if fault is None else {(st.S2R_DEGENERATE, *fault): LambdaPoly.one()})
+    reference = _thm2_by_trials(_BASIS_BOUNDS, 3, Tables(tables.faults))
+    reports = run_suite({"thm2"}, _BASIS_BOUNDS, seed=3, tables=tables)
+    assert len(reports) == 9
+    for rep in reports:
+        params = dict(rep.params)
+        assert params["trials"] == 5 and params["seed"] == 3
+        found = reference[params["g"], params["r"]]
+        if found is not None:
+            i, bad = found
+            assert rep.counterexample.to_json() == {
+                "location": f"trial {i}: {bad.location}", "lhs": bad.lhs, "rhs": bad.rhs}
+        elif not rep.passed:
+            # no trial reaches the faulted row; a monomial names it
+            assert rep.counterexample.location.startswith("monomial x^")
+        assert rep.passed == (fault is None or params["r"] != fault[0])
+
+
+def test_thm2_checks_each_monomial_once_per_group(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return theorem2_check(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "theorem2_check", counting)
+    reports = run_suite({"thm2"}, _BASIS_BOUNDS, seed=3, tables=Tables())
+    assert all(rep.passed for rep in reports)
+    degmax, rmax = _BASIS_BOUNDS.thm2_degmax, _BASIS_BOUNDS.thm2_rmax
+    assert len(calls) == (degmax + 1) * 3 * (rmax + 1)
+    assert set(calls) == {XPoly.monomial(1, m) for m in range(degmax + 1)}
+
+
+def test_thm2_basis_finds_a_fault_every_trial_misses():
+    # seed 1 draws one f of degree 1, so no trial reaches row 5 of the triangle
+    bounds = SuiteBounds(thm2_trials=1, thm2_order=8, thm2_degmax=6, thm2_rmax=0)
+    faulted = Tables({(st.S2R_DEGENERATE, 0, 5, 2): LambdaPoly.one()})
+    reports = run_suite({"thm2"}, bounds, seed=1, tables=faulted)
+    assert len(reports) == 3
+    for rep in reports:
+        assert not rep.passed
+        assert rep.counterexample.location.startswith(
+            "monomial x^5: main form: coefficient of t^2"), rep.counterexample
 
 
 def _stores(tables):
