@@ -6,7 +6,9 @@ certifies the identity for every value of the degeneracy parameter).
 ``run_suite`` drives bounded parameter grids over the registered checks
 and aggregates deterministic, machine-readable reports.  The two-series
 identity is certified on the monomial basis; its seeded random instances
-run only to name a counterexample.
+run only to name a counterexample.  Each runner builds what its grid
+shares once: the series that depend only on the truncation order, and
+each triangle it reads, to its top row.  Nothing outlives a run.
 
 Check ids: thm1 thm2 thm3 thm4 thm5 thm6 cor7 thm8.
 """
@@ -32,28 +34,50 @@ from .tables import Tables, current, use
 CHECK_IDS = ("thm1", "thm2", "thm3", "thm4", "thm5", "thm6", "cor7", "thm8")
 
 
-def _x_over_one_minus_powers(order: int, kmax: int) -> tuple[TruncSeries, ...]:
-    """(x/(1-x))^k for k = 0..kmax, all tracked to ``order``."""
-    u = inv_one_minus(order - 1).shift(1) if order else TruncSeries.zero(QL, 0)
-    powers = [TruncSeries.one(QL, order)]
+@dataclass(frozen=True)
+class SeriesBlocks:
+    """The degenerate log(1-x) and (x/(1-x))^k / (1-x) for k = 0..kmax, at one order."""
+
+    log: TruncSeries
+    over_one_minus: tuple[TruncSeries, ...]
+
+
+def series_blocks(order: int, kmax: int) -> SeriesBlocks:
+    """The blocks of every thm3 and thm8 instance with m <= kmax at this order."""
+    geometric = inv_one_minus(order)
+    u = geometric.truncate(order - 1).shift(1) if order else TruncSeries.zero(QL, 0)
+    powers = [geometric]
     for _ in range(kmax):
         powers.append(powers[-1] * u)
-    return tuple(powers)
+    return SeriesBlocks(degen_log_one_minus(order), tuple(powers))
 
 
-def check_thm3(m: int, r: int, order: int) -> CheckReport:
-    """Rational generating function of the r-Fubini polynomial at x/(1-x)."""
+def _bracket(k: int, log: TruncSeries) -> TruncSeries:
+    """H_k - binom(k - l, k) log_l(1-x), at the order of ``log``."""
+    binom = gen_binomial(LambdaPoly([k, -1]), k)
+    return TruncSeries.const(QL, degen_harmonic(k), log.order) - log.scale(binom)
+
+
+def harmonic_terms(blocks: SeriesBlocks) -> tuple[TruncSeries, ...]:
+    """T_k = (x/(1-x))^k / (1-x) * bracket_k: thm8's right side is sum_k w_k T_k."""
+    return tuple(over * _bracket(k, blocks.log) for k, over in enumerate(blocks.over_one_minus))
+
+
+def check_thm3(m: int, r: int, order: int, blocks: SeriesBlocks | None = None) -> CheckReport:
+    """Rational generating function of the r-Fubini polynomial at x/(1-x).
+
+    ``blocks`` is ``series_blocks(order, kmax)``, kmax >= m (built when None).
+    """
     if order < max(m, 1):
         raise ValueError("order must cover m (and be >= 1)")
     params = {"m": m, "r": r, "order": order}
     fpoly = poly_by_sum(PolyFamily(RFUBINI_DEGENERATE, r), m)
-    powers = _x_over_one_minus_powers(order, fpoly.degree if fpoly.degree > 0 else 0)
+    over = (blocks or series_blocks(order, m)).over_one_minus
     lhs = TruncSeries.zero(QL, order)
     for k in range(fpoly.degree + 1):
         c = fpoly.coeff(k)
         if not c.is_zero():
-            lhs = lhs + powers[k].scale(c)
-    lhs = lhs * inv_one_minus(order)
+            lhs = lhs + over[k].scale(c)
     rhs = TruncSeries(QL, (degen_falling(n + r, m) for n in range(order + 1)))
     return make_report("thm3", params, first_mismatch(lhs, rhs, "series"))
 
@@ -108,25 +132,25 @@ def check_thm5(n: int, r: int) -> CheckReport:
     return make_report("thm5", params, bad)
 
 
-def check_thm6(k: int, order: int) -> CheckReport:
-    """Closed form of the k-th derivative of the harmonic generating series."""
+def check_thm6(k: int, order: int, blocks=None) -> CheckReport:
+    """Closed form of the k-th derivative of the harmonic generating series.
+
+    ``blocks`` is ``(harmonic_gf(1, >= order + k), degen_log_one_minus(order))``.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if order < k:
         raise ValueError("order must be >= k")
     params = {"k": k, "order": order}
-    g = harmonic_gf(1, order + k)
-    derived = g
+    g, log = blocks or (harmonic_gf(1, order + k), degen_log_one_minus(order))
+    derived = g.truncate(order + k)
     for _ in range(k):
         derived = derived.derive()
-    binom = gen_binomial(LambdaPoly([k, -1]), k)
-    hk = degen_harmonic(k)
-    bracket = TruncSeries.const(QL, hk, order) - degen_log_one_minus(order).scale(binom)
-    closed = inv_one_minus(order, k + 1) * bracket.scale(math.factorial(k))
+    closed = inv_one_minus(order, k + 1) * _bracket(k, log).scale(math.factorial(k))
     bad = first_mismatch(derived, closed, "derivative series")
     if bad is not None:
         return make_report("thm6", params, bad)
-    constant = hk * math.factorial(k)
+    constant = degen_harmonic(k) * math.factorial(k)
     bad = first_mismatch(derived.coeff(0), constant, "value at 0")
     return make_report("thm6", params, bad)
 
@@ -142,25 +166,23 @@ def check_cor7(n: int, k: int) -> CheckReport:
     return make_report("cor7", params, first_mismatch(lhs, rhs, "values"))
 
 
-def check_thm8(m: int, r: int, order: int) -> CheckReport:
-    """Harmonic-weighted power series against its Stirling expansion."""
+def check_thm8(m: int, r: int, order: int, blocks=None) -> CheckReport:
+    """Harmonic-weighted power series against its Stirling expansion.
+
+    ``blocks`` is ``harmonic_terms(series_blocks(order, kmax))``, kmax >= m.
+    """
     if order < max(m, 1):
         raise ValueError("order must cover m (and be >= 1)")
     params = {"m": m, "r": r, "order": order}
     lhs = TruncSeries(QL, (degen_harmonic(n) * degen_falling(n + r, m)
                            for n in range(order + 1)))
     fam = stirling.StirlingFamily(stirling.S2R_DEGENERATE, r)
-    log_series = degen_log_one_minus(order)
-    powers = _x_over_one_minus_powers(order, m)
-    acc = TruncSeries.zero(QL, order)
+    terms = blocks or harmonic_terms(series_blocks(order, m))
+    rhs = TruncSeries.zero(QL, order)
     for k in range(m + 1):
         w = stirling.stirling_value(fam, m, k) * math.factorial(k)
-        if w.is_zero():
-            continue
-        binom = gen_binomial(LambdaPoly([k, -1]), k)
-        bracket = TruncSeries.const(QL, degen_harmonic(k), order) - log_series.scale(binom)
-        acc = acc + (powers[k] * bracket).scale(w)
-    rhs = acc * inv_one_minus(order)
+        if not w.is_zero():
+            rhs = rhs + terms[k].scale(w)
     return make_report("thm8", params, first_mismatch(lhs, rhs, "series"))
 
 
@@ -198,17 +220,25 @@ class SuiteBounds:
         if nmax is not None:
             out = replace(out, thm1_mmax=nmax, thm3_mmax=nmax, thm4_nmax=nmax,
                           thm5_nmax=nmax, thm6_kmax=nmax, cor7_nmax=nmax,
-                          cor7_kmax=nmax, thm8_mmax=nmax)
+                          cor7_kmax=nmax, thm8_mmax=nmax, thm3_numeric_mmax=nmax)
         if rmax is not None:
             out = replace(out, thm1_rmax=rmax, thm2_rmax=rmax, thm3_rmax=rmax,
-                          thm5_rmax=rmax, thm8_rmax=rmax)
+                          thm5_rmax=rmax, thm8_rmax=rmax, thm3_numeric_rmax=rmax)
         if order is not None:
             out = replace(out, thm2_order=order, thm3_order=order,
                           thm6_order=order, thm8_order=order)
         return out
 
 
+def _warm(family_id: str, rs, top: int) -> None:
+    """Build the triangle of each r in ``rs`` once, to row ``top``, before a grid reads it."""
+    for r in rs if top >= 0 else ():
+        stirling.triangle(stirling.StirlingFamily(family_id, r), top)
+
+
 def _run_thm1(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
+    _warm(stirling.S2R_DEGENERATE, range(min(bounds.thm1_mmax, bounds.thm1_rmax) + 1),
+          bounds.thm1_mmax)
     out = []
     for m in range(bounds.thm1_mmax + 1):
         for r in range(min(m, bounds.thm1_rmax) + 1):
@@ -265,10 +295,12 @@ def _run_thm2(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
 
 
 def _run_thm3(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
-    out = []
-    for m in range(bounds.thm3_mmax + 1):
-        for r in range(bounds.thm3_rmax + 1):
-            out.append(check_thm3(m, r, bounds.thm3_order))
+    order, mmax, rs = bounds.thm3_order, bounds.thm3_mmax, range(bounds.thm3_rmax + 1)
+    top = min(mmax, order)  # a check with m > order raises before reading anything
+    _warm(stirling.S2R_DEGENERATE, rs, top)
+    blocks = series_blocks(order, top) if order >= 1 else None
+    out = [check_thm3(m, r, order, blocks) for m in range(mmax + 1) for r in rs]
+    _warm(stirling.S2R_DEGENERATE, range(bounds.thm3_numeric_rmax + 1), bounds.thm3_numeric_mmax)
     for lam in (Fraction(1, 3), Fraction(1, 2)):
         for m in range(bounds.thm3_numeric_mmax + 1):
             for r in range(bounds.thm3_numeric_rmax + 1):
@@ -277,17 +309,25 @@ def _run_thm3(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
 
 
 def _run_thm4(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
-    return [check_thm4(n) for n in range(bounds.thm4_nmax + 1)]
+    ns = range(bounds.thm4_nmax + 1)
+    _warm(stirling.S2_DEGENERATE, (0,) if ns else (), len(ns))  # check n reads rows n, n + 1
+    return [check_thm4(n) for n in ns]
 
 
 def _run_thm5(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
-    return [check_thm5(n, r)
-            for n in range(1, bounds.thm5_nmax + 1)
-            for r in range(1, bounds.thm5_rmax + 1)]
+    ns, rs = range(1, bounds.thm5_nmax + 1), range(1, bounds.thm5_rmax + 1)
+    if ns and rs:
+        _warm(stirling.S1R_UNSIGNED_DEGENERATE, rs, ns[-1])
+        _warm(stirling.S1_UNSIGNED_DEGENERATE, (0,), ns[-1] + 1)
+    return [check_thm5(n, r) for n in ns for r in rs]
 
 
 def _run_thm6(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
-    return [check_thm6(k, bounds.thm6_order) for k in range(1, bounds.thm6_kmax + 1)]
+    order, ks = bounds.thm6_order, range(1, bounds.thm6_kmax + 1)
+    blocks = None
+    if ks and order >= 1:  # a k above the order raises before reading g
+        blocks = (harmonic_gf(1, order + min(ks[-1], order)), degen_log_one_minus(order))
+    return [check_thm6(k, order, blocks) for k in ks]
 
 
 def _run_cor7(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
@@ -297,9 +337,11 @@ def _run_cor7(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
 
 
 def _run_thm8(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
-    return [check_thm8(m, r, bounds.thm8_order)
-            for m in range(bounds.thm8_mmax + 1)
-            for r in range(bounds.thm8_rmax + 1)]
+    order, mmax, rs = bounds.thm8_order, bounds.thm8_mmax, range(bounds.thm8_rmax + 1)
+    top = min(mmax, order)  # a check with m > order raises before reading anything
+    _warm(stirling.S2R_DEGENERATE, rs, top)
+    terms = harmonic_terms(series_blocks(order, top)) if order >= 1 else None
+    return [check_thm8(m, r, order, terms) for m in range(mmax + 1) for r in rs]
 
 
 _RUNNERS = {

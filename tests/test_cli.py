@@ -138,8 +138,8 @@ def test_verify_rmax_bounds_every_check():
     reports = json.loads(out)
     assert {r["check"] for r in reports} == {"thm1", "thm2", "thm3", "thm4", "thm6", "cor7",
                                              "thm8"}
-    assert all(r["params"].get("r", 0) == 0 for r in reports
-               if r["params"].get("kind") != "numeric")
+    assert all(r["params"].get("r", 0) == 0 for r in reports)
+    assert all(r["params"]["m"] <= 3 for r in reports if r["params"].get("kind") == "numeric")
 
 
 def test_verify_fault_injection_exits_one():

@@ -1,6 +1,8 @@
 """Identity checks: spec'd instances, determinism, failure localization."""
 
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -203,6 +205,75 @@ def test_thm2_basis_finds_a_fault_every_trial_misses():
         assert not rep.passed
         assert rep.counterexample.location.startswith(
             "monomial x^5: main form: coefficient of t^2"), rep.counterexample
+
+
+_SHARED_BOUNDS = SuiteBounds(thm3_mmax=4, thm3_rmax=2, thm3_order=8, thm3_numeric_mmax=2,
+                             thm3_numeric_rmax=1, thm6_kmax=3, thm6_order=8,
+                             thm8_mmax=4, thm8_rmax=2, thm8_order=8)
+
+
+def _unshared_reports(bounds, tables):
+    """thm3, thm6 and thm8 with every check building its own series, sorted as run_suite sorts."""
+    b, lams = bounds, (Fraction(1, 3), Fraction(1, 2))
+    with use(tables):
+        out = [check_thm3(m, r, b.thm3_order)
+               for m in range(b.thm3_mmax + 1) for r in range(b.thm3_rmax + 1)]
+        out += [check_thm3_numeric(m, r, lam, b.thm3_tol_exponent) for lam in lams
+                for m in range(b.thm3_numeric_mmax + 1) for r in range(b.thm3_numeric_rmax + 1)]
+        out += [check_thm6(k, b.thm6_order) for k in range(1, b.thm6_kmax + 1)]
+        out += [check_thm8(m, r, b.thm8_order)
+                for m in range(b.thm8_mmax + 1) for r in range(b.thm8_rmax + 1)]
+    return sorted(out, key=lambda rep: (rep.check_id, json.dumps(dict(rep.params), sort_keys=True)))
+
+
+@pytest.mark.parametrize("fault", [None] + [(r, n, n - 1) for r in range(3) for n in range(1, 5)])
+def test_shared_series_give_the_unshared_reports(fault):
+    tables = Tables({} if fault is None else {(st.S2R_DEGENERATE, *fault): LambdaPoly.one()})
+    reference = _unshared_reports(_SHARED_BOUNDS, Tables(tables.faults))
+    reports = run_suite({"thm3", "thm6", "thm8"}, _SHARED_BOUNDS, tables=tables)
+    assert [rep.to_json() for rep in reports] == [rep.to_json() for rep in reference]
+    # every fault sits in a row thm3 reads, so counterexamples are compared too
+    assert all(rep.passed for rep in reports) == (fault is None)
+
+
+def test_each_grid_builds_each_triangle_once(monkeypatch):
+    builds = []
+    build_rows = st._build_rows
+
+    def counting(family, nmax):
+        builds.append((family.id, family.r))
+        return build_rows(family, nmax)
+
+    monkeypatch.setattr(st, "_build_rows", counting)
+    bounds = SuiteBounds()
+    assert all(rep.passed for rep in run_suite({"thm5"}, bounds, tables=Tables()))
+    assert len(builds) == len(set(builds)) == bounds.thm5_rmax + 1
+    builds.clear()
+    assert all(rep.passed for rep in run_suite({"thm1"}, bounds, tables=Tables()))
+    assert len(builds) == len(set(builds)) == min(bounds.thm1_mmax, bounds.thm1_rmax) + 1
+    for check_id in ("thm3", "thm4", "thm8"):
+        builds.clear()
+        assert all(rep.passed for rep in run_suite({check_id}, bounds, tables=Tables()))
+        assert builds and len(builds) == len(set(builds)), check_id
+
+
+def test_thm8_builds_its_series_once_per_run(monkeypatch):
+    calls = []
+    log_one_minus = identities.degen_log_one_minus
+
+    def counting(order):
+        calls.append(order)
+        return log_one_minus(order)
+
+    monkeypatch.setattr(identities, "degen_log_one_minus", counting)
+    default = SuiteBounds()
+    doubled = replace(default, thm8_mmax=2 * default.thm8_mmax, thm8_rmax=2 * default.thm8_rmax)
+    for bounds in (default, doubled):
+        calls.clear()
+        reports = run_suite({"thm8"}, bounds, tables=Tables())
+        assert len(reports) == (bounds.thm8_mmax + 1) * (bounds.thm8_rmax + 1)
+        assert all(rep.passed for rep in reports)
+        assert calls == [bounds.thm8_order]
 
 
 def _stores(tables):
