@@ -47,6 +47,7 @@ _POLY_FAMILIES = {
 }
 _SERIES_NAMES = ("degen-exp", "degen-log", "harmonic-gf", "hyperharmonic-gf",
                  "fubini-gf", "rfubini-gf")
+_R_SERIES = ("hyperharmonic-gf", "rfubini-gf")
 
 
 class UsageError(Exception):
@@ -148,6 +149,8 @@ def cmd_table(args) -> int:
         family = _family(PolyFamily, _POLY_FAMILIES[short], short, r)
         key, body = "polys", [poly_by_sum(family, n) for n in range(nmax + 1)]
     elif short == "harmonic":
+        if r:
+            raise UsageError("family harmonic does not take --r")
         key, r, body = "values", 1, [degen_harmonic(n) for n in range(nmax + 1)]
     elif short == "hyperharmonic":
         if r < 1:
@@ -182,6 +185,8 @@ def _named_series(name: str, order: int, r) -> TruncSeries:
 
 def cmd_series(args) -> int:
     lam = _parse_lambda(args.lam)
+    if args.r and args.name in _SERIES_NAMES and args.name not in _R_SERIES:
+        raise UsageError(f"series {args.name} does not take --r")
     s = _named_series(args.name, args.order, args.r)
     _write(args.format, lam, {"order": s.order}, "coeffs", s.coeffs)
     return 0

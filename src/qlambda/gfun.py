@@ -1,8 +1,8 @@
 """Named truncated series used throughout the package.
 
-Everything here is assembled from the kernel's series operations and the
-factorial products; coefficients live in Q[l] (use :func:`lift_to_xpoly`
-to move a series into Q[l][x] coefficients).
+Each series is written down coefficient by coefficient, from the
+factorial products or a binomial; coefficients live in Q[l] (use
+:func:`lift_to_xpoly` to move a series into Q[l][x] coefficients).
 """
 
 from __future__ import annotations
@@ -60,20 +60,13 @@ def classical_log1p(order: int) -> TruncSeries:
     return TruncSeries(QL, coeffs)
 
 
-def one_minus_var(order: int, ring=QL) -> TruncSeries:
-    """The polynomial 1 - t as a series of the given order."""
-    if order == 0:
-        return TruncSeries.one(ring, 0)
-    return TruncSeries.one(ring, order) - TruncSeries.var(ring, order)
-
-
 def inv_one_minus(order: int, power: int = 1, ring=QL) -> TruncSeries:
-    """(1 - t)^(-power) via the kernel reciprocal."""
+    """(1 - t)^(-power), written down: the coefficient of t^n is C(n + power - 1, n)."""
     if power < 0:
         raise ValueError("power must be >= 0")
     if power == 0:
         return TruncSeries.one(ring, order)
-    return one_minus_var(order, ring).pow(power).reciprocal()
+    return TruncSeries(ring, (math.comb(n + power - 1, n) for n in range(order + 1)))
 
 
 def lift_to_xpoly(series: TruncSeries) -> TruncSeries:

@@ -4,8 +4,9 @@ The degenerate harmonic number of index n is a polynomial of degree n-1
 in the degeneracy parameter; each summand is kept in the polynomial form
 (-1)^(k-1) (l-1)(l-2)...(l-k+1) / k!, so no formal division by the
 parameter ever happens and the classical value is a plain substitution
-at 0.  Hyperharmonic numbers are the iterated partial sums; their
-generating function is the independent cross-check.
+at 0.  Hyperharmonic numbers are the iterated partial sums, read off the
+stored harmonic row as one binomial convolution; their generating
+function is the independent cross-check.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from .factorials import classical_falling
 from .gfun import degen_log_one_minus, inv_one_minus
 from .kernel import LambdaPoly, TruncSeries
-from .tables import MAX_KEYS, current
+from .tables import current
 
 
 def degen_harmonic(n: int) -> LambdaPoly:
@@ -35,26 +36,21 @@ def degen_harmonic(n: int) -> LambdaPoly:
 
 
 def degen_hyperharmonic(n: int, r: int) -> LambdaPoly:
-    """Degenerate hyperharmonic number of order r >= 1 (iterated partial sums).
+    """Degenerate hyperharmonic number of order r >= 1.
 
-    Each row of order 2..r is extended to index n from the row below it,
-    so a large r needs no recursion.  The current ``Tables`` keeps the rows
-    of order up to ``MAX_KEYS``; higher ones are built for this call only.
+    Order r sums the harmonic row r - 1 times, which for r >= 2 is the
+    binomial convolution sum_{j=1..n} C(n - j + r - 2, r - 2) H_j.
     """
     if n < 0:
         raise ValueError("index must be >= 0")
     if r < 1:
         raise ValueError("order must be >= 1")
-    tables = current()
-    with tables.lock:
-        degen_harmonic(n)  # extends the order-1 row to index n
-        row = tables.harmonic
-        for q in range(2, r + 1):
-            fresh = [LambdaPoly.zero()]
-            lower, row = row, (tables.hyper.setdefault(q, fresh) if q <= MAX_KEYS else fresh)
-            for m in range(len(row), n + 1):
-                row.append(row[m - 1] + lower[m])
-        return row[n]
+    top = degen_harmonic(n)  # extends the stored row to index n
+    if r == 1:
+        return top
+    row = current().harmonic
+    return sum((row[j] * math.comb(n - j + r - 2, r - 2) for j in range(1, n + 1)),
+               LambdaPoly.zero())
 
 
 def harmonic_gf(r: int, order: int) -> TruncSeries:

@@ -6,9 +6,11 @@ certifies the identity for every value of the degeneracy parameter).
 ``run_suite`` drives bounded parameter grids over the registered checks
 and aggregates deterministic, machine-readable reports.  The two-series
 identity is certified on the monomial basis; its seeded random instances
-run only to name a counterexample.  Each runner builds what its grid
-shares once: the series that depend only on the truncation order, and
-each triangle it reads, to its top row.  Nothing outlives a run.
+run only to name a counterexample.  The binomial series 1/(1-x)^(k+1)
+and x^k/(1-x)^(k+1) are written down, not multiplied out.  Each runner
+builds what its grid shares once: the series that depend only on the
+truncation order, and each triangle it reads, to its top row.  Nothing
+outlives a run.
 
 Check ids: thm1 thm2 thm3 thm4 thm5 thm6 cor7 thm8.
 """
@@ -34,50 +36,30 @@ from .tables import Tables, current, use
 CHECK_IDS = ("thm1", "thm2", "thm3", "thm4", "thm5", "thm6", "cor7", "thm8")
 
 
-@dataclass(frozen=True)
-class SeriesBlocks:
-    """The degenerate log(1-x) and (x/(1-x))^k / (1-x) for k = 0..kmax, at one order."""
-
-    log: TruncSeries
-    over_one_minus: tuple[TruncSeries, ...]
-
-
-def series_blocks(order: int, kmax: int) -> SeriesBlocks:
-    """The blocks of every thm3 and thm8 instance with m <= kmax at this order."""
-    geometric = inv_one_minus(order)
-    u = geometric.truncate(order - 1).shift(1) if order else TruncSeries.zero(QL, 0)
-    powers = [geometric]
-    for _ in range(kmax):
-        powers.append(powers[-1] * u)
-    return SeriesBlocks(degen_log_one_minus(order), tuple(powers))
-
-
 def _bracket(k: int, log: TruncSeries) -> TruncSeries:
     """H_k - binom(k - l, k) log_l(1-x), at the order of ``log``."""
     binom = gen_binomial(LambdaPoly([k, -1]), k)
     return TruncSeries.const(QL, degen_harmonic(k), log.order) - log.scale(binom)
 
 
-def harmonic_terms(blocks: SeriesBlocks) -> tuple[TruncSeries, ...]:
-    """T_k = (x/(1-x))^k / (1-x) * bracket_k: thm8's right side is sum_k w_k T_k."""
-    return tuple(over * _bracket(k, blocks.log) for k, over in enumerate(blocks.over_one_minus))
+def harmonic_terms(order: int, kmax: int) -> tuple[TruncSeries, ...]:
+    """T_k = x^k/(1-x)^(k+1) * bracket_k, k = 0..kmax <= order; thm8's rhs is sum_k w_k T_k."""
+    log = degen_log_one_minus(order)
+    return tuple(inv_one_minus(order - k, k + 1).shift(k) * _bracket(k, log)
+                 for k in range(kmax + 1))
 
 
-def check_thm3(m: int, r: int, order: int, blocks: SeriesBlocks | None = None) -> CheckReport:
-    """Rational generating function of the r-Fubini polynomial at x/(1-x).
-
-    ``blocks`` is ``series_blocks(order, kmax)``, kmax >= m (built when None).
-    """
+def check_thm3(m: int, r: int, order: int) -> CheckReport:
+    """Rational generating function of the r-Fubini polynomial at x/(1-x)."""
     if order < max(m, 1):
         raise ValueError("order must cover m (and be >= 1)")
     params = {"m": m, "r": r, "order": order}
     fpoly = poly_by_sum(PolyFamily(RFUBINI_DEGENERATE, r), m)
-    over = (blocks or series_blocks(order, m)).over_one_minus
     lhs = TruncSeries.zero(QL, order)
     for k in range(fpoly.degree + 1):
         c = fpoly.coeff(k)
-        if not c.is_zero():
-            lhs = lhs + over[k].scale(c)
+        if not c.is_zero():  # (x/(1-x))^k / (1-x) has the coefficients C(n, k)
+            lhs = lhs + inv_one_minus(order - k, k + 1).shift(k).scale(c)
     rhs = TruncSeries(QL, (degen_falling(n + r, m) for n in range(order + 1)))
     return make_report("thm3", params, first_mismatch(lhs, rhs, "series"))
 
@@ -169,7 +151,7 @@ def check_cor7(n: int, k: int) -> CheckReport:
 def check_thm8(m: int, r: int, order: int, blocks=None) -> CheckReport:
     """Harmonic-weighted power series against its Stirling expansion.
 
-    ``blocks`` is ``harmonic_terms(series_blocks(order, kmax))``, kmax >= m.
+    ``blocks`` is ``harmonic_terms(order, kmax)``, kmax >= m.
     """
     if order < max(m, 1):
         raise ValueError("order must cover m (and be >= 1)")
@@ -177,7 +159,7 @@ def check_thm8(m: int, r: int, order: int, blocks=None) -> CheckReport:
     lhs = TruncSeries(QL, (degen_harmonic(n) * degen_falling(n + r, m)
                            for n in range(order + 1)))
     fam = stirling.StirlingFamily(stirling.S2R_DEGENERATE, r)
-    terms = blocks or harmonic_terms(series_blocks(order, m))
+    terms = blocks or harmonic_terms(order, m)
     rhs = TruncSeries.zero(QL, order)
     for k in range(m + 1):
         w = stirling.stirling_value(fam, m, k) * math.factorial(k)
@@ -298,8 +280,7 @@ def _run_thm3(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
     order, mmax, rs = bounds.thm3_order, bounds.thm3_mmax, range(bounds.thm3_rmax + 1)
     top = min(mmax, order)  # a check with m > order raises before reading anything
     _warm(stirling.S2R_DEGENERATE, rs, top)
-    blocks = series_blocks(order, top) if order >= 1 else None
-    out = [check_thm3(m, r, order, blocks) for m in range(mmax + 1) for r in rs]
+    out = [check_thm3(m, r, order) for m in range(mmax + 1) for r in rs]
     _warm(stirling.S2R_DEGENERATE, range(bounds.thm3_numeric_rmax + 1), bounds.thm3_numeric_mmax)
     for lam in (Fraction(1, 3), Fraction(1, 2)):
         for m in range(bounds.thm3_numeric_mmax + 1):
@@ -340,7 +321,7 @@ def _run_thm8(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
     order, mmax, rs = bounds.thm8_order, bounds.thm8_mmax, range(bounds.thm8_rmax + 1)
     top = min(mmax, order)  # a check with m > order raises before reading anything
     _warm(stirling.S2R_DEGENERATE, rs, top)
-    terms = harmonic_terms(series_blocks(order, top)) if order >= 1 else None
+    terms = harmonic_terms(order, top) if order >= 1 else None
     return [check_thm8(m, r, order, terms) for m in range(mmax + 1) for r in rs]
 
 

@@ -170,6 +170,14 @@ def test_usage_errors_exit_two():
     assert run_cli("table", "stirling2d", "--lambda", "0.5").returncode == 2
     proc = run_cli("table", "bell-d", "--r", "2")  # used to raise a traceback
     assert proc.returncode == 2 and proc.stderr == "error: family bell-d does not take --r\n"
+    for kind, name in (("series", "degen-exp"), ("series", "degen-log"),
+                       ("series", "harmonic-gf"), ("series", "fubini-gf"),
+                       ("table", "harmonic")):
+        proc = run_cli(kind, name, "--r", "2")
+        assert proc.returncode == 2 and proc.stdout == ""
+        what = "family" if kind == "table" else "series"
+        assert proc.stderr == f"error: {what} {name} does not take --r\n"
+    assert run_cli("table", "harmonic", "--r", "0").stdout == run_cli("table", "harmonic").stdout
 
 
 def test_cap_override_is_bounded():

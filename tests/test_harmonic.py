@@ -1,5 +1,6 @@
 """Harmonic and hyperharmonic values, their generating series and limits."""
 
+import itertools
 import math
 import sys
 import threading
@@ -73,14 +74,28 @@ def test_degree_grows_linearly():
         assert degen_harmonic(n).degree == n - 1
 
 
+def _partial_sums(n, r):
+    """Order r as r - 1 partial sums of the degenerate harmonic row."""
+    row = [degen_harmonic(j) for j in range(n + 1)]
+    for _ in range(r - 1):
+        row = list(itertools.accumulate(row))
+    return row[n]
+
+
+def test_binomial_convolution_equals_iterated_partial_sums():
+    cases = [(n, r) for n in range(21) for r in range(1, 13)]
+    cases += [(2, 5000)] + [(4, r) for r in (65, 66, 67)]
+    with use(Tables()):
+        for n, r in cases:
+            assert degen_hyperharmonic(n, r) == _partial_sums(n, r), (n, r)
+
+
 def test_large_order_rows_are_built_without_recursion():
-    # rows of order 2..r extend one from the next; r far past the recursion limit
-    with use(Tables()) as t:
+    # one binomial convolution of the harmonic row, r far past the recursion limit
+    with use(Tables()):
         assert degen_hyperharmonic(2, 5000) == LambdaPoly([Fraction(10001, 2), Fraction(-1, 2)])
-        assert len(t.hyper) <= MAX_KEYS  # orders above the cap are built per call
-        for r in (MAX_KEYS, MAX_KEYS + 1, MAX_KEYS + 3):  # a longer row across the cap
+        for r in (MAX_KEYS, MAX_KEYS + 1, MAX_KEYS + 3):  # longer convolutions at large r
             assert degen_hyperharmonic(4, r).subs(0) == hyperharmonic_sum(4, r), r
-        assert len(t.hyper) <= MAX_KEYS
 
 
 def test_rows_grow_consistently_under_threads():
@@ -106,4 +121,4 @@ def test_rows_grow_consistently_under_threads():
     assert not any(t.is_alive() for t in threads)
     with use(tables):  # a lost or doubled append shifts a row
         assert [degen_hyperharmonic(n, r) for r in (1, 2, 3) for n in range(13)] == expect
-    assert len(tables.harmonic) == 13 and all(len(tables.hyper[q]) == 13 for q in (2, 3))
+    assert len(tables.harmonic) == 13

@@ -13,7 +13,7 @@ from qlambda.fubini_bell import FUBINI_DEGENERATE, PolyFamily, poly_by_gf, poly_
 from qlambda.identities import (SuiteBounds, check_cor7, check_thm3, check_thm3_numeric,
                                 check_thm4, check_thm5, check_thm6, check_thm8, run_suite,
                                 suite_json)
-from qlambda.kernel import LambdaPoly, XPoly
+from qlambda.kernel import LambdaPoly, TruncSeries, XPoly
 from qlambda.operators import theorem2_check
 from qlambda.tables import Tables, current, use
 
@@ -276,9 +276,26 @@ def test_thm8_builds_its_series_once_per_run(monkeypatch):
         assert calls == [bounds.thm8_order]
 
 
+def test_suite_takes_no_reciprocal_and_thm6_no_power(monkeypatch):
+    calls, running = [], [None]  # (TruncSeries method, check id running)
+    for name in ("reciprocal", "pow"):
+        def counting(self, *args, _name=name, _original=getattr(TruncSeries, name)):
+            calls.append((_name, running[0]))
+            return _original(self, *args)
+        monkeypatch.setattr(TruncSeries, name, counting)
+    for check_id, runner in list(identities._RUNNERS.items()):
+        def tagged(bounds, seed, _id=check_id, _runner=runner):
+            running[0] = _id
+            return _runner(bounds, seed)
+        monkeypatch.setitem(identities._RUNNERS, check_id, tagged)
+    reports = run_suite(identities.CHECK_IDS, SuiteBounds(), tables=Tables())
+    assert reports and all(rep.passed for rep in reports)
+    assert [call for call in calls if call[0] == "reciprocal"] == []
+    assert ("pow", "thm6") not in calls
+
+
 def _stores(tables):
-    return (dict(tables.triangles), list(tables.harmonic),
-            {q: list(row) for q, row in tables.hyper.items()}, dict(tables.series))
+    return dict(tables.triangles), list(tables.harmonic), dict(tables.series)
 
 
 def test_run_suite_with_own_tables_leaves_the_default_alone():
@@ -295,7 +312,7 @@ def test_run_suite_with_own_tables_leaves_the_default_alone():
     assert _stores(default) == before
     assert (st.S2R_DEGENERATE, 2) in own.triangles
     assert (st.S1R_UNSIGNED_DEGENERATE, 3) in own.triangles
-    assert len(own.harmonic) > 5 and 5 in own.hyper
+    assert len(own.harmonic) > 5
     assert (FUBINI_DEGENERATE, 0, 5) in own.series
 
 

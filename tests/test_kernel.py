@@ -6,9 +6,14 @@ from fractions import Fraction
 import pytest
 
 from qlambda.kernel import QL, QQ, LambdaPoly, SeriesOrderError, TruncSeries, XPoly
-from qlambda.gfun import degen_exp, degen_log1p, inv_one_minus, one_minus_var
+from qlambda.gfun import degen_exp, degen_log1p, inv_one_minus
 
 from oracles import convolve
+
+
+def one_minus_var(order, ring):
+    """The polynomial 1 - t as a series of the given order (1 at order 0)."""
+    return TruncSeries(ring, ([1, -1] + [0] * order)[: order + 1])
 
 
 def _random_fraction(rng):
@@ -104,6 +109,15 @@ def test_series_reciprocal_examples():
     two = TruncSeries.const(QQ, 2, 2)
     assert two.reciprocal().coeffs == (Fraction(1, 2), 0, 0)
     assert inv_one_minus(2, 2, QQ).coeffs == (1, 2, 3)
+
+
+@pytest.mark.parametrize("ring", [QQ, QL])
+def test_inv_one_minus_is_the_reciprocal_power(ring):
+    # the written-down binomials against a series power and its reciprocal
+    for order in range(21):
+        for power in range(9):
+            expect = one_minus_var(order, ring).pow(power).reciprocal()
+            assert inv_one_minus(order, power, ring) == expect, (order, power)
 
 
 def test_series_reciprocal_requires_unit():
