@@ -239,7 +239,9 @@ def cmd_eval(args) -> int:
         value = parse_value(value)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if x is not None and isinstance(value, XPoly):
+    if x is not None:
+        if not isinstance(value, XPoly):
+            raise UsageError("--x needs an x-polynomial on stdin")
         value = value.eval_x(x)
     json.dump(to_json(value, lam), sys.stdout, indent=2)
     sys.stdout.write("\n")

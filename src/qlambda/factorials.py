@@ -69,6 +69,17 @@ def degen_falling(x: PolyArg, n: int):
     return _factorial_product(x, n, LambdaPoly.param(), -1)
 
 
+def degen_falling_table(amax: int, mmax: int) -> tuple[tuple[LambdaPoly, ...], ...]:
+    """Entry [a][m] is (a)_{m,l} for 0 <= a <= amax, 0 <= m <= mmax; one product each."""
+    rows = []
+    for a in range(amax + 1):
+        row = [LambdaPoly.one()]
+        for m in range(mmax):
+            row.append(row[-1] * LambdaPoly((a, -m)))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def degen_rising(x: PolyArg, n: int):
     """x(x+l)(x+2l)...(x+(n-1)l)."""
     return _factorial_product(x, n, LambdaPoly.param(), +1)

@@ -7,10 +7,11 @@ certifies the identity for every value of the degeneracy parameter).
 and aggregates deterministic, machine-readable reports.  The two-series
 identity is certified on the monomial basis; its seeded random instances
 run only to name a counterexample.  The binomial series 1/(1-x)^(k+1)
-and x^k/(1-x)^(k+1) are written down, not multiplied out.  Each runner
-builds what its grid shares once: the series that depend only on the
-truncation order, and each triangle it reads, to its top row.  Nothing
-outlives a run.
+and x^k/(1-x)^(k+1) are read as their binomial coefficients, which
+multiply the other side's coefficients as integers.  Each runner builds
+what its grid shares once: the series that depend only on the truncation
+order, one table of degenerate falling factorials, and each triangle it
+reads, to its top row.  Nothing outlives a run.
 
 Check ids: thm1 thm2 thm3 thm4 thm5 thm6 cor7 thm8.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import stirling
-from .factorials import degen_falling, gen_binomial
+from .factorials import degen_falling_table, gen_binomial
 from .fubini_bell import RFUBINI_DEGENERATE, PolyFamily, poly_by_sum, rfubini_numbers
 from .gfun import classical_exp, degen_log_one_minus, inv_one_minus
 from .harmonic import degen_harmonic, degen_hyperharmonic, harmonic_gf
@@ -49,18 +50,21 @@ def harmonic_terms(order: int, kmax: int) -> tuple[TruncSeries, ...]:
                  for k in range(kmax + 1))
 
 
-def check_thm3(m: int, r: int, order: int) -> CheckReport:
-    """Rational generating function of the r-Fubini polynomial at x/(1-x)."""
+def check_thm3(m: int, r: int, order: int, falling=None) -> CheckReport:
+    """Rational generating function of the r-Fubini polynomial at x/(1-x).
+
+    ``falling`` is ``degen_falling_table(>= order + r, >= m)``.
+    """
     if order < max(m, 1):
         raise ValueError("order must cover m (and be >= 1)")
     params = {"m": m, "r": r, "order": order}
     fpoly = poly_by_sum(PolyFamily(RFUBINI_DEGENERATE, r), m)
-    lhs = TruncSeries.zero(QL, order)
-    for k in range(fpoly.degree + 1):
-        c = fpoly.coeff(k)
-        if not c.is_zero():  # (x/(1-x))^k / (1-x) has the coefficients C(n, k)
-            lhs = lhs + inv_one_minus(order - k, k + 1).shift(k).scale(c)
-    rhs = TruncSeries(QL, (degen_falling(n + r, m) for n in range(order + 1)))
+    terms = [(k, c) for k, c in enumerate(fpoly.coeffs) if not c.is_zero()]
+    # (x/(1-x))^k / (1-x) has the coefficients C(n, k)
+    lhs = TruncSeries(QL, (sum((c * math.comb(n, k) for k, c in terms if k <= n), QL.zero)
+                           for n in range(order + 1)))
+    falling = falling or degen_falling_table(order + r, m)
+    rhs = TruncSeries(QL, (falling[n + r][m] for n in range(order + 1)))
     return make_report("thm3", params, first_mismatch(lhs, rhs, "series"))
 
 
@@ -128,7 +132,10 @@ def check_thm6(k: int, order: int, blocks=None) -> CheckReport:
     derived = g.truncate(order + k)
     for _ in range(k):
         derived = derived.derive()
-    closed = inv_one_minus(order, k + 1) * _bracket(k, log).scale(math.factorial(k))
+    # (1-x)^-(k+1) has the coefficients C(i + k, k)
+    bracket, fact = _bracket(k, log).coeffs, math.factorial(k)
+    closed = TruncSeries(QL, (sum((bracket[n - i] * (fact * math.comb(i + k, k))
+                                   for i in range(n + 1)), QL.zero) for n in range(order + 1)))
     bad = first_mismatch(derived, closed, "derivative series")
     if bad is not None:
         return make_report("thm6", params, bad)
@@ -148,16 +155,17 @@ def check_cor7(n: int, k: int) -> CheckReport:
     return make_report("cor7", params, first_mismatch(lhs, rhs, "values"))
 
 
-def check_thm8(m: int, r: int, order: int, blocks=None) -> CheckReport:
+def check_thm8(m: int, r: int, order: int, blocks=None, falling=None) -> CheckReport:
     """Harmonic-weighted power series against its Stirling expansion.
 
-    ``blocks`` is ``harmonic_terms(order, kmax)``, kmax >= m.
+    ``blocks`` is ``harmonic_terms(order, kmax)``, kmax >= m; ``falling`` is
+    ``degen_falling_table(>= order + r, >= m)``.
     """
     if order < max(m, 1):
         raise ValueError("order must cover m (and be >= 1)")
     params = {"m": m, "r": r, "order": order}
-    lhs = TruncSeries(QL, (degen_harmonic(n) * degen_falling(n + r, m)
-                           for n in range(order + 1)))
+    falling = falling or degen_falling_table(order + r, m)
+    lhs = TruncSeries(QL, (degen_harmonic(n) * falling[n + r][m] for n in range(order + 1)))
     fam = stirling.StirlingFamily(stirling.S2R_DEGENERATE, r)
     terms = blocks or harmonic_terms(order, m)
     rhs = TruncSeries.zero(QL, order)
@@ -219,13 +227,14 @@ def _warm(family_id: str, rs, top: int) -> None:
 
 
 def _run_thm1(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
-    _warm(stirling.S2R_DEGENERATE, range(min(bounds.thm1_mmax, bounds.thm1_rmax) + 1),
-          bounds.thm1_mmax)
+    rtop = min(bounds.thm1_mmax, bounds.thm1_rmax)
+    _warm(stirling.S2R_DEGENERATE, range(rtop + 1), bounds.thm1_mmax)
+    falling = degen_falling_table(bounds.thm1_jmax + rtop, bounds.thm1_mmax)
     out = []
     for m in range(bounds.thm1_mmax + 1):
         for r in range(min(m, bounds.thm1_rmax) + 1):
             for mode in ("plain", "shifted"):
-                out.append(theorem1_check(m, r, mode, bounds.thm1_jmax))
+                out.append(theorem1_check(m, r, mode, bounds.thm1_jmax, falling))
     return out
 
 
@@ -260,11 +269,12 @@ def _run_thm2(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
     polys = [_random_poly(rng, bounds.thm2_degmax) for _ in range(bounds.thm2_trials)]
     monomials = [XPoly.monomial(1, m) for m in range(bounds.thm2_degmax + 1)]
     g_order = bounds.thm2_order + bounds.thm2_degmax
+    falling = degen_falling_table(bounds.thm2_order + bounds.thm2_rmax, bounds.thm2_degmax)
     out = []
     for name in ("exp", "geometric", "harmonic"):
         g = _named_g(name, g_order)
         for r in range(bounds.thm2_rmax + 1):
-            blocks = theorem2_blocks(g, r, bounds.thm2_order, bounds.thm2_degmax)
+            blocks = theorem2_blocks(g, r, bounds.thm2_order, bounds.thm2_degmax, falling)
             params = {"g": name, "r": r, "order": bounds.thm2_order,
                       "trials": bounds.thm2_trials, "seed": seed}
             # Both sides are linear in f, so x^0..x^degmax certify every trial;
@@ -280,7 +290,8 @@ def _run_thm3(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
     order, mmax, rs = bounds.thm3_order, bounds.thm3_mmax, range(bounds.thm3_rmax + 1)
     top = min(mmax, order)  # a check with m > order raises before reading anything
     _warm(stirling.S2R_DEGENERATE, rs, top)
-    out = [check_thm3(m, r, order) for m in range(mmax + 1) for r in rs]
+    falling = degen_falling_table(order + bounds.thm3_rmax, top)
+    out = [check_thm3(m, r, order, falling) for m in range(mmax + 1) for r in rs]
     _warm(stirling.S2R_DEGENERATE, range(bounds.thm3_numeric_rmax + 1), bounds.thm3_numeric_mmax)
     for lam in (Fraction(1, 3), Fraction(1, 2)):
         for m in range(bounds.thm3_numeric_mmax + 1):
@@ -322,7 +333,8 @@ def _run_thm8(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
     top = min(mmax, order)  # a check with m > order raises before reading anything
     _warm(stirling.S2R_DEGENERATE, rs, top)
     terms = harmonic_terms(order, top) if order >= 1 else None
-    return [check_thm8(m, r, order, terms) for m in range(mmax + 1) for r in rs]
+    falling = degen_falling_table(order + bounds.thm8_rmax, top)
+    return [check_thm8(m, r, order, terms, falling) for m in range(mmax + 1) for r in rs]
 
 
 _RUNNERS = {

@@ -4,15 +4,19 @@ The operator acts diagonally on monomials: in plain mode it sends the
 x^k term of f to (k+r)_{m,l} x^(k+r) (the operand being x^r f); shifted
 mode first takes the r-fold derivative.  ``rhs_theorem1`` assembles the
 equivalent expansion through second-kind r-Stirling triangles and
-repeated differentiation, so the two must agree coefficientwise -- that
-equality is the first operator identity the suite verifies.
+repeated differentiation (one derivative per term), so the two must agree
+coefficientwise -- that equality is the first operator identity the suite
+verifies.  The values (a)_{m,l} come from one ``degen_falling_table``,
+which a caller may pass to every check it runs.
 
 ``theorem2_check`` verifies the general two-series identity (both
 forms) for a polynomial f against a truncated series g; f is restricted
 to polynomials so both sides are finite-order computable.  The g-side
 work (shifted derivatives, Stirling mixes, falling-factorial values)
 depends only on (g, r, order); ``theorem2_blocks`` builds it once so a
-caller checking many f against one g can pass it to every check.
+caller checking many f against one g can pass it to every check.  A mix's
+coefficient j is g_j times sum_k S_r(n, k) j(j-1)...(j-k+1): integer
+multiples of the triangle entries first, then one product with g_j.
 Nothing is memoized, so a triangle fault is always seen by the next check.
 """
 
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from . import stirling
-from .factorials import degen_falling
+from .factorials import degen_falling, degen_falling_table
 from .kernel import QL, LambdaPoly, TruncSeries, XPoly
 from .report import CheckReport, first_mismatch, make_report
 
@@ -49,18 +53,13 @@ class OperatorSpec:
             raise ValueError("shifted mode requires m >= r")
 
 
-def _diagonal(coeffs, r: int, length: int) -> list[LambdaPoly]:
-    """x^r times the diagonal action; zero coefficients skip their factorial."""
-    return [QL.zero] * r + [c if c.is_zero() else c * degen_falling(k + r, length)
-                            for k, c in enumerate(coeffs)]
-
-
-def euler_apply(spec: OperatorSpec, f: Operand) -> Operand:
+def euler_apply(spec: OperatorSpec, f: Operand, falling=None) -> Operand:
     """Apply the operator to f (polynomial, or series in x over Q[l]).
 
     Plain mode realizes the action on x^r f; shifted mode realizes the
     length-(m-r) operator on x^r times the r-th derivative of f.  On a
     series input the tracked order rises by r (plain) or is kept (shifted).
+    ``falling`` is ``degen_falling_table(>= r + deg, >= m)``; built when not given.
     """
     if spec.mode == "shifted":
         g = f
@@ -70,34 +69,34 @@ def euler_apply(spec: OperatorSpec, f: Operand) -> Operand:
     else:
         g = f
         length = spec.m
-    coeffs = _diagonal(g.coeffs, spec.r, length)
+    falling = falling or degen_falling_table(len(g.coeffs) - 1 + spec.r, length)
+    # x^r times the diagonal action; zero coefficients skip their factorial.
+    coeffs = [QL.zero] * spec.r + [c if c.is_zero() else c * falling[k + spec.r][length]
+                                   for k, c in enumerate(g.coeffs)]
     return XPoly(coeffs) if isinstance(g, XPoly) else TruncSeries(QL, coeffs)
 
 
 def rhs_theorem1(spec: OperatorSpec, f: Operand) -> Operand:
-    """The Stirling-weighted derivative expansion equal to ``euler_apply``."""
+    """The Stirling-weighted derivative expansion equal to ``euler_apply``.
+
+    The l-th term reads the l-th derivative of f, taken from the (l-1)-th.
+    """
     fam = stirling.StirlingFamily(stirling.S2R_DEGENERATE, spec.r)
-    if spec.mode == "plain":
-        terms = [(stirling.stirling_value(fam, spec.m, l), l, l + spec.r)
-                 for l in range(spec.m + 1)]
-    else:
-        terms = [(stirling.stirling_value(fam, spec.m - spec.r, l - spec.r), l, l)
-                 for l in range(spec.r, spec.m + 1)]
-    if isinstance(f, XPoly):
-        out = XPoly.zero()
-        for weight, l, shift in terms:
-            d = f
-            for _ in range(l):
-                d = d.derivative()
-            out = out + XPoly.monomial(weight, shift) * d
-        return out
-    target_order = f.order + (spec.r if spec.mode == "plain" else 0)
-    out = TruncSeries.zero(QL, target_order)
-    for weight, l, shift in terms:
-        d = f
-        for _ in range(l):
-            d = d.derive()
-        out = out + d.scale(weight).shift(shift)
+    poly = isinstance(f, XPoly)
+    out = XPoly.zero() if poly else TruncSeries.zero(
+        QL, f.order + (spec.r if spec.mode == "plain" else 0))
+    d = f
+    for l in range(spec.m + 1):
+        if l:
+            d = d.derivative() if poly else d.derive()
+        if spec.mode == "plain":
+            weight, shift = stirling.stirling_value(fam, spec.m, l), l + spec.r
+        elif l >= spec.r:
+            weight, shift = stirling.stirling_value(fam, spec.m - spec.r, l - spec.r), l
+        else:
+            continue
+        out = out + (XPoly((QL.zero,) * shift + (d * weight).coeffs) if poly
+                     else d.scale(weight).shift(shift))
     return out
 
 
@@ -121,13 +120,17 @@ def degen_transform_value(f: XPoly, arg: int) -> LambdaPoly:
     return out
 
 
-def theorem1_check(m: int, r: int, mode: str, jmax: int = 10) -> CheckReport:
-    """Operator equality on the monomial basis x^j, j <= jmax, one (m, r, mode)."""
+def theorem1_check(m: int, r: int, mode: str, jmax: int = 10, falling=None) -> CheckReport:
+    """Operator equality on the monomial basis x^j, j <= jmax, one (m, r, mode).
+
+    ``falling`` is ``degen_falling_table(>= jmax + r, >= m)``; built when not given.
+    """
     spec = OperatorSpec(m, r, mode)
     params = {"m": m, "r": r, "mode": mode, "jmax": jmax}
+    falling = falling or degen_falling_table(jmax + r, m)
     for j in range(jmax + 1):
         f = XPoly.monomial(1, j)
-        lhs = euler_apply(spec, f)
+        lhs = euler_apply(spec, f, falling)
         rhs = rhs_theorem1(spec, f)
         bad = first_mismatch(lhs, rhs, f"operand x^{j}")
         if bad is not None:
@@ -156,19 +159,13 @@ class Theorem2Blocks:
     falling: tuple[tuple[LambdaPoly, ...], ...]
 
 
-def _stirling_mix(derivs, weights) -> TruncSeries:
-    out = TruncSeries.zero(QL, derivs[0].order)
-    for k, w in weights:
-        if not w.is_zero():
-            out = out + derivs[k].scale(w)
-    return out
-
-
-def theorem2_blocks(g: TruncSeries, r: int, order: int, degmax: int) -> Theorem2Blocks:
+def theorem2_blocks(g: TruncSeries, r: int, order: int, degmax: int,
+                    falling=None) -> Theorem2Blocks:
     """Everything ``theorem2_check`` needs from g, for every f of degree <= degmax.
 
     Requires g tracked to at least order + degmax, so that every g^(k)
-    it uses is itself tracked to ``order``.
+    it uses is itself tracked to ``order``.  ``falling`` is
+    ``degen_falling_table(>= order + r, degmax)``; built when not given.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -180,12 +177,15 @@ def theorem2_blocks(g: TruncSeries, r: int, order: int, degmax: int) -> Theorem2
     derivs = tuple(TruncSeries(QL, (g.coeffs[n] * math.perm(n, k) for n in range(order + 1)))
                    for k in range(degmax + 1))
     tri = stirling.triangle(stirling.StirlingFamily(stirling.S2R_DEGENERATE, r), degmax)
-    main = tuple(_stirling_mix(derivs, ((k, tri.entry(n, k)) for k in range(n + 1)))
-                 for n in range(degmax + 1))
-    shifted = tuple(_stirling_mix(derivs, ((k, tri.entry(m - r, k - r)) for k in range(r, m + 1)))
+
+    def mix(weights):  # sum_k w_k x^k g^(k): coefficient j is g_j sum_k w_k perm(j, k)
+        return TruncSeries(QL, (g.coeffs[j] * sum((w * math.perm(j, k) for k, w in weights
+                                                   if k <= j), QL.zero)
+                                for j in range(order + 1)))
+    main = tuple(mix([(k, tri.entry(n, k)) for k in range(n + 1)]) for n in range(degmax + 1))
+    shifted = tuple(mix([(k, tri.entry(m - r, k - r)) for k in range(r, m + 1)])
                     for m in range(degmax + 1))
-    falling = tuple(tuple(degen_falling(a, m) for m in range(degmax + 1))
-                    for a in range(order + r + 1))
+    falling = (falling or degen_falling_table(order + r, degmax))[: order + r + 1]
     return Theorem2Blocks(g, r, order, degmax, derivs, main, shifted, falling)
 
 
@@ -209,15 +209,15 @@ def theorem2_check(f: XPoly, g: TruncSeries, r: int, order: int,
     lhs = TruncSeries.zero(QL, order)
     for n in range(f.degree + 1):
         a = f.coeff(n)
-        if not a.is_zero():
-            lhs = lhs + blocks.main[n].scale(a)
+        if not a.is_zero():  # a monomial's coefficient 1 takes the block as it is
+            lhs = lhs + (blocks.main[n] if a == 1 else blocks.main[n].scale(a))
     rhs_coeffs = []
     for n in range(order + 1):
         value = LambdaPoly.zero()
         for m_ in range(f.degree + 1):
             a = f.coeff(m_)
             if not a.is_zero():
-                value = value + a * falling[n + r][m_]
+                value = value + (falling[n + r][m_] if a == 1 else a * falling[n + r][m_])
         rhs_coeffs.append(g.coeffs[n] * value)
     rhs = TruncSeries(QL, rhs_coeffs)
     bad = first_mismatch(lhs, rhs, "main form")
@@ -229,14 +229,14 @@ def theorem2_check(f: XPoly, g: TruncSeries, r: int, order: int,
     for m_ in range(r, f.degree + 1):
         a = f.coeff(m_)
         if not a.is_zero():
-            lhs2 = lhs2 + blocks.shifted[m_].scale(a)
+            lhs2 = lhs2 + (blocks.shifted[m_] if a == 1 else blocks.shifted[m_].scale(a))
     rhs2_coeffs = [QL.zero] * (order + 1)
     for n in range(r, order + 1):
         value = LambdaPoly.zero()
         for m_ in range(r, f.degree + 1):
             a = f.coeff(m_)
             if not a.is_zero():
-                value = value + a * falling[n][m_ - r]
+                value = value + (falling[n][m_ - r] if a == 1 else a * falling[n][m_ - r])
         rhs2_coeffs[n] = g.coeffs[n] * value * math.perm(n, r)
     rhs2 = TruncSeries(QL, rhs2_coeffs)
     bad = first_mismatch(lhs2, rhs2, "shifted form")

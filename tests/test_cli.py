@@ -178,6 +178,15 @@ def test_usage_errors_exit_two():
         what = "family" if kind == "table" else "series"
         assert proc.stderr == f"error: {what} {name} does not take --r\n"
     assert run_cli("table", "harmonic", "--r", "0").stdout == run_cli("table", "harmonic").stdout
+    # --x reads an x-polynomial only; anything else used to be echoed with exit 0
+    series = [run_cli("series", "degen-log", "--order", "3").stdout,
+              run_cli("series", "degen-exp", "--order", "3", "--lambda", "1/2").stdout,
+              run_cli("series", "fubini-gf", "--order", "3").stdout]
+    for body in ['"6/8"', '["1", "-1/2"]'] + series:
+        proc = run_cli("eval", "--x", "2", stdin=body)
+        assert proc.returncode == 2 and proc.stdout == "", body
+        assert proc.stderr == "error: --x needs an x-polynomial on stdin\n"
+    assert run_cli("eval", "--x", "2", stdin="[]").returncode == 0
 
 
 def test_cap_override_is_bounded():

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from qlambda.factorials import (BasisId, basis_poly, classical_falling, classical_rising,
-                                degen_falling, degen_rising, from_basis, gen_binomial,
-                                to_basis)
+                                degen_falling, degen_falling_table, degen_rising, from_basis,
+                                gen_binomial, to_basis)
 from qlambda.kernel import LambdaPoly, XPoly
 
 LAM = LambdaPoly.param()
@@ -22,6 +22,16 @@ def test_product_examples():
     assert degen_rising(X, 2) == X * X + X * LAM
     assert classical_rising(1, 3) == LambdaPoly.const(6)
     assert classical_falling(X, 2) == X * X - X
+
+
+def test_degen_falling_table_matches_degen_falling():
+    table = degen_falling_table(24, 9)
+    assert len(table) == 25 and all(len(row) == 10 for row in table)
+    for a, row in enumerate(table):
+        for m, entry in enumerate(row):
+            assert entry == degen_falling(a, m), (a, m)
+    assert table[0][0] == LambdaPoly.one() and table[0][1] == LambdaPoly.zero()
+    assert table[24][0] == LambdaPoly.one()
 
 
 def test_gen_binomial_examples():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qlambda import identities
+from qlambda import identities, operators
 from qlambda import stirling as st
 from qlambda.fubini_bell import FUBINI_DEGENERATE, PolyFamily, poly_by_gf, poly_by_sum
 from qlambda.identities import (SuiteBounds, check_cor7, check_thm3, check_thm3_numeric,
@@ -292,6 +292,35 @@ def test_suite_takes_no_reciprocal_and_thm6_no_power(monkeypatch):
     assert reports and all(rep.passed for rep in reports)
     assert [call for call in calls if call[0] == "reciprocal"] == []
     assert ("pow", "thm6") not in calls
+
+
+def test_runs_read_one_falling_table_and_derive_once_per_step(monkeypatch):
+    calls = {"derivative": 0}
+    derivative = XPoly.derivative
+
+    def no_falling(*args):
+        raise AssertionError(f"degen_falling{args} called during a run")
+
+    def counting_derivative(self):
+        calls["derivative"] += 1
+        return derivative(self)
+
+    for module in (operators, identities):  # a name no longer imported is set, never called
+        monkeypatch.setattr(module, "degen_falling", no_falling, raising=False)
+    monkeypatch.setattr(XPoly, "derivative", counting_derivative)
+    excess = []
+    rhs = operators.rhs_theorem1
+
+    def checked_rhs(spec, f):
+        before = calls["derivative"]
+        out = rhs(spec, f)
+        excess.append(calls["derivative"] - before - spec.m)
+        return out
+
+    monkeypatch.setattr(operators, "rhs_theorem1", checked_rhs)
+    reports = run_suite({"thm1", "thm2", "thm3", "thm8"}, SuiteBounds(), tables=Tables())
+    assert reports and all(rep.passed for rep in reports)
+    assert excess and max(excess) <= 0
 
 
 def _stores(tables):

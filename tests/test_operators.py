@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 
 from qlambda.factorials import degen_falling
+from qlambda import stirling as st
 from qlambda.gfun import classical_exp, degen_log_one_minus, inv_one_minus
 from qlambda.kernel import QL, LambdaPoly, TruncSeries, XPoly
 from qlambda.operators import (OperatorSpec, degen_transform, degen_transform_value,
                                euler_apply, rhs_theorem1, theorem1_check, theorem2_blocks,
                                theorem2_check)
+from qlambda.tables import Tables, use
 
 X = XPoly.x()
 
@@ -105,6 +107,39 @@ def _g_for(name, order):
     return (-degen_log_one_minus(order)) * inv_one_minus(order)
 
 
+def _rhs_rederiving(spec, f):
+    """``rhs_theorem1`` as it was first written: each term derives again from f."""
+    fam = st.StirlingFamily(st.S2R_DEGENERATE, spec.r)
+    if spec.mode == "plain":
+        terms = [(st.stirling_value(fam, spec.m, l), l, l + spec.r) for l in range(spec.m + 1)]
+    else:
+        terms = [(st.stirling_value(fam, spec.m - spec.r, l - spec.r), l, l)
+                 for l in range(spec.r, spec.m + 1)]
+    poly = isinstance(f, XPoly)
+    out = XPoly.zero() if poly else TruncSeries.zero(
+        QL, f.order + (spec.r if spec.mode == "plain" else 0))
+    for weight, l, shift in terms:
+        d = f
+        for _ in range(l):
+            d = d.derivative() if poly else d.derive()
+        out = out + (XPoly.monomial(weight, shift) * d if poly else d.scale(weight).shift(shift))
+    return out
+
+
+def test_rhs_theorem1_matches_rederiving_from_f():
+    rng = random.Random(11)
+    polys = [XPoly([LambdaPoly([Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                                rng.randint(-3, 3)]) for _ in range(rng.randint(0, 8))])
+             for _ in range(6)]
+    operands = polys + [XPoly.one(), classical_exp(12, QL), _g_for("harmonic", 12)]
+    for m in range(7):
+        for r in range(min(m, 3) + 1):
+            for mode in ("plain", "shifted"):
+                spec = OperatorSpec(m, r, mode)
+                for f in operands:
+                    assert rhs_theorem1(spec, f) == _rhs_rederiving(spec, f), (m, r, mode, f)
+
+
 def test_theorem2_examples():
     order = 12
     rep = theorem2_check(XPoly.one(), _g_for("geometric", order), 0, order)
@@ -161,6 +196,35 @@ def test_theorem2_blocks_shapes():
     assert blocks.shifted[0] == blocks.shifted[1] == TruncSeries.zero(QL, 6)
     assert len(blocks.falling) == 6 + 2 + 1
     assert blocks.falling[5][2] == degen_falling(5, 2)
+
+
+@pytest.mark.parametrize("faulted", [False, True])
+def test_theorem2_blocks_mix_matches_scaled_derivatives(faulted):
+    order, degmax = 10, 6
+    faults = {(st.S2R_DEGENERATE, r, n, k): LambdaPoly([1, -2])
+              for r in range(4) for n, k in ((3, 1), (5, 4))} if faulted else {}
+    with use(Tables(faults)):
+        for name in ("exp", "geometric", "harmonic"):
+            g = _g_for(name, order + degmax)
+            for r in range(4):
+                blocks = theorem2_blocks(g, r, order, degmax)
+                tri = st.triangle(st.StirlingFamily(st.S2R_DEGENERATE, r), degmax)
+                derivs = blocks.derivs
+                assert derivs[2] == g.derive().derive().truncate(order - 2).shift(2)
+
+                def mix(weights):
+                    out = TruncSeries.zero(QL, order)
+                    for k, w in weights:
+                        out = out + derivs[k].scale(w)
+                    return out
+                for n in range(degmax + 1):
+                    assert blocks.main[n] == mix((k, tri.entry(n, k)) for k in range(n + 1))
+                    assert blocks.shifted[n] == mix((k, tri.entry(n - r, k - r))
+                                                    for k in range(r, n + 1))
+                assert blocks.falling == tuple(tuple(degen_falling(a, m) for m in range(degmax + 1))
+                                               for a in range(order + r + 1))
+                if faulted:
+                    assert not theorem2_check(XPoly.monomial(1, 5), g, r, order, blocks).passed
 
 
 def test_theorem2_rejects_mismatched_blocks():
