@@ -6,13 +6,13 @@ certifies it for all parameter values at once.
 """
 
 from .factorials import (BasisId, classical_falling, classical_rising, degen_falling,
-                         degen_rising, from_basis, gen_binomial, to_basis)
-from .fubini_bell import PolyFamily, family_series, poly_by_gf, poly_by_sum, rfubini_numbers
-from .harmonic import classical_harmonic, degen_harmonic, degen_hyperharmonic, harmonic_gf
+                         degen_rising, gen_binomial, to_basis)
+from .fubini_bell import PolyFamily, family_series, poly_by_sum, rfubini_numbers
+from .harmonic import degen_harmonic, degen_hyperharmonic, harmonic_gf
 from .identities import CHECK_IDS, SuiteBounds, run_suite, suite_json
 from .kernel import QL, QLX, QQ, LambdaPoly, SeriesOrderError, TruncSeries, XPoly
-from .operators import (OperatorSpec, degen_transform, degen_transform_value, euler_apply,
-                        rhs_theorem1, theorem1_check, theorem2_blocks, theorem2_check)
+from .operators import (OperatorSpec, euler_apply, rhs_theorem1, theorem1_check,
+                        theorem2_blocks, theorem2_check)
 from .report import CheckReport, Counterexample
 from .stirling import (StirlingFamily, Triangle, stirling2_by_recurrence, stirling_by_basis,
                        stirling_value, triangle, unsigned_first_kind)
@@ -24,10 +24,9 @@ __all__ = [
     "BasisId", "CHECK_IDS", "CheckReport", "Counterexample", "LambdaPoly",
     "OperatorSpec", "PolyFamily", "QL", "QLX", "QQ", "SeriesOrderError",
     "StirlingFamily", "SuiteBounds", "Tables", "Triangle", "TruncSeries", "XPoly",
-    "classical_falling", "classical_harmonic", "classical_rising",
-    "degen_falling", "degen_harmonic", "degen_hyperharmonic", "degen_rising",
-    "degen_transform", "degen_transform_value", "euler_apply", "family_series",
-    "from_basis", "gen_binomial", "harmonic_gf", "poly_by_gf", "poly_by_sum",
+    "classical_falling", "classical_rising", "degen_falling", "degen_harmonic",
+    "degen_hyperharmonic", "degen_rising", "euler_apply", "family_series",
+    "gen_binomial", "harmonic_gf", "poly_by_sum",
     "rfubini_numbers", "rhs_theorem1", "run_suite", "stirling2_by_recurrence",
     "stirling_by_basis", "stirling_value", "suite_json", "theorem1_check", "theorem2_blocks",
     "theorem2_check", "to_basis", "triangle", "unsigned_first_kind",

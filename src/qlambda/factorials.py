@@ -2,7 +2,7 @@
 
 Falling/rising factorials in their classical and degenerate forms, the
 generalized binomial coefficient with a polynomial top, and conversion of
-an ``XPoly`` between the monomial basis and any of the (monic) factorial
+an ``XPoly`` from the monomial basis into any of the (monic) factorial
 bases.  Shifted bases like (x+r)_n are obtained by substituting x -> x+r
 before expanding, so one conversion engine serves every family.
 """
@@ -125,13 +125,3 @@ def to_basis(p: XPoly, basis: BasisId) -> list[LambdaPoly]:
     if not work.is_zero():
         raise AssertionError("basis back-substitution left a remainder")
     return coeffs
-
-
-def from_basis(coeffs, basis: BasisId) -> XPoly:
-    """Evaluate the linear combination sum(c_k * basis_k)."""
-    out = XPoly.zero()
-    for k, c in enumerate(coeffs):
-        lp = c if isinstance(c, LambdaPoly) else LambdaPoly.const(c)
-        if not lp.is_zero():
-            out = out + basis_poly(basis, k) * lp
-    return out

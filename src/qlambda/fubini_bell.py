@@ -1,10 +1,10 @@
 """Bell- and Fubini-type polynomial families over Q[l][x].
 
-Each family is computable two independent ways: as a finite weighted sum
-over a Stirling triangle (Bell families unweighted, Fubini families with
-the k! weight), and as n! times a coefficient of its generating series.
-The generating-series route never touches the triangles, so agreement of
-the two routes is a real cross-check.
+Each family is a finite weighted sum over a Stirling triangle (Bell
+families unweighted, Fubini families with the k! weight), and its
+generating series in t has that sum over n! as its t^n coefficient; both
+read one memoized triangle.  The generating-function route (a series
+reciprocal or a Bell composition) is a test oracle only.
 
 ``rfubini_numbers`` is the package's only numeric (non-symbolic)
 computation: an exact-rational partial sum with a certified geometric
@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import stirling
-from .gfun import classical_exp, degen_exp, lift_to_xpoly
 from .kernel import QLX, TruncSeries, XPoly
-from .tables import current
 
 BELL_DEGENERATE = "bell-degenerate"
 RBELL_DEGENERATE = "rbell-degenerate"
@@ -64,50 +62,24 @@ def _weighted(family: PolyFamily) -> bool:
     return family.id in (FUBINI_CLASSICAL, FUBINI_DEGENERATE, RFUBINI_DEGENERATE)
 
 
+def _row_poly(family: PolyFamily, row) -> XPoly:
+    """A row of the family's triangle as a polynomial in x; Fubini families carry k!."""
+    weighted = _weighted(family)
+    return XPoly(c * math.factorial(k) if weighted else c for k, c in enumerate(row))
+
+
 def poly_by_sum(family: PolyFamily, n: int) -> XPoly:
     """Finite Stirling-weighted sum; Fubini families carry the k! weight."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    tri = stirling.triangle(_triangle_family(family), n)
-    weighted = _weighted(family)
-    coeffs = []
-    for k in range(n + 1):
-        c = tri.entry(n, k)
-        if weighted:
-            c = c * math.factorial(k)
-        coeffs.append(c)
-    return XPoly(coeffs)
+    return _row_poly(family, stirling.triangle(_triangle_family(family), n).rows[n])
 
 
 def family_series(family: PolyFamily, order: int) -> TruncSeries:
-    """The family's generating series in t, with XPoly coefficients (memoized)."""
-    tables, key = current(), (family.id, family.r, order)
-    hit = tables.series.get(key)
-    if hit is not None:
-        return hit
-    x = XPoly.x()
-    one = TruncSeries.one(QLX, order)
-    if family.id == FUBINI_CLASSICAL:
-        e_minus_1 = classical_exp(order, QLX) - one
-    else:
-        e_minus_1 = lift_to_xpoly(degen_exp(order)) - one
-    if family.id in (BELL_DEGENERATE, RBELL_DEGENERATE):
-        series = classical_exp(order, QLX).compose(e_minus_1.scale(x))
-    else:
-        series = (one - e_minus_1.scale(x)).reciprocal()
-    if family.r:
-        series = series * lift_to_xpoly(degen_exp(order, family.r))
-    return tables.remember(tables.series, key, series)
-
-
-def poly_by_gf(family: PolyFamily, n: int, order: int) -> XPoly:
-    """n! times the t^n coefficient of the family's generating series."""
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    if order < n:
-        raise ValueError(f"order {order} < n {n}")
-    series = family_series(family, order)
-    return series.coeff(n) * math.factorial(n)
+    """The family's generating series in t: coefficient n is ``poly_by_sum(family, n) / n!``."""
+    rows = stirling.triangle(_triangle_family(family), order).rows
+    return TruncSeries(QLX, (_row_poly(family, row) / math.factorial(n)
+                             for n, row in enumerate(rows)))
 
 
 def rfubini_numbers(m: int, r: int, lam: Fraction, tol_exponent: int) -> Fraction:

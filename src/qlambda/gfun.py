@@ -1,8 +1,9 @@
 """Named truncated series used throughout the package.
 
 Each series is written down coefficient by coefficient, from the
-factorial products or a binomial; coefficients live in Q[l] (use
-:func:`lift_to_xpoly` to move a series into Q[l][x] coefficients).
+factorial products or a binomial; coefficients live in Q[l] unless a
+ring is asked for.  The Bell/Fubini series in Q[l][x] come from their
+triangles (``fubini_bell.family_series``), not from these.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import math
 from fractions import Fraction
 
 from .factorials import classical_falling, degen_falling
-from .kernel import QL, QLX, LambdaPoly, TruncSeries, XPoly
+from .kernel import QL, LambdaPoly, TruncSeries
 
 
 def degen_exp(order: int, exponent=1) -> TruncSeries:
@@ -52,14 +53,6 @@ def classical_exp(order: int, ring=QL) -> TruncSeries:
                               for n in range(order + 1)))
 
 
-def classical_log1p(order: int) -> TruncSeries:
-    """log(1+t) with rational coefficients embedded in Q[l]."""
-    coeffs = [LambdaPoly.zero()]
-    for n in range(1, order + 1):
-        coeffs.append(LambdaPoly.const(Fraction((-1) ** (n - 1), n)))
-    return TruncSeries(QL, coeffs)
-
-
 def inv_one_minus(order: int, power: int = 1, ring=QL) -> TruncSeries:
     """(1 - t)^(-power), written down: the coefficient of t^n is C(n + power - 1, n)."""
     if power < 0:
@@ -67,10 +60,3 @@ def inv_one_minus(order: int, power: int = 1, ring=QL) -> TruncSeries:
     if power == 0:
         return TruncSeries.one(ring, order)
     return TruncSeries(ring, (math.comb(n + power - 1, n) for n in range(order + 1)))
-
-
-def lift_to_xpoly(series: TruncSeries) -> TruncSeries:
-    """Reinterpret a Q[l]-coefficient series inside Q[l][x]."""
-    if series.ring is not QL:
-        raise TypeError("expected a QL-coefficient series")
-    return TruncSeries(QLX, (XPoly.const(c) for c in series.coeffs))

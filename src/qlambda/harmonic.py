@@ -12,7 +12,6 @@ function is the independent cross-check.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .factorials import classical_falling
 from .gfun import degen_log_one_minus, inv_one_minus
@@ -62,10 +61,3 @@ def harmonic_gf(r: int, order: int) -> TruncSeries:
     if r < 1:
         raise ValueError("order must be >= 1")
     return (-degen_log_one_minus(order)) * inv_one_minus(order, r)
-
-
-def classical_harmonic(n: int) -> Fraction:
-    """Exact rational harmonic number (0 at n = 0)."""
-    if n < 0:
-        raise ValueError("harmonic index must be >= 0")
-    return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))

@@ -35,6 +35,8 @@ from .report import CheckReport, Counterexample, first_mismatch, make_report
 from .tables import Tables, current, use
 
 CHECK_IDS = ("thm1", "thm2", "thm3", "thm4", "thm5", "thm6", "cor7", "thm8")
+_ORDER_COVERS_M = "order must cover m (and be >= 1)"
+_ORDER_COVERS_K = "order must be >= k"
 
 
 def _bracket(k: int, log: TruncSeries) -> TruncSeries:
@@ -56,7 +58,7 @@ def check_thm3(m: int, r: int, order: int, falling=None) -> CheckReport:
     ``falling`` is ``degen_falling_table(>= order + r, >= m)``.
     """
     if order < max(m, 1):
-        raise ValueError("order must cover m (and be >= 1)")
+        raise ValueError(_ORDER_COVERS_M)
     params = {"m": m, "r": r, "order": order}
     fpoly = poly_by_sum(PolyFamily(RFUBINI_DEGENERATE, r), m)
     terms = [(k, c) for k, c in enumerate(fpoly.coeffs) if not c.is_zero()]
@@ -126,7 +128,7 @@ def check_thm6(k: int, order: int, blocks=None) -> CheckReport:
     if k < 1:
         raise ValueError("k must be >= 1")
     if order < k:
-        raise ValueError("order must be >= k")
+        raise ValueError(_ORDER_COVERS_K)
     params = {"k": k, "order": order}
     g, log = blocks or (harmonic_gf(1, order + k), degen_log_one_minus(order))
     derived = g.truncate(order + k)
@@ -162,7 +164,7 @@ def check_thm8(m: int, r: int, order: int, blocks=None, falling=None) -> CheckRe
     ``degen_falling_table(>= order + r, >= m)``.
     """
     if order < max(m, 1):
-        raise ValueError("order must cover m (and be >= 1)")
+        raise ValueError(_ORDER_COVERS_M)
     params = {"m": m, "r": r, "order": order}
     falling = falling or degen_falling_table(order + r, m)
     lhs = TruncSeries(QL, (degen_harmonic(n) * falling[n + r][m] for n in range(order + 1)))
@@ -337,6 +339,18 @@ def _run_thm8(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
     return [check_thm8(m, r, order, terms, falling) for m in range(mmax + 1) for r in rs]
 
 
+def _check_bounds(ids, bounds: SuiteBounds) -> None:
+    """Raise the first bound error the runners of ``ids`` would raise, before any runs."""
+    for check_id in ids:
+        if check_id in ("thm3", "thm8"):
+            mmax, rmax, order = (getattr(bounds, f"{check_id}_{name}")
+                                 for name in ("mmax", "rmax", "order"))
+            if min(mmax, rmax) >= 0 and order < max(mmax, 1):
+                raise ValueError(_ORDER_COVERS_M)
+        elif check_id == "thm6" and 1 <= bounds.thm6_kmax > bounds.thm6_order:
+            raise ValueError(_ORDER_COVERS_K)
+
+
 _RUNNERS = {
     "thm1": _run_thm1,
     "thm2": _run_thm2,
@@ -354,7 +368,8 @@ def run_suite(selection, bounds: SuiteBounds | None = None, seed: int = 0,
     """Run the selected checks over their bounded grids; deterministic output.
 
     Reports come back sorted by check id and then by parameters regardless
-    of execution order.  Unknown ids raise with the list of valid ones.
+    of execution order.  Unknown ids raise with the list of valid ones;
+    bounds a selected check rejects raise before any check runs.
     The checks read and fill ``tables`` when given, else the current ones.
     """
     ids = sorted(set(selection))
@@ -363,6 +378,7 @@ def run_suite(selection, bounds: SuiteBounds | None = None, seed: int = 0,
             raise ValueError(f"unknown check id {check_id!r}; valid ids: {', '.join(CHECK_IDS)}")
     if bounds is None:
         bounds = SuiteBounds()
+    _check_bounds(ids, bounds)
     reports: list[CheckReport] = []
     with use(tables or current()):
         for check_id in ids:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from . import stirling
-from .factorials import degen_falling, degen_falling_table
+from .factorials import degen_falling_table
 from .kernel import QL, LambdaPoly, TruncSeries, XPoly
 from .report import CheckReport, first_mismatch, make_report
 
@@ -97,26 +97,6 @@ def rhs_theorem1(spec: OperatorSpec, f: Operand) -> Operand:
             continue
         out = out + (XPoly((QL.zero,) * shift + (d * weight).coeffs) if poly
                      else d.scale(weight).shift(shift))
-    return out
-
-
-def degen_transform(f: XPoly) -> XPoly:
-    """Replace each monomial a_n x^n by a_n times the degenerate falling factorial."""
-    out = XPoly.zero()
-    for n in range(f.degree + 1):
-        a = f.coeff(n)
-        if not a.is_zero():
-            out = out + degen_falling(XPoly.x(), n) * a
-    return out
-
-
-def degen_transform_value(f: XPoly, arg: int) -> LambdaPoly:
-    """The transformed polynomial evaluated at an integer argument."""
-    out = LambdaPoly.zero()
-    for n in range(f.degree + 1):
-        a = f.coeff(n)
-        if not a.is_zero():
-            out = out + a * degen_falling(arg, n)
     return out
 
 

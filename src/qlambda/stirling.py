@@ -1,10 +1,13 @@
-"""Stirling-number families over Q[l]: triangles by three independent routes.
+"""Stirling-number families over Q[l]: eight triangles, one memoized route each.
 
 Every family is defined by a basis expansion (its defining route); the
-degenerate second kind also has an additive recurrence, and every family
-can be cross-checked against coefficient extraction from its exponential
-generating function.  Values are polynomials in the degeneracy parameter;
-the classical families come out as degree-0 polynomials.
+degenerate second kind is built by its additive recurrence instead.
+``stirling_by_basis`` and ``stirling2_by_recurrence`` expose those two
+routes entry by entry; for the seven families other than the degenerate
+second kind, ``stirling_by_basis`` shares ``_row_by_basis`` with
+``triangle``.  The generating-function route lives in ``tests/routes.py``
+as an independent oracle.  Values are polynomials in the degeneracy
+parameter; the classical families come out as degree-0 polynomials.
 
 ``triangle`` memoizes whole triangles per (family id, r) in the current
 ``tables.Tables``; completed triangles are immutable, so concurrent
@@ -15,13 +18,10 @@ corrupted table without touching anyone else's.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .factorials import BasisId, basis_poly, to_basis
-from .gfun import classical_exp, classical_log1p, degen_exp, degen_log1p, degen_log_one_minus, inv_one_minus
-from .kernel import QL, LambdaPoly, TruncSeries
+from .kernel import LambdaPoly
 from .tables import current
 
 S1_CLASSICAL = "S1-classical"
@@ -134,41 +134,6 @@ def stirling_by_basis(family: StirlingFamily, n: int, k: int) -> LambdaPoly:
     return _row_by_basis(family, n)[k]
 
 
-def _gf_parts(family: StirlingFamily, order: int):
-    """(base, extra) with column k generated by (1/k!) base^k * extra."""
-    fid, r = family.id, family.r
-    if fid == S1_CLASSICAL:
-        return classical_log1p(order), None
-    if fid == S2_CLASSICAL:
-        return classical_exp(order) - TruncSeries.one(QL, order), None
-    if fid == S1_DEGENERATE:
-        return degen_log1p(order), None
-    if fid == S2_DEGENERATE:
-        return degen_exp(order) - TruncSeries.one(QL, order), None
-    if fid == S1R_DEGENERATE:
-        one_plus_t = TruncSeries.one(QL, order) + TruncSeries.var(QL, order)
-        return degen_log1p(order), one_plus_t.pow(r)
-    if fid == S2R_DEGENERATE:
-        return degen_exp(order) - TruncSeries.one(QL, order), degen_exp(order, r)
-    # unsigned first kind, with or without r
-    base = -degen_log_one_minus(order)
-    extra = inv_one_minus(order, r) if r else None
-    return base, extra
-
-
-def triangle_by_gf(family: StirlingFamily, nmax: int) -> Triangle:
-    """Whole triangle from the generating functions (cross-check route)."""
-    base, extra = _gf_parts(family, nmax)
-    rows = [[LambdaPoly.zero()] * (n + 1) for n in range(nmax + 1)]
-    power = TruncSeries.one(QL, nmax) if extra is None else extra
-    for k in range(nmax + 1):
-        if k:
-            power = power * base
-        for n in range(k, nmax + 1):
-            rows[n][k] = power.coeff(n) * Fraction(math.factorial(n), math.factorial(k))
-    return Triangle(family, nmax, tuple(tuple(r) for r in rows))
-
-
 def unsigned_first_kind(n: int, k: int) -> LambdaPoly:
     """Unsigned degenerate first kind: the rising factorial in the degenerate rising basis."""
     return stirling_value(StirlingFamily(S1_UNSIGNED_DEGENERATE), n, k)
@@ -194,7 +159,7 @@ def triangle(family: StirlingFamily, nmax: int) -> Triangle:
                 if (fid, fr) == key and n <= nmax and 0 <= k <= n:
                     rows[n][k] = rows[n][k] + delta
             built = Triangle(family, nmax, tuple(map(tuple, rows)))
-            cached = tables.remember(tables.triangles, key, built)
+            cached = tables.remember(key, built)
     if cached.nmax == nmax:
         return cached
     return Triangle(family, nmax, cached.rows[: nmax + 1])

@@ -1,12 +1,12 @@
 """The memo tables every check reads, owned by one object.
 
-A ``Tables`` holds the Stirling triangles, the degenerate harmonic row
-and the Bell/Fubini generating series behind one lock, plus the triangle
-faults it was built with; the faults never change.  Code finds the
-instance in force with ``current()``: a shared, fault-free default, or
-whatever a ``use(tables)`` block installed for its thread or task.  A
-faulted instance shares no store with the default, so a self-test cannot
-corrupt a concurrent library user.
+A ``Tables`` holds the Stirling triangles and the degenerate harmonic
+row behind one lock, plus the triangle faults it was built with; the
+faults never change.  Code finds the instance in force with
+``current()``: a shared, fault-free default, or whatever a
+``use(tables)`` block installed for its thread or task.  A faulted
+instance shares no store with the default, so a self-test cannot corrupt
+a concurrent library user.
 """
 
 from __future__ import annotations
@@ -17,28 +17,28 @@ from contextvars import ContextVar
 
 from .kernel import LambdaPoly
 
-# Keys per triangle or series store, the oldest going first.
+# Keys in the triangle store, the oldest going first.
 MAX_KEYS = 64
 
 
 class Tables:
-    """Memo stores for triangles, the harmonic row and series, plus fixed triangle faults."""
+    """Memo stores for triangles and the harmonic row, plus fixed triangle faults."""
 
     def __init__(self, faults=None):
         self.faults = dict(faults or {})  # (family id, r, n, k) -> LambdaPoly added there
         self.lock = threading.RLock()
         self.triangles = {}  # (family id, r) -> stirling.Triangle
-        self.series = {}  # (family id, r, order) -> TruncSeries
         self.harmonic = [LambdaPoly.zero()]  # H_0, H_1, ... as far as read
 
-    def remember(self, store: dict, key, value):
-        """Store ``value`` under ``key``, evicting the oldest key when full."""
+    def remember(self, key, triangle):
+        """Store ``triangle`` under ``key``, evicting the oldest key when full."""
         with self.lock:
+            store = self.triangles
             store.pop(key, None)
             if len(store) >= MAX_KEYS:
                 del store[next(iter(store))]
-            store[key] = value
-        return value
+            store[key] = triangle
+        return triangle
 
 
 _CURRENT: ContextVar[Tables] = ContextVar("qlambda_tables", default=Tables())

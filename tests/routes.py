@@ -1,0 +1,131 @@
+"""Second routes to values the package computes, kept as test oracles.
+
+The package has one route per job.  Each function here reaches one of
+those values another way: the Bell/Fubini series and polynomials and the
+Stirling triangles through their generating functions (a series
+reciprocal, a Bell composition or powers of a series), a polynomial back
+from its coefficients in a factorial basis, and the degenerate transform
+of a polynomial one monomial at a time.  They use the kernel's arithmetic
+and the named series of ``gfun``, never ``stirling.triangle`` or
+``fubini_bell``'s sums, so agreement with the package is a cross-check.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from qlambda import stirling
+from qlambda.factorials import BasisId, basis_poly, degen_falling
+from qlambda.fubini_bell import (BELL_DEGENERATE, FUBINI_CLASSICAL, RBELL_DEGENERATE,
+                                 PolyFamily)
+from qlambda.gfun import classical_exp, degen_exp, degen_log1p, degen_log_one_minus, inv_one_minus
+from qlambda.kernel import QL, QLX, LambdaPoly, TruncSeries, XPoly
+
+
+def _lift(series: TruncSeries) -> TruncSeries:
+    """A Q[l]-coefficient series read inside Q[l][x]."""
+    return TruncSeries(QLX, (XPoly.const(c) for c in series.coeffs))
+
+
+def series_by_gf(family: PolyFamily, order: int) -> TruncSeries:
+    """The family's generating series by composition or reciprocal, not from a triangle.
+
+    Bell families: exp(x (e_l(t) - 1)); Fubini families: 1 / (1 - x (e_l(t) - 1));
+    the r-families times e_l^r(t).  The classical family uses e^t for e_l(t).
+    """
+    x = XPoly.x()
+    one = TruncSeries.one(QLX, order)
+    if family.id == FUBINI_CLASSICAL:
+        e_minus_1 = classical_exp(order, QLX) - one
+    else:
+        e_minus_1 = _lift(degen_exp(order)) - one
+    if family.id in (BELL_DEGENERATE, RBELL_DEGENERATE):
+        series = classical_exp(order, QLX).compose(e_minus_1.scale(x))
+    else:
+        series = (one - e_minus_1.scale(x)).reciprocal()
+    if family.r:
+        series = series * _lift(degen_exp(order, family.r))
+    return series
+
+
+def poly_by_gf(family: PolyFamily, n: int, order: int) -> XPoly:
+    """n! times the t^n coefficient of the family's generating series."""
+    if n < 0:
+        raise ValueError("index must be >= 0")
+    if order < n:
+        raise ValueError(f"order {order} < n {n}")
+    return series_by_gf(family, order).coeff(n) * math.factorial(n)
+
+
+def classical_log1p(order: int) -> TruncSeries:
+    """log(1+t) with rational coefficients embedded in Q[l]."""
+    coeffs = [LambdaPoly.zero()]
+    for n in range(1, order + 1):
+        coeffs.append(LambdaPoly.const(Fraction((-1) ** (n - 1), n)))
+    return TruncSeries(QL, coeffs)
+
+
+def _gf_parts(family: stirling.StirlingFamily, order: int):
+    """(base, extra) with column k generated by (1/k!) base^k * extra."""
+    fid, r = family.id, family.r
+    if fid == stirling.S1_CLASSICAL:
+        return classical_log1p(order), None
+    if fid == stirling.S2_CLASSICAL:
+        return classical_exp(order) - TruncSeries.one(QL, order), None
+    if fid == stirling.S1_DEGENERATE:
+        return degen_log1p(order), None
+    if fid == stirling.S2_DEGENERATE:
+        return degen_exp(order) - TruncSeries.one(QL, order), None
+    if fid == stirling.S1R_DEGENERATE:
+        one_plus_t = TruncSeries.one(QL, order) + TruncSeries.var(QL, order)
+        return degen_log1p(order), one_plus_t.pow(r)
+    if fid == stirling.S2R_DEGENERATE:
+        return degen_exp(order) - TruncSeries.one(QL, order), degen_exp(order, r)
+    # unsigned first kind, with or without r
+    base = -degen_log_one_minus(order)
+    extra = inv_one_minus(order, r) if r else None
+    return base, extra
+
+
+def triangle_by_gf(family: stirling.StirlingFamily, nmax: int) -> stirling.Triangle:
+    """Whole triangle from the generating functions."""
+    base, extra = _gf_parts(family, nmax)
+    rows = [[LambdaPoly.zero()] * (n + 1) for n in range(nmax + 1)]
+    power = TruncSeries.one(QL, nmax) if extra is None else extra
+    for k in range(nmax + 1):
+        if k:
+            power = power * base
+        for n in range(k, nmax + 1):
+            rows[n][k] = power.coeff(n) * Fraction(math.factorial(n), math.factorial(k))
+    return stirling.Triangle(family, nmax, tuple(tuple(r) for r in rows))
+
+
+def from_basis(coeffs, basis: BasisId) -> XPoly:
+    """Evaluate the linear combination sum(c_k * basis_k)."""
+    out = XPoly.zero()
+    for k, c in enumerate(coeffs):
+        lp = c if isinstance(c, LambdaPoly) else LambdaPoly.const(c)
+        if not lp.is_zero():
+            out = out + basis_poly(basis, k) * lp
+    return out
+
+
+def degen_transform(f: XPoly) -> XPoly:
+    """Replace each monomial a_n x^n by a_n times the degenerate falling factorial."""
+    out = XPoly.zero()
+    for n in range(f.degree + 1):
+        a = f.coeff(n)
+        if not a.is_zero():
+            out = out + degen_falling(XPoly.x(), n) * a
+    return out
+
+
+def degen_transform_value(f: XPoly, arg: int) -> LambdaPoly:
+    """The transformed polynomial evaluated at an integer argument."""
+    out = LambdaPoly.zero()
+    for n in range(f.degree + 1):
+        a = f.coeff(n)
+        if not a.is_zero():
+            out = out + a * degen_falling(arg, n)
+    return out

@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,9 +21,10 @@ from qlambda import stirling as st
 from qlambda.cli import main
 from qlambda.fubini_bell import FUBINI_DEGENERATE, PolyFamily, poly_by_sum
 from qlambda.harmonic import degen_harmonic
-from qlambda.kernel import QL, LambdaPoly
+from qlambda.kernel import QL, LambdaPoly, TruncSeries
 from qlambda.render import (lambda_poly_json, parse_lambda_poly, parse_rational,
                             parse_series, parse_xpoly, rational_str)
+from qlambda.tables import Tables, use
 
 CLI = [sys.executable, "-m", "qlambda"]
 
@@ -152,6 +154,34 @@ def test_verify_fault_injection_exits_one():
     for fault in ("stirling1ru:1:-2:1", "stirling1ru:1:2:3"):  # no such entry
         proc = run_cli("verify", "--suite", "thm5", "--nmax", "4", "--fault", fault)
         assert proc.returncode == 2 and "outside every triangle" in proc.stderr
+
+
+def test_verify_rejects_bounds_before_any_check_runs():
+    # the runners go in id order: cor7, thm1 and thm2 used to run in full before thm3 raised
+    for args in (["verify", "--nmax", "64"], ["verify", "--suite", "all", "--nmax", "64",
+                                              "--order", "6"]):
+        start = time.monotonic()
+        proc = subprocess.run(CLI + args, capture_output=True, text=True, timeout=30)
+        elapsed = time.monotonic() - start
+        assert proc.returncode == 2 and proc.stdout == "", args
+        assert proc.stderr == "error: order must cover m (and be >= 1)\n", args
+        assert elapsed < 2, (args, elapsed)
+
+
+def test_fubini_series_take_no_reciprocal_or_compose(monkeypatch):
+    calls = []
+    for name in ("reciprocal", "compose"):
+        def counting(self, *args, _name=name, _original=getattr(TruncSeries, name)):
+            calls.append(_name)
+            return _original(self, *args)
+        monkeypatch.setattr(TruncSeries, name, counting)
+    with use(Tables()):  # nothing memoized from an earlier test
+        for argv in (["series", "rfubini-gf", "--order", "12", "--r", "2"],
+                     ["series", "fubini-gf", "--order", "12"]):
+            code, out, err = run_in_process(argv)
+            assert code == 0 and err == "", argv
+            assert len(json.loads(out)["coeffs"]) == 13, argv
+    assert calls == []
 
 
 def test_verify_determinism_bytes():

@@ -1,4 +1,4 @@
-"""Bell/Fubini polynomial families: both routes, limits, numeric sums."""
+"""Bell/Fubini polynomial families: the sums, their series, the GF oracle, limits, numeric sums."""
 
 import math
 from fractions import Fraction
@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 
 from qlambda.fubini_bell import (BELL_DEGENERATE, FUBINI_CLASSICAL, FUBINI_DEGENERATE,
-                                 RBELL_DEGENERATE, RFUBINI_DEGENERATE, PolyFamily,
-                                 poly_by_gf, poly_by_sum, rfubini_numbers)
+                                 POLY_FAMILY_IDS, RBELL_DEGENERATE, RFUBINI_DEGENERATE,
+                                 PolyFamily, family_series, poly_by_sum, rfubini_numbers)
 from qlambda.factorials import degen_falling
 from qlambda.gfun import classical_exp
 from qlambda.kernel import QL, LambdaPoly, TruncSeries, XPoly
 
 from oracles import ordered_partition_counts, stirling2_counts
+from routes import poly_by_gf, series_by_gf
 
 FD = PolyFamily(FUBINI_DEGENERATE)
 BD = PolyFamily(BELL_DEGENERATE)
@@ -34,23 +35,21 @@ def test_gf_examples():
 
 
 def test_sum_gf_agreement_all_families():
-    order = 10
-    for fid in (BELL_DEGENERATE, FUBINI_CLASSICAL, FUBINI_DEGENERATE):
-        fam = PolyFamily(fid)
-        for n in range(order + 1):
-            assert poly_by_sum(fam, n) == poly_by_gf(fam, n, order), (fid, n)
-    for fid in (RBELL_DEGENERATE, RFUBINI_DEGENERATE):
-        for r in range(4):
+    # the package's series (from the triangle) against the composition/reciprocal route
+    order = 12
+    for fid in POLY_FAMILY_IDS:
+        for r in range(4) if fid in (RBELL_DEGENERATE, RFUBINI_DEGENERATE) else (0,):
             fam = PolyFamily(fid, r)
+            by_gf = series_by_gf(fam, order)
+            assert family_series(fam, order) == by_gf, (fid, r)
             for n in range(order + 1):
-                assert poly_by_sum(fam, n) == poly_by_gf(fam, n, order), (fid, r, n)
+                assert poly_by_sum(fam, n) == by_gf.coeff(n) * math.factorial(n), (fid, r, n)
 
 
 def test_r_zero_reduction():
     for n in range(9):
         assert poly_by_sum(PolyFamily(RFUBINI_DEGENERATE, 0), n) == poly_by_sum(FD, n)
-        assert poly_by_gf(PolyFamily(RFUBINI_DEGENERATE, 0), n, 9) == \
-            poly_by_gf(FD, n, 9)
+    assert series_by_gf(PolyFamily(RFUBINI_DEGENERATE, 0), 9) == series_by_gf(FD, 9)
 
 
 def test_classical_limits_against_enumeration():

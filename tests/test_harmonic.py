@@ -9,8 +9,7 @@ from fractions import Fraction
 import pytest
 
 from qlambda import stirling as st
-from qlambda.harmonic import (classical_harmonic, degen_harmonic, degen_hyperharmonic,
-                              harmonic_gf)
+from qlambda.harmonic import degen_harmonic, degen_hyperharmonic, harmonic_gf
 from qlambda.kernel import LambdaPoly
 from qlambda.tables import MAX_KEYS, Tables, use
 
@@ -55,7 +54,6 @@ def test_gf_examples():
 def test_classical_limit_to_order_20():
     for n in range(21):
         assert degen_harmonic(n).subs(0) == harmonic_sum(n)
-        assert classical_harmonic(n) == harmonic_sum(n)
     for r in range(1, 5):
         for n in range(12):
             assert degen_hyperharmonic(n, r).subs(0) == hyperharmonic_sum(n, r), (n, r)

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,13 +10,15 @@ import pytest
 
 from qlambda import identities, operators
 from qlambda import stirling as st
-from qlambda.fubini_bell import FUBINI_DEGENERATE, PolyFamily, poly_by_gf, poly_by_sum
+from qlambda.fubini_bell import FUBINI_DEGENERATE, PolyFamily, family_series, poly_by_sum
 from qlambda.identities import (SuiteBounds, check_cor7, check_thm3, check_thm3_numeric,
                                 check_thm4, check_thm5, check_thm6, check_thm8, run_suite,
                                 suite_json)
 from qlambda.kernel import LambdaPoly, TruncSeries, XPoly
 from qlambda.operators import theorem2_check
 from qlambda.tables import Tables, current, use
+
+from routes import poly_by_gf
 
 
 def test_thm3_small_instances():
@@ -76,6 +79,39 @@ def test_thm8_instances():
     for m in range(4):
         for r in range(3):
             assert check_thm8(m, r, 12).passed
+
+
+_ORDER_COVERS_M = "order must cover m (and be >= 1)"
+
+
+@pytest.mark.parametrize("bounds,message", [
+    (SuiteBounds().with_cli_overrides(nmax=64), _ORDER_COVERS_M),
+    (SuiteBounds().with_cli_overrides(nmax=64, order=6), _ORDER_COVERS_M),
+    (replace(SuiteBounds(), thm3_order=1, thm3_mmax=0, thm8_order=0), _ORDER_COVERS_M),
+    (replace(SuiteBounds(), thm6_kmax=5, thm6_order=4), "order must be >= k"),
+])
+def test_bounds_are_checked_before_any_check_runs(monkeypatch, bounds, message):
+    def refuse(name):
+        def run(*args, **kwargs):
+            raise AssertionError(f"{name} ran before the bounds were checked")
+        return run
+
+    for module in (identities, operators):
+        for name in dir(module):
+            if name.startswith("check_") or (name.startswith("theorem") and
+                                              name.endswith("_check")):
+                monkeypatch.setattr(module, name, refuse(name))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_suite(identities.CHECK_IDS, bounds, tables=Tables())
+
+
+def test_bounds_pass_when_the_order_covers_the_grid():
+    reports = run_suite({"thm3", "thm6", "thm8"},
+                        replace(SuiteBounds(), thm3_mmax=2, thm3_order=2, thm3_rmax=0,
+                                thm3_numeric_mmax=0, thm3_numeric_rmax=0, thm6_kmax=2,
+                                thm6_order=2, thm8_mmax=1, thm8_rmax=0, thm8_order=1),
+                        tables=Tables())
+    assert len(reports) == 3 + 2 + 2 + 2 and all(rep.passed for rep in reports)
 
 
 def test_run_suite_selection_and_edges():
@@ -324,7 +360,7 @@ def test_runs_read_one_falling_table_and_derive_once_per_step(monkeypatch):
 
 
 def _stores(tables):
-    return dict(tables.triangles), list(tables.harmonic), dict(tables.series)
+    return dict(tables.triangles), list(tables.harmonic)
 
 
 def test_run_suite_with_own_tables_leaves_the_default_alone():
@@ -336,13 +372,13 @@ def test_run_suite_with_own_tables_leaves_the_default_alone():
     reports = run_suite({"thm1", "thm5", "cor7"}, bounds, seed=0, tables=own)
     assert reports and all(r.passed for r in reports)
     with use(own):
-        poly_by_gf(PolyFamily(FUBINI_DEGENERATE), 3, 5)
+        family_series(PolyFamily(FUBINI_DEGENERATE), 5)
     assert current() is default
     assert _stores(default) == before
     assert (st.S2R_DEGENERATE, 2) in own.triangles
     assert (st.S1R_UNSIGNED_DEGENERATE, 3) in own.triangles
     assert len(own.harmonic) > 5
-    assert (FUBINI_DEGENERATE, 0, 5) in own.series
+    assert own.triangles[(st.S2_DEGENERATE, 0)].nmax == 5
 
 
 def test_check_report_invariant():

@@ -10,10 +10,11 @@ from qlambda.factorials import degen_falling
 from qlambda import stirling as st
 from qlambda.gfun import classical_exp, degen_log_one_minus, inv_one_minus
 from qlambda.kernel import QL, LambdaPoly, TruncSeries, XPoly
-from qlambda.operators import (OperatorSpec, degen_transform, degen_transform_value,
-                               euler_apply, rhs_theorem1, theorem1_check, theorem2_blocks,
-                               theorem2_check)
+from qlambda.operators import (OperatorSpec, euler_apply, rhs_theorem1, theorem1_check,
+                               theorem2_blocks, theorem2_check)
 from qlambda.tables import Tables, use
+
+from routes import degen_transform, degen_transform_value
 
 X = XPoly.x()
 

@@ -11,6 +11,7 @@ from qlambda.kernel import LambdaPoly
 from qlambda.tables import Tables, current, use
 
 from oracles import cycle_counts, stirling2_counts
+from routes import triangle_by_gf
 
 F2D = st.StirlingFamily(st.S2_DEGENERATE)
 F1D = st.StirlingFamily(st.S1_DEGENERATE)
@@ -38,11 +39,11 @@ def test_recurrence_examples():
 def test_by_gf_examples():
     for r in range(4):
         fam = st.StirlingFamily(st.S1R_UNSIGNED_DEGENERATE, r)
-        assert st.triangle_by_gf(fam, 1).entry(1, 1) == LambdaPoly.one()
-    assert st.triangle_by_gf(F2D, 2).entry(2, 1) == LambdaPoly([1, -1])
-    assert st.triangle_by_gf(F1D, 2).entry(2, 1) == LambdaPoly([-1, 1])
+        assert triangle_by_gf(fam, 1).entry(1, 1) == LambdaPoly.one()
+    assert triangle_by_gf(F2D, 2).entry(2, 1) == LambdaPoly([1, -1])
+    assert triangle_by_gf(F1D, 2).entry(2, 1) == LambdaPoly([-1, 1])
     with pytest.raises(ValueError):
-        st.triangle_by_gf(F2D, 4).entry(5, 2)
+        triangle_by_gf(F2D, 4).entry(5, 2)
 
 
 def test_unsigned_first_kind_examples():
@@ -75,7 +76,7 @@ def test_three_way_agreement_small_grid():
     # The full acceptance grid runs n <= 12, r <= 4; keep the module test lean.
     nmax = 7
     for fam in _families(2):
-        gf_tri = st.triangle_by_gf(fam, nmax)
+        gf_tri = triangle_by_gf(fam, nmax)
         for n in range(nmax + 1):
             for k in range(n + 1):
                 a = st.stirling_by_basis(fam, n, k)
@@ -202,7 +203,7 @@ def test_faulted_build_never_reaches_a_concurrent_clean_store(monkeypatch):
     # flag cleared mid-build used to let the faulted triangle into the
     # shared cache, where every later clean read saw it.
     fam = st.StirlingFamily(st.S2R_DEGENERATE, 1)
-    expect = st.triangle_by_gf(fam, 5)
+    expect = triangle_by_gf(fam, 5)
     faulted = Tables({(fam.id, fam.r, 3, 1): LambdaPoly.const(Fraction(1, 7))})
     building, release = threading.Event(), threading.Event()
     real_build = st._build_rows
