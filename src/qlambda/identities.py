@@ -256,10 +256,10 @@ def _named_g(name: str, order: int) -> TruncSeries:
     raise ValueError(f"unknown series name {name!r}")
 
 
-def _first_failure(fs, label: str, blocks) -> Counterexample | None:
-    """The first f in ``fs`` failing Theorem 2, located as ``label.format(index)``."""
+def _first_failure(fs, label: str, g: TruncSeries, blocks) -> Counterexample | None:
+    """The first f in ``fs`` failing Theorem 2 against g, located as ``label.format(index)``."""
     for i, f in enumerate(fs):
-        rep = theorem2_check(f, blocks.g, blocks.r, blocks.order, blocks)
+        rep = theorem2_check(f, g, blocks.r, blocks.order, blocks)
         if not rep.passed:
             bad = rep.counterexample
             return Counterexample(f"{label.format(i)}: {bad.location}", bad.lhs, bad.rhs)
@@ -270,20 +270,20 @@ def _run_thm2(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
     rng = random.Random(seed)
     polys = [_random_poly(rng, bounds.thm2_degmax) for _ in range(bounds.thm2_trials)]
     monomials = [XPoly.monomial(1, m) for m in range(bounds.thm2_degmax + 1)]
-    g_order = bounds.thm2_order + bounds.thm2_degmax
     falling = degen_falling_table(bounds.thm2_order + bounds.thm2_rmax, bounds.thm2_degmax)
+    blocks = [theorem2_blocks(r, bounds.thm2_order, bounds.thm2_degmax, falling)
+              for r in range(bounds.thm2_rmax + 1)]
     out = []
     for name in ("exp", "geometric", "harmonic"):
-        g = _named_g(name, g_order)
-        for r in range(bounds.thm2_rmax + 1):
-            blocks = theorem2_blocks(g, r, bounds.thm2_order, bounds.thm2_degmax, falling)
+        g = _named_g(name, bounds.thm2_order + bounds.thm2_degmax)
+        for r, block in enumerate(blocks):
             params = {"g": name, "r": r, "order": bounds.thm2_order,
                       "trials": bounds.thm2_trials, "seed": seed}
             # Both sides are linear in f, so x^0..x^degmax certify every trial;
             # the trials run only to name a counterexample once a monomial fails.
-            failure = _first_failure(monomials, "monomial x^{}", blocks)
+            failure = _first_failure(monomials, "monomial x^{}", g, block)
             if failure is not None:
-                failure = _first_failure(polys, "trial {}", blocks) or failure
+                failure = _first_failure(polys, "trial {}", g, block) or failure
             out.append(make_report("thm2", params, failure))
     return out
 

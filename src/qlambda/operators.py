@@ -11,13 +11,14 @@ which a caller may pass to every check it runs.
 
 ``theorem2_check`` verifies the general two-series identity (both
 forms) for a polynomial f against a truncated series g; f is restricted
-to polynomials so both sides are finite-order computable.  The g-side
-work (shifted derivatives, Stirling mixes, falling-factorial values)
-depends only on (g, r, order); ``theorem2_blocks`` builds it once so a
-caller checking many f against one g can pass it to every check.  A mix's
-coefficient j is g_j times sum_k S_r(n, k) j(j-1)...(j-k+1): integer
-multiples of the triangle entries first, then one product with g_j.
-Nothing is memoized, so a triangle fault is always seen by the next check.
+to polynomials so both sides are finite-order computable.  At f = x^n,
+coefficient j of each side of each form is g_j times a value that does
+not depend on g: a sum_k S_r(n, k) j(j-1)...(j-k+1) of triangle entries
+with integer weights, or a degenerate falling factorial.
+``theorem2_blocks`` tabulates those values once per (r, order), so a
+caller checking many f against many g builds them once per r; a check
+weights them by the a_n of f and then by g_j.  Nothing is memoized, so
+a triangle fault is always seen by the next check.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .kernel import QL, LambdaPoly, TruncSeries, XPoly
 from .report import CheckReport, first_mismatch, make_report
 
 Operand = Union[XPoly, TruncSeries]
+Table = tuple[tuple[LambdaPoly, ...], ...]
 
 _MODES = ("plain", "shifted")
 
@@ -120,104 +122,79 @@ def theorem1_check(m: int, r: int, mode: str, jmax: int = 10, falling=None) -> C
 
 @dataclass(frozen=True)
 class Theorem2Blocks:
-    """The g-side work of the two-series identity for one (g, r, order).
+    """The g-free tables of the two-series identity for one (r, order).
 
-    ``derivs[k]`` is x^k g^(k), ``main[n]`` is sum_k {n+r over k+r}_r x^k g^(k)
-    and ``shifted[m]`` is sum_{k >= r} {m over k}_r x^k g^(k) (zero for
-    m < r); all are tracked to ``order`` and cover polynomials f of degree
-    <= ``degmax``.  ``falling[a][m]`` is the degenerate falling factorial
-    (a)_{m,l} for a <= order + r.
+    At f = x^n, coefficient j of each side of each form is g_j times an
+    entry ``[n][j]`` of a (lhs, rhs) pair of tables, n <= ``degmax`` and
+    j <= ``order``.  ``main``: sum_k {n+r over k+r}_r j(j-1)...(j-k+1)
+    against (j+r)_{n,l}.  ``shifted``: sum_{k >= r} {n over k}_r
+    j(j-1)...(j-k+1) against (j)_{n-r,l} j(j-1)...(j-r+1), both zero for
+    n < r.
     """
 
-    g: TruncSeries
     r: int
     order: int
     degmax: int
-    derivs: tuple[TruncSeries, ...]
-    main: tuple[TruncSeries, ...]
-    shifted: tuple[TruncSeries, ...]
-    falling: tuple[tuple[LambdaPoly, ...], ...]
+    main: tuple[Table, Table]
+    shifted: tuple[Table, Table]
 
 
-def theorem2_blocks(g: TruncSeries, r: int, order: int, degmax: int,
-                    falling=None) -> Theorem2Blocks:
-    """Everything ``theorem2_check`` needs from g, for every f of degree <= degmax.
+def theorem2_blocks(r: int, order: int, degmax: int, falling=None) -> Theorem2Blocks:
+    """Everything ``theorem2_check`` needs besides f and g, for every f of degree <= degmax.
 
-    Requires g tracked to at least order + degmax, so that every g^(k)
-    it uses is itself tracked to ``order``.  ``falling`` is
-    ``degen_falling_table(>= order + r, degmax)``; built when not given.
+    ``falling`` is ``degen_falling_table(>= order + r, >= degmax)``; built when not given.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
     if degmax < 0:
         raise ValueError("degmax must be >= 0")
-    if g.order < order + degmax:
-        raise ValueError(f"g must be tracked to >= {order + degmax} (got {g.order})")
-    # The x^n coefficient of x^k g^(k) is n(n-1)...(n-k+1) g_n, zero for k > n.
-    derivs = tuple(TruncSeries(QL, (g.coeffs[n] * math.perm(n, k) for n in range(order + 1)))
-                   for k in range(degmax + 1))
     tri = stirling.triangle(stirling.StirlingFamily(stirling.S2R_DEGENERATE, r), degmax)
+    falling = falling or degen_falling_table(order + r, degmax)
+    js, zero = range(order + 1), LambdaPoly.zero()
 
-    def mix(weights):  # sum_k w_k x^k g^(k): coefficient j is g_j sum_k w_k perm(j, k)
-        return TruncSeries(QL, (g.coeffs[j] * sum((w * math.perm(j, k) for k, w in weights
-                                                   if k <= j), QL.zero)
-                                for j in range(order + 1)))
-    main = tuple(mix([(k, tri.entry(n, k)) for k in range(n + 1)]) for n in range(degmax + 1))
-    shifted = tuple(mix([(k, tri.entry(m - r, k - r)) for k in range(r, m + 1)])
-                    for m in range(degmax + 1))
-    falling = (falling or degen_falling_table(order + r, degmax))[: order + r + 1]
-    return Theorem2Blocks(g, r, order, degmax, derivs, main, shifted, falling)
+    def mix(n, low):  # sum_{k >= low} S_r(n - low, k - low) j(j-1)...(j-k+1), per j
+        return tuple(sum((tri.entry(n - low, k - low) * math.perm(j, k)
+                          for k in range(low, min(n, j) + 1)), zero) for j in js)
+    main = (tuple(mix(n, 0) for n in range(degmax + 1)),
+            tuple(tuple(falling[j + r][n] for j in js) for n in range(degmax + 1)))
+    shifted = (tuple(mix(n, r) for n in range(degmax + 1)),
+               tuple(tuple(falling[j][n - r] * math.perm(j, r) if n >= r else zero for j in js)
+                     for n in range(degmax + 1)))
+    return Theorem2Blocks(r, order, degmax, main, shifted)
+
+
+def _times(w: LambdaPoly, v: LambdaPoly) -> LambdaPoly:
+    """w * v, with a weight 1 taking v as it is."""
+    return v if w == 1 else w * v
 
 
 def theorem2_check(f: XPoly, g: TruncSeries, r: int, order: int,
                    blocks: Theorem2Blocks | None = None) -> CheckReport:
     """Both forms of the two-series identity, coefficientwise to ``order``.
 
-    ``blocks`` is ``theorem2_blocks(g, r, order, degmax)`` for some
-    degmax >= deg f; it is built here when not given.
+    Requires g tracked to at least order + deg f, so that every g^(k) the
+    identity reads is itself tracked to ``order``.  ``blocks`` is
+    ``theorem2_blocks(r, order, degmax)`` for some degmax >= deg f; it is
+    built here when not given.
     """
+    degree = max(f.degree, 0)
+    if g.order < order + degree:
+        raise ValueError(f"g must be tracked to >= {order + degree} (got {g.order})")
     if blocks is None:
-        blocks = theorem2_blocks(g, r, order, max(f.degree, 0))
-    elif (blocks.r, blocks.order) != (r, order) or blocks.g != g:
-        raise ValueError("blocks were built for a different g, r or order")
+        blocks = theorem2_blocks(r, order, degree)
+    elif (blocks.r, blocks.order) != (r, order):
+        raise ValueError("blocks were built for a different r or order")
     if f.degree > blocks.degmax:
         raise ValueError(f"blocks cover degree <= {blocks.degmax}, f has degree {f.degree}")
     params = {"r": r, "order": order, "deg_f": f.degree}
-    falling = blocks.falling
+    terms = [(n, f.coeff(n)) for n in range(f.degree + 1) if not f.coeff(n).is_zero()]
+    zero = LambdaPoly.zero()
 
-    # Main form: sum_n a_n (sum_k {...} x^k g^(k)) == sum_n b_n f_l(n+r) x^n.
-    lhs = TruncSeries.zero(QL, order)
-    for n in range(f.degree + 1):
-        a = f.coeff(n)
-        if not a.is_zero():  # a monomial's coefficient 1 takes the block as it is
-            lhs = lhs + (blocks.main[n] if a == 1 else blocks.main[n].scale(a))
-    rhs_coeffs = []
-    for n in range(order + 1):
-        value = LambdaPoly.zero()
-        for m_ in range(f.degree + 1):
-            a = f.coeff(m_)
-            if not a.is_zero():
-                value = value + (falling[n + r][m_] if a == 1 else a * falling[n + r][m_])
-        rhs_coeffs.append(g.coeffs[n] * value)
-    rhs = TruncSeries(QL, rhs_coeffs)
-    bad = first_mismatch(lhs, rhs, "main form")
-    if bad is not None:
-        return make_report("thm2", params, bad)
-
-    # Shifted form: only the a_m with m >= r participate.
-    lhs2 = TruncSeries.zero(QL, order)
-    for m_ in range(r, f.degree + 1):
-        a = f.coeff(m_)
-        if not a.is_zero():
-            lhs2 = lhs2 + (blocks.shifted[m_] if a == 1 else blocks.shifted[m_].scale(a))
-    rhs2_coeffs = [QL.zero] * (order + 1)
-    for n in range(r, order + 1):
-        value = LambdaPoly.zero()
-        for m_ in range(r, f.degree + 1):
-            a = f.coeff(m_)
-            if not a.is_zero():
-                value = value + (falling[n][m_ - r] if a == 1 else a * falling[n][m_ - r])
-        rhs2_coeffs[n] = g.coeffs[n] * value * math.perm(n, r)
-    rhs2 = TruncSeries(QL, rhs2_coeffs)
-    bad = first_mismatch(lhs2, rhs2, "shifted form")
-    return make_report("thm2", params, bad)
+    def side(table):  # coefficient j is g_j sum_n a_n table[n][j]
+        return TruncSeries(QL, (_times(g.coeffs[j], sum((_times(a, table[n][j]) for n, a in terms),
+                                                         zero)) for j in range(order + 1)))
+    for label, (lhs, rhs) in (("main form", blocks.main), ("shifted form", blocks.shifted)):
+        bad = first_mismatch(side(lhs), side(rhs), label)
+        if bad is not None:
+            return make_report("thm2", params, bad)
+    return make_report("thm2", params, None)

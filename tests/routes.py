@@ -5,9 +5,12 @@ those values another way: the Bell/Fubini series and polynomials and the
 Stirling triangles through their generating functions (a series
 reciprocal, a Bell composition or powers of a series), a polynomial back
 from its coefficients in a factorial basis, and the degenerate transform
-of a polynomial one monomial at a time.  They use the kernel's arithmetic
-and the named series of ``gfun``, never ``stirling.triangle`` or
-``fubini_bell``'s sums, so agreement with the package is a cross-check.
+of a polynomial one monomial at a time, and both sides of the
+two-series identity from the derivatives of g.  They use the kernel's
+arithmetic and the named series of ``gfun``, never ``fubini_bell``'s
+sums, and no triangle except through single ``stirling_value`` entries
+(so a faulted ``Tables`` reaches both routes), so agreement with the
+package is a cross-check.
 """
 
 from __future__ import annotations
@@ -129,3 +132,38 @@ def degen_transform_value(f: XPoly, arg: int) -> LambdaPoly:
         if not a.is_zero():
             out = out + a * degen_falling(arg, n)
     return out
+
+
+def theorem2_sides(f: XPoly, g: TruncSeries, r: int, order: int):
+    """((lhs, rhs) of the main form, (lhs, rhs) of the shifted form), tracked to ``order``.
+
+    The left sides sum the Stirling-weighted x^k g^(k), each derivative
+    taken from the previous one; the right sides weight g_j by the
+    degenerate transform of f, the shifted one through x^r times an r-th
+    derivative.  Requires g tracked to at least order + deg f.
+    """
+    fam = stirling.StirlingFamily(stirling.S2R_DEGENERATE, r)
+    zero = TruncSeries.zero(QL, order)
+    d, xg = g, []  # xg[k] is x^k g^(k)
+    for k in range(f.degree + 1):
+        if k:
+            d = d.derive()
+        xg.append(d.shift(k).truncate(order))
+    terms = [(n, f.coeff(n)) for n in range(f.degree + 1) if not f.coeff(n).is_zero()]
+    lhs, lhs2 = zero, zero
+    for n, a in terms:
+        for k in range(n + 1):
+            lhs = lhs + xg[k].scale(stirling.stirling_value(fam, n, k) * a)
+            if n >= r and k >= r:
+                lhs2 = lhs2 + xg[k].scale(stirling.stirling_value(fam, n - r, k - r) * a)
+    rhs = TruncSeries(QL, (g.coeffs[j] * sum((a * degen_falling(j + r, n) for n, a in terms),
+                                             LambdaPoly.zero()) for j in range(order + 1)))
+    rhs2 = zero
+    if f.degree >= r:
+        h = TruncSeries(QL, (g.coeffs[j] * sum((a * degen_falling(j, n - r) for n, a in terms
+                                                if n >= r), LambdaPoly.zero())
+                             for j in range(order + r + 1)))
+        for _ in range(r):
+            h = h.derive()
+        rhs2 = h.shift(r).truncate(order)
+    return (lhs, rhs), (lhs2, rhs2)

@@ -8,14 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from qlambda import identities, operators
+from qlambda import cli, identities, operators
 from qlambda import stirling as st
 from qlambda.fubini_bell import FUBINI_DEGENERATE, PolyFamily, family_series, poly_by_sum
 from qlambda.identities import (SuiteBounds, check_cor7, check_thm3, check_thm3_numeric,
                                 check_thm4, check_thm5, check_thm6, check_thm8, run_suite,
                                 suite_json)
 from qlambda.kernel import LambdaPoly, TruncSeries, XPoly
-from qlambda.operators import theorem2_check
+from qlambda.operators import theorem2_blocks, theorem2_check
 from qlambda.tables import Tables, current, use
 
 from routes import poly_by_gf
@@ -229,6 +229,18 @@ def test_thm2_checks_each_monomial_once_per_group(monkeypatch):
     degmax, rmax = _BASIS_BOUNDS.thm2_degmax, _BASIS_BOUNDS.thm2_rmax
     assert len(calls) == (degmax + 1) * 3 * (rmax + 1)
     assert set(calls) == {XPoly.monomial(1, m) for m in range(degmax + 1)}
+
+
+def test_verify_thm2_builds_its_blocks_once_per_r(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return theorem2_blocks(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "theorem2_blocks", counting)
+    assert cli.main(["verify", "--suite", "thm2"]) == 0
+    assert calls == list(range(SuiteBounds().thm2_rmax + 1))  # one block per r, for every g
 
 
 def test_thm2_basis_finds_a_fault_every_trial_misses():

@@ -12,9 +12,10 @@ from qlambda.gfun import classical_exp, degen_log_one_minus, inv_one_minus
 from qlambda.kernel import QL, LambdaPoly, TruncSeries, XPoly
 from qlambda.operators import (OperatorSpec, euler_apply, rhs_theorem1, theorem1_check,
                                theorem2_blocks, theorem2_check)
+from qlambda.report import first_mismatch, make_report
 from qlambda.tables import Tables, use
 
-from routes import degen_transform, degen_transform_value
+from routes import degen_transform, degen_transform_value, theorem2_sides
 
 X = XPoly.x()
 
@@ -165,19 +166,20 @@ def test_theorem2_random_polynomials_all_gs():
 
 
 def test_theorem2_insufficient_order_is_error():
-    with pytest.raises(ValueError):
+    message = r"g must be tracked to >= 13 \(got 10\)"
+    with pytest.raises(ValueError, match=message):
         theorem2_check(XPoly.monomial(1, 3), inv_one_minus(10), 0, 10)
-    with pytest.raises(ValueError):
-        theorem2_blocks(inv_one_minus(10), 0, 10, 3)
+    with pytest.raises(ValueError, match=message):
+        theorem2_check(XPoly.monomial(1, 3), inv_one_minus(10), 0, 10, theorem2_blocks(0, 10, 3))
 
 
 def test_theorem2_shared_blocks_match_own_blocks():
     rng = random.Random(5)
     order, degmax = 10, 5
-    for name in ("geometric", "exp", "harmonic"):
-        g = _g_for(name, order + degmax)
-        for r in range(3):
-            blocks = theorem2_blocks(g, r, order, degmax)
+    for r in range(3):
+        blocks = theorem2_blocks(r, order, degmax)
+        for name in ("geometric", "exp", "harmonic"):
+            g = _g_for(name, order + degmax)
             for _ in range(4):
                 f = XPoly([LambdaPoly([Fraction(rng.randint(-6, 6), rng.randint(1, 4))])
                            for _ in range(rng.randint(1, degmax + 1))])
@@ -187,16 +189,23 @@ def test_theorem2_shared_blocks_match_own_blocks():
 
 
 def test_theorem2_blocks_shapes():
-    g = _g_for("exp", 9)
-    blocks = theorem2_blocks(g, 2, 6, 3)
-    assert len(blocks.derivs) == len(blocks.main) == len(blocks.shifted) == 4
-    assert all(s.order == 6 for s in blocks.derivs + blocks.main + blocks.shifted)
-    assert blocks.derivs[0] == g.truncate(6)
-    assert blocks.derivs[1] == g.derive().truncate(5).shift(1)
+    blocks = theorem2_blocks(2, 6, 3)
+    tables = blocks.main + blocks.shifted
+    assert all(len(t) == 4 and all(len(row) == 7 for row in t) for t in tables)
     # f with m < r contributes nothing to the shifted form
-    assert blocks.shifted[0] == blocks.shifted[1] == TruncSeries.zero(QL, 6)
-    assert len(blocks.falling) == 6 + 2 + 1
-    assert blocks.falling[5][2] == degen_falling(5, 2)
+    zero = (LambdaPoly.zero(),) * 7
+    assert all(t[0] == t[1] == zero for t in blocks.shifted)
+    assert blocks.main[1][2][5] == degen_falling(5 + 2, 2)
+    assert blocks.shifted[1][3][5] == degen_falling(5, 1) * 20
+
+
+def _x_derivs(g, kmax, order):
+    """x^k g^(k) for k <= kmax, each from the previous derivative, tracked to ``order``."""
+    out, d = [], g
+    for k in range(kmax + 1):
+        out.append(d.shift(k).truncate(order))
+        d = d.derive()
+    return out
 
 
 @pytest.mark.parametrize("faulted", [False, True])
@@ -205,41 +214,82 @@ def test_theorem2_blocks_mix_matches_scaled_derivatives(faulted):
     faults = {(st.S2R_DEGENERATE, r, n, k): LambdaPoly([1, -2])
               for r in range(4) for n, k in ((3, 1), (5, 4))} if faulted else {}
     with use(Tables(faults)):
-        for name in ("exp", "geometric", "harmonic"):
-            g = _g_for(name, order + degmax)
-            for r in range(4):
-                blocks = theorem2_blocks(g, r, order, degmax)
-                tri = st.triangle(st.StirlingFamily(st.S2R_DEGENERATE, r), degmax)
-                derivs = blocks.derivs
-                assert derivs[2] == g.derive().derive().truncate(order - 2).shift(2)
+        for r in range(4):
+            blocks = theorem2_blocks(r, order, degmax)
+            tri = st.triangle(st.StirlingFamily(st.S2R_DEGENERATE, r), degmax)
+            (main, main_rhs), (shifted, shifted_rhs) = blocks.main, blocks.shifted
+            for name in ("exp", "geometric", "harmonic"):
+                g = _g_for(name, order + degmax)
+                derivs = _x_derivs(g, degmax, order)
 
                 def mix(weights):
                     out = TruncSeries.zero(QL, order)
                     for k, w in weights:
                         out = out + derivs[k].scale(w)
                     return out
+
+                def times_g(row):
+                    return TruncSeries(QL, (g.coeffs[j] * v for j, v in enumerate(row)))
                 for n in range(degmax + 1):
-                    assert blocks.main[n] == mix((k, tri.entry(n, k)) for k in range(n + 1))
-                    assert blocks.shifted[n] == mix((k, tri.entry(n - r, k - r))
-                                                    for k in range(r, n + 1))
-                assert blocks.falling == tuple(tuple(degen_falling(a, m) for m in range(degmax + 1))
-                                               for a in range(order + r + 1))
+                    assert times_g(main[n]) == mix((k, tri.entry(n, k)) for k in range(n + 1))
+                    assert times_g(shifted[n]) == mix((k, tri.entry(n - r, k - r))
+                                                      for k in range(r, n + 1))
                 if faulted:
                     assert not theorem2_check(XPoly.monomial(1, 5), g, r, order, blocks).passed
+            for n in range(degmax + 1):
+                assert main_rhs[n] == tuple(degen_falling(j + r, n) for j in range(order + 1))
+                assert shifted_rhs[n] == tuple(
+                    degen_falling(j, n - r) * math.perm(j, r) if n >= r else LambdaPoly.zero()
+                    for j in range(order + 1))
 
 
 def test_theorem2_rejects_mismatched_blocks():
     g = _g_for("geometric", 14)
-    blocks = theorem2_blocks(g, 1, 10, 2)
+    blocks = theorem2_blocks(1, 10, 2)
     with pytest.raises(ValueError):
         theorem2_check(XPoly.monomial(1, 3), g, 1, 10, blocks)  # degmax below deg f
     with pytest.raises(ValueError):
         theorem2_check(X, g, 0, 10, blocks)
     with pytest.raises(ValueError):
         theorem2_check(X, g, 1, 9, blocks)
-    with pytest.raises(ValueError):
-        theorem2_check(X, _g_for("exp", 14), 1, 10, blocks)
     assert theorem2_check(X, g, 1, 10, blocks).passed
+    # blocks do not depend on g, so any g may use them
+    assert theorem2_check(X, _g_for("exp", 14), 1, 10, blocks).passed
+
+
+def _random_rational_series(rng, order):
+    return TruncSeries(QL, (LambdaPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                        for _ in range(rng.randint(0, 2))])
+                            for _ in range(order + 1)))
+
+
+def _oracle_report(f, g, r, order):
+    params = {"r": r, "order": order, "deg_f": f.degree}
+    for label, (lhs, rhs) in zip(("main form", "shifted form"), theorem2_sides(f, g, r, order)):
+        bad = first_mismatch(lhs, rhs, label)
+        if bad is not None:
+            return make_report("thm2", params, bad)
+    return make_report("thm2", params, None)
+
+
+@pytest.mark.parametrize("faulted", [False, True])
+def test_theorem2_check_agrees_with_the_derivative_oracle(faulted):
+    rng = random.Random(2024)
+    order, degmax = 8, 6
+    faults = {(st.S2R_DEGENERATE, r, 4, 2): LambdaPoly([0, 3]) for r in range(4)} if faulted else {}
+    failed = 0
+    with use(Tables(faults)):
+        for r in range(4):
+            blocks = theorem2_blocks(r, order, degmax)
+            for _ in range(6):
+                g = _random_rational_series(rng, order + degmax)
+                f = XPoly([LambdaPoly([Fraction(rng.randint(-6, 6), rng.randint(1, 4))])
+                           for _ in range(rng.randint(1, degmax + 1))])
+                expected = _oracle_report(f, g, r, order)
+                assert theorem2_check(f, g, r, order) == expected, (r, f, g)
+                assert theorem2_check(f, g, r, order, blocks) == expected, (r, f, g)
+                failed += not expected.passed
+    assert (failed > 0) == faulted
 
 
 def test_theorem2_degree_above_order():
