@@ -11,8 +11,7 @@ from .fubini_bell import PolyFamily, family_series, poly_by_sum, rfubini_numbers
 from .harmonic import degen_harmonic, degen_hyperharmonic, harmonic_gf
 from .identities import CHECK_IDS, SuiteBounds, run_suite, suite_json
 from .kernel import QL, QLX, QQ, LambdaPoly, SeriesOrderError, TruncSeries, XPoly
-from .operators import (OperatorSpec, euler_apply, rhs_theorem1, theorem1_check,
-                        theorem2_blocks, theorem2_check)
+from .operators import OperatorSpec, theorem1_check, theorem2_blocks, theorem2_check
 from .report import CheckReport, Counterexample
 from .stirling import (StirlingFamily, Triangle, stirling2_by_recurrence, stirling_by_basis,
                        stirling_value, triangle, unsigned_first_kind)
@@ -25,9 +24,9 @@ __all__ = [
     "OperatorSpec", "PolyFamily", "QL", "QLX", "QQ", "SeriesOrderError",
     "StirlingFamily", "SuiteBounds", "Tables", "Triangle", "TruncSeries", "XPoly",
     "classical_falling", "classical_rising", "degen_falling", "degen_harmonic",
-    "degen_hyperharmonic", "degen_rising", "euler_apply", "family_series",
+    "degen_hyperharmonic", "degen_rising", "family_series",
     "gen_binomial", "harmonic_gf", "poly_by_sum",
-    "rfubini_numbers", "rhs_theorem1", "run_suite", "stirling2_by_recurrence",
+    "rfubini_numbers", "run_suite", "stirling2_by_recurrence",
     "stirling_by_basis", "stirling_value", "suite_json", "theorem1_check", "theorem2_blocks",
     "theorem2_check", "to_basis", "triangle", "unsigned_first_kind",
 ]

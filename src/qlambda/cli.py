@@ -19,7 +19,7 @@ from .fubini_bell import (BELL_DEGENERATE, FUBINI_CLASSICAL, FUBINI_DEGENERATE,
                           RBELL_DEGENERATE, RFUBINI_DEGENERATE, PolyFamily,
                           family_series, poly_by_sum)
 from .gfun import degen_exp, degen_log1p
-from .harmonic import degen_harmonic, degen_hyperharmonic, harmonic_gf
+from .harmonic import degen_harmonic, harmonic_gf, hyperharmonic_row
 from .identities import CHECK_IDS, SuiteBounds, run_suite, suite_json
 from .kernel import LambdaPoly, TruncSeries, XPoly
 from .render import parse_rational, parse_value, to_cells, to_json
@@ -155,7 +155,7 @@ def cmd_table(args) -> int:
     elif short == "hyperharmonic":
         if r < 1:
             raise UsageError("hyperharmonic requires --r >= 1")
-        key, body = "values", [degen_hyperharmonic(n, r) for n in range(nmax + 1)]
+        key, body = "values", hyperharmonic_row(nmax, r)
     else:
         raise UsageError(f"unknown family {short!r}; known: "
                          + ", ".join(sorted({**_STIRLING_FAMILIES, **_POLY_FAMILIES}))

@@ -5,15 +5,16 @@ in the degeneracy parameter; each summand is kept in the polynomial form
 (-1)^(k-1) (l-1)(l-2)...(l-k+1) / k!, so no formal division by the
 parameter ever happens and the classical value is a plain substitution
 at 0.  Hyperharmonic numbers are the iterated partial sums, read off the
-stored harmonic row as one binomial convolution; their generating
-function is the independent cross-check.
+stored harmonic row: one value as one binomial convolution, a row of
+them as r - 1 prefix sums.  Their generating function is the independent
+cross-check.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
-from .factorials import classical_falling
 from .gfun import degen_log_one_minus, inv_one_minus
 from .kernel import LambdaPoly, TruncSeries
 from .tables import current
@@ -26,10 +27,9 @@ def degen_harmonic(n: int) -> LambdaPoly:
     tables = current()
     with tables.lock:
         row = tables.harmonic
-        while len(row) <= n:
+        while len(row) <= n:  # summand k is summand k - 1 times (k - 1 - l) / k
             k = len(row)
-            summand = classical_falling(LambdaPoly.param() - 1, k - 1) / math.factorial(k)
-            summand = summand * ((-1) ** (k - 1))
+            summand = (row[k - 1] - row[k - 2]) * LambdaPoly((k - 1, -1)) / k if k > 1 else 1
             row.append(row[k - 1] + summand)
         return row[n]
 
@@ -50,6 +50,20 @@ def degen_hyperharmonic(n: int, r: int) -> LambdaPoly:
     row = current().harmonic
     return sum((row[j] * math.comb(n - j + r - 2, r - 2) for j in range(1, n + 1)),
                LambdaPoly.zero())
+
+
+def hyperharmonic_row(nmax: int, r: int) -> list[LambdaPoly]:
+    """Order-r hyperharmonic numbers of index 0..nmax: for r < nmax the
+    harmonic row prefix-summed r - 1 times, else one convolution per value."""
+    if r < 1:
+        raise ValueError("order must be >= 1")
+    if r >= nmax:
+        return [degen_hyperharmonic(n, r) for n in range(nmax + 1)]
+    degen_harmonic(nmax)  # extends the stored row to index nmax
+    row = current().harmonic[:nmax + 1]
+    for _ in range(r - 1):
+        row = list(itertools.accumulate(row))
+    return row
 
 
 def harmonic_gf(r: int, order: int) -> TruncSeries:

@@ -6,12 +6,15 @@ certifies the identity for every value of the degeneracy parameter).
 ``run_suite`` drives bounded parameter grids over the registered checks
 and aggregates deterministic, machine-readable reports.  The two-series
 identity is certified on the monomial basis; its seeded random instances
-run only to name a counterexample.  The binomial series 1/(1-x)^(k+1)
-and x^k/(1-x)^(k+1) are read as their binomial coefficients, which
-multiply the other side's coefficients as integers.  Each runner builds
-what its grid shares once: the series that depend only on the truncation
-order, one table of degenerate falling factorials, and each triangle it
-reads, to its top row.  Nothing outlives a run.
+run only to name a counterexample.  thm1, thm2 and thm8 compare entries
+of its g-free tables (``operators.theorem2_blocks``); thm8 does once the
+run has certified Theorem 6's closed form of its series.  The binomial
+series 1/(1-x)^(k+1) and x^k/(1-x)^(k+1) are read as their binomial
+coefficients, which multiply the other side's coefficients as integers.
+Each runner builds what its grid shares once: the series that depend
+only on the truncation order, one table of degenerate falling
+factorials, the g-free tables of each r, and each triangle it reads, to
+its top row.  Nothing outlives a run.
 
 Check ids: thm1 thm2 thm3 thm4 thm5 thm6 cor7 thm8.
 """
@@ -157,19 +160,36 @@ def check_cor7(n: int, k: int) -> CheckReport:
     return make_report("cor7", params, first_mismatch(lhs, rhs, "values"))
 
 
-def check_thm8(m: int, r: int, order: int, blocks=None, falling=None) -> CheckReport:
+def terms_match_closed_form(terms, order: int) -> bool:
+    """Theorem 6's closed form [t^n] T_k = C(n, k) H_n, for each T_k in ``terms``, n <= order."""
+    return all(term.coeffs[n] == degen_harmonic(n) * math.comb(n, k)
+               for k, term in enumerate(terms) for n in range(order + 1))
+
+
+def check_thm8(m: int, r: int, order: int, blocks=None, terms=None) -> CheckReport:
     """Harmonic-weighted power series against its Stirling expansion.
 
-    ``blocks`` is ``harmonic_terms(order, kmax)``, kmax >= m; ``falling`` is
-    ``degen_falling_table(>= order + r, >= m)``.
+    Coefficient n of the lhs is H_n (n+r)_{m,l}, of the rhs sum_k S_r(m, k)
+    k! [t^n] T_k, with ``terms`` = ``harmonic_terms(order, >= m)``.  Where
+    ``terms_match_closed_form`` holds, both are H_n times entries ``[m][n]``
+    of ``blocks.main`` (``theorem2_blocks(r, order, >= m)``), and H_0 = 0.
+    Given ``blocks`` and no ``terms``, the caller has certified that, and
+    the check compares entries; otherwise the full series decide.
     """
     if order < max(m, 1):
         raise ValueError(_ORDER_COVERS_M)
     params = {"m": m, "r": r, "order": order}
-    falling = falling or degen_falling_table(order + r, m)
-    lhs = TruncSeries(QL, (degen_harmonic(n) * falling[n + r][m] for n in range(order + 1)))
+    mix, falling = (blocks or theorem2_blocks(r, order, m)).main
+    if blocks is not None and terms is None:
+        for n in range(1, order + 1):
+            if mix[m][n] != falling[m][n]:
+                h = degen_harmonic(n)
+                return make_report("thm8", params, first_mismatch(
+                    h * falling[m][n], h * mix[m][n], f"series: coefficient of t^{n}"))
+        return make_report("thm8", params, None)
+    lhs = TruncSeries(QL, (degen_harmonic(n) * falling[m][n] for n in range(order + 1)))
     fam = stirling.StirlingFamily(stirling.S2R_DEGENERATE, r)
-    terms = blocks or harmonic_terms(order, m)
+    terms = terms or harmonic_terms(order, m)
     rhs = TruncSeries.zero(QL, order)
     for k in range(m + 1):
         w = stirling.stirling_value(fam, m, k) * math.factorial(k)
@@ -229,15 +249,13 @@ def _warm(family_id: str, rs, top: int) -> None:
 
 
 def _run_thm1(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
-    rtop = min(bounds.thm1_mmax, bounds.thm1_rmax)
-    _warm(stirling.S2R_DEGENERATE, range(rtop + 1), bounds.thm1_mmax)
-    falling = degen_falling_table(bounds.thm1_jmax + rtop, bounds.thm1_mmax)
-    out = []
-    for m in range(bounds.thm1_mmax + 1):
-        for r in range(min(m, bounds.thm1_rmax) + 1):
-            for mode in ("plain", "shifted"):
-                out.append(theorem1_check(m, r, mode, bounds.thm1_jmax, falling))
-    return out
+    jmax, mmax = bounds.thm1_jmax, bounds.thm1_mmax
+    rtop = min(mmax, bounds.thm1_rmax)
+    falling = degen_falling_table(jmax + rtop, mmax)
+    blocks = [theorem2_blocks(r, jmax, mmax, falling) for r in range(rtop + 1)]
+    return [theorem1_check(m, r, mode, jmax, blocks[r])
+            for m in range(mmax + 1) for r in range(min(m, bounds.thm1_rmax) + 1)
+            for mode in ("plain", "shifted")]
 
 
 def _random_poly(rng: random.Random, degmax: int) -> XPoly:
@@ -275,7 +293,7 @@ def _run_thm2(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
               for r in range(bounds.thm2_rmax + 1)]
     out = []
     for name in ("exp", "geometric", "harmonic"):
-        g = _named_g(name, bounds.thm2_order + bounds.thm2_degmax)
+        g = _named_g(name, bounds.thm2_order)
         for r, block in enumerate(blocks):
             params = {"g": name, "r": r, "order": bounds.thm2_order,
                       "trials": bounds.thm2_trials, "seed": seed}
@@ -333,10 +351,13 @@ def _run_cor7(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
 def _run_thm8(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
     order, mmax, rs = bounds.thm8_order, bounds.thm8_mmax, range(bounds.thm8_rmax + 1)
     top = min(mmax, order)  # a check with m > order raises before reading anything
-    _warm(stirling.S2R_DEGENERATE, rs, top)
-    terms = harmonic_terms(order, top) if order >= 1 else None
-    falling = degen_falling_table(order + bounds.thm8_rmax, top)
-    return [check_thm8(m, r, order, terms, falling) for m in range(mmax + 1) for r in rs]
+    if top < 0 or not rs:
+        return []
+    terms = harmonic_terms(order, top)
+    terms = None if terms_match_closed_form(terms, order) else terms
+    falling = degen_falling_table(order + rs[-1], top)
+    blocks = [theorem2_blocks(r, order, top, falling) for r in rs]
+    return [check_thm8(m, r, order, blocks[r], terms) for m in range(mmax + 1) for r in rs]
 
 
 def _check_bounds(ids, bounds: SuiteBounds) -> None:

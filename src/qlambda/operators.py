@@ -1,38 +1,37 @@
-"""The degenerate Euler operator and the two-power-series identity.
+"""The two-power-series identity and the checks that read its g-free tables.
 
-The operator acts diagonally on monomials: in plain mode it sends the
-x^k term of f to (k+r)_{m,l} x^(k+r) (the operand being x^r f); shifted
-mode first takes the r-fold derivative.  ``rhs_theorem1`` assembles the
-equivalent expansion through second-kind r-Stirling triangles and
-repeated differentiation (one derivative per term), so the two must agree
-coefficientwise -- that equality is the first operator identity the suite
-verifies.  The values (a)_{m,l} come from one ``degen_falling_table``,
-which a caller may pass to every check it runs.
+At f = x^n the paper's general identity for two power series says, per
+coefficient j, that a sum_k S_r(n, k) j(j-1)...(j-k+1) of degenerate
+r-Stirling entries with integer weights equals the degenerate falling
+factorial (j+r)_{n,l} (the main form), and likewise for a shifted form
+through the r-th derivative.  ``theorem2_blocks`` tabulates both sides
+of both forms once per (r, order), free of any g, and three checks
+compare their entries instead of weighted products:
 
-``theorem2_check`` verifies the general two-series identity (both
-forms) for a polynomial f against a truncated series g; f is restricted
-to polynomials so both sides are finite-order computable.  At f = x^n,
-coefficient j of each side of each form is g_j times a value that does
-not depend on g: a sum_k S_r(n, k) j(j-1)...(j-k+1) of triangle entries
-with integer weights, or a degenerate falling factorial.
-``theorem2_blocks`` tabulates those values once per (r, order), so a
-caller checking many f against many g builds them once per r; a check
-weights them by the a_n of f and then by g_j.  Nothing is memoized, so
-a triangle fault is always seen by the next check.
+* ``theorem1_check``: the degenerate Euler operator sends x^j to one
+  monomial, and so does its Stirling-weighted derivative expansion; their
+  coefficients are entry ``[m][j]`` of the main (plain mode) or shifted
+  tables.  The operator and the expansion themselves live in
+  ``tests/routes.py`` as this check's oracle.
+* ``theorem2_check``: coefficient j of each side is g_j times
+  sum_n a_n entry ``[n][j]``.  Q[l] has no zero divisors, so the sides
+  agree exactly when g_j = 0 or the two sums agree; g_j multiplies only a
+  counterexample.
+* ``identities.check_thm8``: its coefficient n is H_n times a main entry.
+
+Nothing is memoized, so a triangle fault is always seen by the next check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 from . import stirling
 from .factorials import degen_falling_table
-from .kernel import QL, LambdaPoly, TruncSeries, XPoly
+from .kernel import LambdaPoly, TruncSeries, XPoly
 from .report import CheckReport, first_mismatch, make_report
 
-Operand = Union[XPoly, TruncSeries]
 Table = tuple[tuple[LambdaPoly, ...], ...]
 
 _MODES = ("plain", "shifted")
@@ -55,71 +54,6 @@ class OperatorSpec:
             raise ValueError("shifted mode requires m >= r")
 
 
-def euler_apply(spec: OperatorSpec, f: Operand, falling=None) -> Operand:
-    """Apply the operator to f (polynomial, or series in x over Q[l]).
-
-    Plain mode realizes the action on x^r f; shifted mode realizes the
-    length-(m-r) operator on x^r times the r-th derivative of f.  On a
-    series input the tracked order rises by r (plain) or is kept (shifted).
-    ``falling`` is ``degen_falling_table(>= r + deg, >= m)``; built when not given.
-    """
-    if spec.mode == "shifted":
-        g = f
-        for _ in range(spec.r):
-            g = g.derivative() if isinstance(g, XPoly) else g.derive()
-        length = spec.m - spec.r
-    else:
-        g = f
-        length = spec.m
-    falling = falling or degen_falling_table(len(g.coeffs) - 1 + spec.r, length)
-    # x^r times the diagonal action; zero coefficients skip their factorial.
-    coeffs = [QL.zero] * spec.r + [c if c.is_zero() else c * falling[k + spec.r][length]
-                                   for k, c in enumerate(g.coeffs)]
-    return XPoly(coeffs) if isinstance(g, XPoly) else TruncSeries(QL, coeffs)
-
-
-def rhs_theorem1(spec: OperatorSpec, f: Operand) -> Operand:
-    """The Stirling-weighted derivative expansion equal to ``euler_apply``.
-
-    The l-th term reads the l-th derivative of f, taken from the (l-1)-th.
-    """
-    fam = stirling.StirlingFamily(stirling.S2R_DEGENERATE, spec.r)
-    poly = isinstance(f, XPoly)
-    out = XPoly.zero() if poly else TruncSeries.zero(
-        QL, f.order + (spec.r if spec.mode == "plain" else 0))
-    d = f
-    for l in range(spec.m + 1):
-        if l:
-            d = d.derivative() if poly else d.derive()
-        if spec.mode == "plain":
-            weight, shift = stirling.stirling_value(fam, spec.m, l), l + spec.r
-        elif l >= spec.r:
-            weight, shift = stirling.stirling_value(fam, spec.m - spec.r, l - spec.r), l
-        else:
-            continue
-        out = out + (XPoly((QL.zero,) * shift + (d * weight).coeffs) if poly
-                     else d.scale(weight).shift(shift))
-    return out
-
-
-def theorem1_check(m: int, r: int, mode: str, jmax: int = 10, falling=None) -> CheckReport:
-    """Operator equality on the monomial basis x^j, j <= jmax, one (m, r, mode).
-
-    ``falling`` is ``degen_falling_table(>= jmax + r, >= m)``; built when not given.
-    """
-    spec = OperatorSpec(m, r, mode)
-    params = {"m": m, "r": r, "mode": mode, "jmax": jmax}
-    falling = falling or degen_falling_table(jmax + r, m)
-    for j in range(jmax + 1):
-        f = XPoly.monomial(1, j)
-        lhs = euler_apply(spec, f, falling)
-        rhs = rhs_theorem1(spec, f)
-        bad = first_mismatch(lhs, rhs, f"operand x^{j}")
-        if bad is not None:
-            return make_report("thm1", params, bad)
-    return make_report("thm1", params, None)
-
-
 @dataclass(frozen=True)
 class Theorem2Blocks:
     """The g-free tables of the two-series identity for one (r, order).
@@ -140,7 +74,7 @@ class Theorem2Blocks:
 
 
 def theorem2_blocks(r: int, order: int, degmax: int, falling=None) -> Theorem2Blocks:
-    """Everything ``theorem2_check`` needs besides f and g, for every f of degree <= degmax.
+    """The tables ``theorem2_check`` reads besides f and g, for every f of degree <= degmax.
 
     ``falling`` is ``degen_falling_table(>= order + r, >= degmax)``; built when not given.
     """
@@ -163,6 +97,33 @@ def theorem2_blocks(r: int, order: int, degmax: int, falling=None) -> Theorem2Bl
     return Theorem2Blocks(r, order, degmax, main, shifted)
 
 
+def theorem1_check(m: int, r: int, mode: str, jmax: int = 10,
+                   blocks: Theorem2Blocks | None = None) -> CheckReport:
+    """Operator equality on the monomial basis x^j, j <= jmax, one (m, r, mode).
+
+    Plain mode applies the length-m operator to x^r x^j, giving
+    (j+r)_{m,l} x^{j+r}; shifted mode applies the length-(m-r) operator to
+    x^r times the r-th derivative of x^j, giving (j)_{m-r,l} j(j-1)...(j-r+1)
+    x^j.  The Stirling-weighted derivative expansion gives the same
+    monomial with the table's other entry ``[m][j]``.  ``blocks`` is
+    ``theorem2_blocks(r, jmax, >= m)``; built when not given.
+    """
+    OperatorSpec(m, r, mode)
+    if blocks is None:
+        blocks = theorem2_blocks(r, jmax, m)
+    elif (blocks.r, blocks.order) != (r, jmax) or m > blocks.degmax:
+        raise ValueError("blocks were built for a different r, jmax or m")
+    params = {"m": m, "r": r, "mode": mode, "jmax": jmax}
+    mix, falling = blocks.main if mode == "plain" else blocks.shifted
+    shift = r if mode == "plain" else 0
+    for j in range(jmax + 1):
+        bad = first_mismatch(falling[m][j], mix[m][j],
+                             f"operand x^{j}: coefficient of x^{j + shift}")
+        if bad is not None:
+            return make_report("thm1", params, bad)
+    return make_report("thm1", params, None)
+
+
 def _times(w: LambdaPoly, v: LambdaPoly) -> LambdaPoly:
     """w * v, with a weight 1 taking v as it is."""
     return v if w == 1 else w * v
@@ -172,16 +133,14 @@ def theorem2_check(f: XPoly, g: TruncSeries, r: int, order: int,
                    blocks: Theorem2Blocks | None = None) -> CheckReport:
     """Both forms of the two-series identity, coefficientwise to ``order``.
 
-    Requires g tracked to at least order + deg f, so that every g^(k) the
-    identity reads is itself tracked to ``order``.  ``blocks`` is
+    Requires g tracked to at least ``order``.  ``blocks`` is
     ``theorem2_blocks(r, order, degmax)`` for some degmax >= deg f; it is
     built here when not given.
     """
-    degree = max(f.degree, 0)
-    if g.order < order + degree:
-        raise ValueError(f"g must be tracked to >= {order + degree} (got {g.order})")
+    if g.order < order:
+        raise ValueError(f"g must be tracked to >= {order} (got {g.order})")
     if blocks is None:
-        blocks = theorem2_blocks(r, order, degree)
+        blocks = theorem2_blocks(r, order, max(f.degree, 0))
     elif (blocks.r, blocks.order) != (r, order):
         raise ValueError("blocks were built for a different r or order")
     if f.degree > blocks.degmax:
@@ -190,11 +149,15 @@ def theorem2_check(f: XPoly, g: TruncSeries, r: int, order: int,
     terms = [(n, f.coeff(n)) for n in range(f.degree + 1) if not f.coeff(n).is_zero()]
     zero = LambdaPoly.zero()
 
-    def side(table):  # coefficient j is g_j sum_n a_n table[n][j]
-        return TruncSeries(QL, (_times(g.coeffs[j], sum((_times(a, table[n][j]) for n, a in terms),
-                                                         zero)) for j in range(order + 1)))
+    def weighted(table, j):  # sum_n a_n table[n][j]
+        return sum((_times(a, table[n][j]) for n, a in terms), zero)
     for label, (lhs, rhs) in (("main form", blocks.main), ("shifted form", blocks.shifted)):
-        bad = first_mismatch(side(lhs), side(rhs), label)
-        if bad is not None:
-            return make_report("thm2", params, bad)
+        for j, gj in enumerate(g.coeffs[:order + 1]):
+            if gj.is_zero():
+                continue
+            left, right = weighted(lhs, j), weighted(rhs, j)
+            if left != right:
+                bad = first_mismatch(_times(gj, left), _times(gj, right),
+                                     f"{label}: coefficient of t^{j}")
+                return make_report("thm2", params, bad)
     return make_report("thm2", params, None)

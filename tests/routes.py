@@ -24,6 +24,7 @@ from qlambda.fubini_bell import (BELL_DEGENERATE, FUBINI_CLASSICAL, RBELL_DEGENE
                                  PolyFamily)
 from qlambda.gfun import classical_exp, degen_exp, degen_log1p, degen_log_one_minus, inv_one_minus
 from qlambda.kernel import QL, QLX, LambdaPoly, TruncSeries, XPoly
+from qlambda.operators import OperatorSpec
 
 
 def _lift(series: TruncSeries) -> TruncSeries:
@@ -167,3 +168,45 @@ def theorem2_sides(f: XPoly, g: TruncSeries, r: int, order: int):
             h = h.derive()
         rhs2 = h.shift(r).truncate(order)
     return (lhs, rhs), (lhs2, rhs2)
+
+
+def euler_apply(spec: OperatorSpec, f):
+    """The degenerate Euler operator on f (polynomial, or series in x over Q[l]).
+
+    Plain mode sends the x^k term of f to (k+r)_{m,l} x^(k+r), the action
+    on x^r f; shifted mode applies the length-(m-r) operator to x^r times
+    the r-th derivative of f.  On a series the tracked order rises by r
+    (plain) or is kept (shifted).
+    """
+    poly, g, length = isinstance(f, XPoly), f, spec.m
+    if spec.mode == "shifted":
+        for _ in range(spec.r):
+            g = g.derivative() if poly else g.derive()
+        length = spec.m - spec.r
+    coeffs = [QL.zero] * spec.r + [c if c.is_zero() else c * degen_falling(k + spec.r, length)
+                                   for k, c in enumerate(g.coeffs)]
+    return XPoly(coeffs) if poly else TruncSeries(QL, coeffs)
+
+
+def rhs_theorem1(spec: OperatorSpec, f):
+    """The Stirling-weighted derivative expansion equal to ``euler_apply``.
+
+    The l-th term reads the l-th derivative of f, taken from the (l-1)-th.
+    """
+    fam = stirling.StirlingFamily(stirling.S2R_DEGENERATE, spec.r)
+    poly = isinstance(f, XPoly)
+    out = XPoly.zero() if poly else TruncSeries.zero(
+        QL, f.order + (spec.r if spec.mode == "plain" else 0))
+    d = f
+    for l in range(spec.m + 1):
+        if l:
+            d = d.derivative() if poly else d.derive()
+        if spec.mode == "plain":
+            weight, shift = stirling.stirling_value(fam, spec.m, l), l + spec.r
+        elif l >= spec.r:
+            weight, shift = stirling.stirling_value(fam, spec.m - spec.r, l - spec.r), l
+        else:
+            continue
+        out = out + (XPoly((QL.zero,) * shift + (d * weight).coeffs) if poly
+                     else d.scale(weight).shift(shift))
+    return out

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from qlambda import stirling as st
-from qlambda.harmonic import degen_harmonic, degen_hyperharmonic, harmonic_gf
+from qlambda.harmonic import degen_harmonic, degen_hyperharmonic, harmonic_gf, hyperharmonic_row
 from qlambda.kernel import LambdaPoly
 from qlambda.tables import MAX_KEYS, Tables, use
 
@@ -94,6 +94,17 @@ def test_large_order_rows_are_built_without_recursion():
         assert degen_hyperharmonic(2, 5000) == LambdaPoly([Fraction(10001, 2), Fraction(-1, 2)])
         for r in (MAX_KEYS, MAX_KEYS + 1, MAX_KEYS + 3):  # longer convolutions at large r
             assert degen_hyperharmonic(4, r).subs(0) == hyperharmonic_sum(4, r), r
+
+
+def test_hyperharmonic_row_matches_each_value():
+    # r < nmax takes prefix sums, r >= nmax the per-value convolution
+    for nmax in range(13):
+        for r in range(1, 6):
+            with use(Tables()):
+                row = hyperharmonic_row(nmax, r)
+            assert row == [degen_hyperharmonic(n, r) for n in range(nmax + 1)], (nmax, r)
+    with pytest.raises(ValueError):
+        hyperharmonic_row(4, 0)
 
 
 def test_rows_grow_consistently_under_threads():

@@ -1,6 +1,7 @@
 """Identity checks: spec'd instances, determinism, failure localization."""
 
 import json
+import math
 import random
 import re
 from dataclasses import replace
@@ -10,14 +11,18 @@ import pytest
 
 from qlambda import cli, identities, operators
 from qlambda import stirling as st
+from qlambda.factorials import degen_falling
 from qlambda.fubini_bell import FUBINI_DEGENERATE, PolyFamily, family_series, poly_by_sum
+from qlambda.harmonic import degen_harmonic
 from qlambda.identities import (SuiteBounds, check_cor7, check_thm3, check_thm3_numeric,
                                 check_thm4, check_thm5, check_thm6, check_thm8, run_suite,
                                 suite_json)
-from qlambda.kernel import LambdaPoly, TruncSeries, XPoly
-from qlambda.operators import theorem2_blocks, theorem2_check
+from qlambda.kernel import QL, LambdaPoly, TruncSeries, XPoly
+from qlambda.operators import OperatorSpec, theorem2_blocks, theorem2_check
+from qlambda.report import first_mismatch, make_report
 from qlambda.tables import Tables, current, use
 
+import routes
 from routes import poly_by_gf
 
 
@@ -324,6 +329,32 @@ def test_thm8_builds_its_series_once_per_run(monkeypatch):
         assert calls == [bounds.thm8_order]
 
 
+def test_thm8_falls_back_to_the_series_when_the_closed_form_fails(monkeypatch):
+    bounds = replace(SuiteBounds(), thm8_mmax=4, thm8_rmax=2, thm8_order=8)
+    good = identities.harmonic_terms(bounds.thm8_order, bounds.thm8_mmax)
+    broken = list(good)
+    broken[2] = TruncSeries(QL, (c + LambdaPoly([0, 1]) if n == 5 else c
+                                 for n, c in enumerate(good[2].coeffs)))
+    monkeypatch.setattr(identities, "harmonic_terms", lambda order, kmax: tuple(broken))
+    assert not identities.terms_match_closed_form(broken, bounds.thm8_order)
+    expected = []
+    for m in range(bounds.thm8_mmax + 1):
+        for r in range(bounds.thm8_rmax + 1):  # the full series, from single values
+            fam = st.StirlingFamily(st.S2R_DEGENERATE, r)
+            lhs = TruncSeries(QL, (degen_harmonic(n) * degen_falling(n + r, m)
+                                   for n in range(bounds.thm8_order + 1)))
+            rhs = TruncSeries.zero(QL, bounds.thm8_order)
+            for k in range(m + 1):
+                rhs = rhs + broken[k].scale(st.stirling_value(fam, m, k) * math.factorial(k))
+            params = {"m": m, "r": r, "order": bounds.thm8_order}
+            expected.append(make_report("thm8", params, first_mismatch(lhs, rhs, "series")))
+    reports = run_suite({"thm8"}, bounds, tables=Tables())
+    assert [rep.to_json() for rep in reports] == [rep.to_json() for rep in sorted(
+        expected, key=lambda rep: json.dumps(dict(rep.params), sort_keys=True))]
+    # the broken T_2 reaches every m >= 2 whose S_r(m, 2) is nonzero
+    assert sum(not rep.passed for rep in reports) == (bounds.thm8_mmax - 1) * (bounds.thm8_rmax + 1)
+
+
 def test_suite_takes_no_reciprocal_and_thm6_no_power(monkeypatch):
     calls, running = [], [None]  # (TruncSeries method, check id running)
     for name in ("reciprocal", "pow"):
@@ -355,20 +386,17 @@ def test_runs_read_one_falling_table_and_derive_once_per_step(monkeypatch):
 
     for module in (operators, identities):  # a name no longer imported is set, never called
         monkeypatch.setattr(module, "degen_falling", no_falling, raising=False)
-    monkeypatch.setattr(XPoly, "derivative", counting_derivative)
-    excess = []
-    rhs = operators.rhs_theorem1
-
-    def checked_rhs(spec, f):
-        before = calls["derivative"]
-        out = rhs(spec, f)
-        excess.append(calls["derivative"] - before - spec.m)
-        return out
-
-    monkeypatch.setattr(operators, "rhs_theorem1", checked_rhs)
     reports = run_suite({"thm1", "thm2", "thm3", "thm8"}, SuiteBounds(), tables=Tables())
     assert reports and all(rep.passed for rep in reports)
-    assert excess and max(excess) <= 0
+    # the suite reads thm1 off tables; its oracle takes each derivative from the previous one
+    monkeypatch.setattr(XPoly, "derivative", counting_derivative)
+    f = XPoly([LambdaPoly([k, 1]) for k in range(9)])
+    for m in range(9):
+        for r in range(min(m, 4) + 1):
+            for mode in ("plain", "shifted"):
+                before = calls["derivative"]
+                routes.rhs_theorem1(OperatorSpec(m, r, mode), f)
+                assert calls["derivative"] - before <= m, (m, r, mode)
 
 
 def _stores(tables):

@@ -9,13 +9,14 @@ import pytest
 from qlambda.factorials import degen_falling
 from qlambda import stirling as st
 from qlambda.gfun import classical_exp, degen_log_one_minus, inv_one_minus
+from qlambda.identities import check_thm8, harmonic_terms, terms_match_closed_form
 from qlambda.kernel import QL, LambdaPoly, TruncSeries, XPoly
-from qlambda.operators import (OperatorSpec, euler_apply, rhs_theorem1, theorem1_check,
-                               theorem2_blocks, theorem2_check)
+from qlambda.operators import OperatorSpec, theorem1_check, theorem2_blocks, theorem2_check
 from qlambda.report import first_mismatch, make_report
 from qlambda.tables import Tables, use
 
-from routes import degen_transform, degen_transform_value, theorem2_sides
+from routes import (degen_transform, degen_transform_value, euler_apply, rhs_theorem1,
+                    theorem2_sides)
 
 X = XPoly.x()
 
@@ -54,6 +55,46 @@ def test_operator_identity_on_monomials_both_modes():
             for mode in ("plain", "shifted"):
                 rep = theorem1_check(m, r, mode, jmax=8)
                 assert rep.passed, rep.to_json()
+
+
+def _theorem1_oracle(m, r, mode, jmax):
+    """theorem1_check's report, from applying the operator and summing derivatives."""
+    spec = OperatorSpec(m, r, mode)
+    params = {"m": m, "r": r, "mode": mode, "jmax": jmax}
+    for j in range(jmax + 1):
+        f = XPoly.monomial(1, j)
+        bad = first_mismatch(euler_apply(spec, f), rhs_theorem1(spec, f), f"operand x^{j}")
+        if bad is not None:
+            return make_report("thm1", params, bad)
+    return make_report("thm1", params, None)
+
+
+@pytest.mark.parametrize("faulted", [False, True])
+def test_theorem1_check_agrees_with_the_operator_oracle(faulted):
+    jmax, mmax = 10, 8
+    faults = {(st.S2R_DEGENERATE, r, n, k): LambdaPoly([k, -1])
+              for r in range(5) for n, k in ((3, 1), (7, 5))} if faulted else {}
+    failed = 0
+    with use(Tables(faults)):
+        blocks = [theorem2_blocks(r, jmax, mmax) for r in range(5)]
+        for m in range(mmax + 1):
+            for r in range(min(m, 4) + 1):
+                for mode in ("plain", "shifted"):
+                    expected = _theorem1_oracle(m, r, mode, jmax).to_json()
+                    assert theorem1_check(m, r, mode, jmax).to_json() == expected
+                    assert theorem1_check(m, r, mode, jmax, blocks[r]).to_json() == expected
+                    failed += not expected["passed"]
+    assert (failed > 0) == faulted
+
+
+def test_theorem1_check_rejects_mismatched_blocks():
+    blocks = theorem2_blocks(1, 6, 3)
+    assert theorem1_check(3, 1, "shifted", 6, blocks).passed
+    for m, r, jmax in ((4, 1, 6), (2, 0, 6), (2, 1, 5)):
+        with pytest.raises(ValueError):
+            theorem1_check(m, r, "plain", jmax, blocks)
+    with pytest.raises(ValueError):
+        theorem1_check(1, 2, "shifted", 6)
 
 
 def test_operator_identity_on_series():
@@ -166,11 +207,13 @@ def test_theorem2_random_polynomials_all_gs():
 
 
 def test_theorem2_insufficient_order_is_error():
-    message = r"g must be tracked to >= 13 \(got 10\)"
+    message = r"g must be tracked to >= 10 \(got 9\)"
     with pytest.raises(ValueError, match=message):
-        theorem2_check(XPoly.monomial(1, 3), inv_one_minus(10), 0, 10)
+        theorem2_check(XPoly.monomial(1, 3), inv_one_minus(9), 0, 10)
     with pytest.raises(ValueError, match=message):
-        theorem2_check(XPoly.monomial(1, 3), inv_one_minus(10), 0, 10, theorem2_blocks(0, 10, 3))
+        theorem2_check(XPoly.monomial(1, 3), inv_one_minus(9), 0, 10, theorem2_blocks(0, 10, 3))
+    # the tables read g_0..g_order only
+    assert theorem2_check(XPoly.monomial(1, 3), inv_one_minus(10), 0, 10).passed
 
 
 def test_theorem2_shared_blocks_match_own_blocks():
@@ -289,7 +332,38 @@ def test_theorem2_check_agrees_with_the_derivative_oracle(faulted):
                 assert theorem2_check(f, g, r, order) == expected, (r, f, g)
                 assert theorem2_check(f, g, r, order, blocks) == expected, (r, f, g)
                 failed += not expected.passed
+            # g with zero coefficients: the fault changes coefficients j >= 2 only
+            f = XPoly.monomial(3, 4) + X
+            for support in ((), (0, 1), (0, 1, order - 1)):
+                g = TruncSeries(QL, (LambdaPoly([Fraction(rng.randint(1, 9), rng.randint(1, 9))])
+                                     if j in support else LambdaPoly.zero()
+                                     for j in range(order + degmax + 1)))
+                expected = _oracle_report(f, g, r, order)
+                assert theorem2_check(f, g, r, order, blocks) == expected, (r, support)
+                assert expected.passed == (not faulted or len(support) < 3), (r, support)
     assert (failed > 0) == faulted
+
+
+def test_checks_on_prebuilt_blocks_take_no_product(monkeypatch):
+    order, degmax, rmax = 10, 6, 3
+    blocks = [theorem2_blocks(r, order, degmax) for r in range(rmax + 1)]
+    assert terms_match_closed_form(harmonic_terms(order, degmax), order)
+    monomials = [XPoly.monomial(1, n) for n in range(degmax + 1)]
+    gs = [_g_for(name, order) for name in ("geometric", "exp", "harmonic")]
+    calls = []
+    for name in ("__mul__", "__rmul__"):
+        def counting(self, other, _original=getattr(LambdaPoly, name)):
+            calls.append(other)
+            return _original(self, other)
+        monkeypatch.setattr(LambdaPoly, name, counting)
+    reports = [theorem1_check(m, r, mode, order, blocks[r]) for m in range(degmax + 1)
+               for r in range(min(m, rmax) + 1) for mode in ("plain", "shifted")]
+    reports += [theorem2_check(f, g, r, order, blocks[r])
+                for f in monomials for g in gs for r in range(rmax + 1)]
+    reports += [check_thm8(m, r, order, blocks[r]) for m in range(degmax + 1)
+                for r in range(rmax + 1)]
+    assert reports and all(rep.passed for rep in reports)
+    assert calls == []
 
 
 def test_theorem2_degree_above_order():
