@@ -20,13 +20,11 @@ from .tables import Tables
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisId", "CHECK_IDS", "CheckReport", "Counterexample", "LambdaPoly",
-    "OperatorSpec", "PolyFamily", "QL", "QLX", "QQ", "SeriesOrderError",
-    "StirlingFamily", "SuiteBounds", "Tables", "Triangle", "TruncSeries", "XPoly",
-    "classical_falling", "classical_rising", "degen_falling", "degen_harmonic",
-    "degen_hyperharmonic", "degen_rising", "family_series",
-    "gen_binomial", "harmonic_gf", "poly_by_sum",
-    "rfubini_numbers", "run_suite", "stirling2_by_recurrence",
+    "BasisId", "CHECK_IDS", "CheckReport", "Counterexample", "LambdaPoly", "OperatorSpec",
+    "PolyFamily", "QL", "QLX", "QQ", "SeriesOrderError", "StirlingFamily", "SuiteBounds", "Tables",
+    "Triangle", "TruncSeries", "XPoly", "classical_falling", "classical_rising", "degen_falling",
+    "degen_harmonic", "degen_hyperharmonic", "degen_rising", "family_series", "gen_binomial",
+    "harmonic_gf", "poly_by_sum", "rfubini_numbers", "run_suite", "stirling2_by_recurrence",
     "stirling_by_basis", "stirling_value", "suite_json", "theorem1_check", "theorem2_blocks",
     "theorem2_check", "to_basis", "triangle", "unsigned_first_kind",
 ]

@@ -53,11 +53,11 @@ def degen_hyperharmonic(n: int, r: int) -> LambdaPoly:
 
 
 def hyperharmonic_row(nmax: int, r: int) -> list[LambdaPoly]:
-    """Order-r hyperharmonic numbers of index 0..nmax: for r < nmax the
-    harmonic row prefix-summed r - 1 times, else one convolution per value."""
+    """Order-r hyperharmonic numbers of index 0..nmax: the harmonic row prefix-summed
+    r - 1 times, or one convolution per value where 2r > nmax makes that faster."""
     if r < 1:
         raise ValueError("order must be >= 1")
-    if r >= nmax:
+    if 2 * r > nmax:
         return [degen_hyperharmonic(n, r) for n in range(nmax + 1)]
     degen_harmonic(nmax)  # extends the stored row to index nmax
     row = current().harmonic[:nmax + 1]

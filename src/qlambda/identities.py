@@ -7,14 +7,13 @@ certifies the identity for every value of the degeneracy parameter).
 and aggregates deterministic, machine-readable reports.  The two-series
 identity is certified on the monomial basis; its seeded random instances
 run only to name a counterexample.  thm1, thm2 and thm8 compare entries
-of its g-free tables (``operators.theorem2_blocks``); thm8 does once the
-run has certified Theorem 6's closed form of its series.  The binomial
-series 1/(1-x)^(k+1) and x^k/(1-x)^(k+1) are read as their binomial
-coefficients, which multiply the other side's coefficients as integers.
-Each runner builds what its grid shares once: the series that depend
-only on the truncation order, one table of degenerate falling
-factorials, the g-free tables of each r, and each triangle it reads, to
-its top row.  Nothing outlives a run.
+of its g-free tables (``operators.theorem2_blocks``), thm8 where its
+series has Theorem 6's closed form.  The binomial series 1/(1-x)^(k+1)
+and x^k/(1-x)^(k+1) are read as their binomial coefficients, which
+multiply the other side's coefficients as integers.  Each runner builds
+what its grid shares once: the series that depend only on the
+truncation order, the falling factorials, the g-free tables of each r,
+and each triangle it reads, to its top row.  Nothing outlives a run.
 
 Check ids: thm1 thm2 thm3 thm4 thm5 thm6 cor7 thm8.
 """
@@ -28,7 +27,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import stirling
-from .factorials import degen_falling_table, gen_binomial
+from .factorials import degen_falling, degen_falling_table, gen_binomial
 from .fubini_bell import RFUBINI_DEGENERATE, PolyFamily, poly_by_sum, rfubini_numbers
 from .gfun import classical_exp, degen_log_one_minus, inv_one_minus
 from .harmonic import degen_harmonic, degen_hyperharmonic, harmonic_gf
@@ -48,11 +47,20 @@ def _bracket(k: int, log: TruncSeries) -> TruncSeries:
     return TruncSeries.const(QL, degen_harmonic(k), log.order) - log.scale(binom)
 
 
-def harmonic_terms(order: int, kmax: int) -> tuple[TruncSeries, ...]:
+class HarmonicTerms:
+    """thm8's T_0..T_kmax to ``order``, and if all have the closed form [t^n] T_k = C(n, k) H_n."""
+
+    def __init__(self, order: int, series):
+        self.order, self.series = order, tuple(series)
+        self.closed_form = all(term.coeffs[n] == degen_harmonic(n) * math.comb(n, k)
+                               for k, term in enumerate(self.series) for n in range(order + 1))
+
+
+def harmonic_terms(order: int, kmax: int) -> HarmonicTerms:
     """T_k = x^k/(1-x)^(k+1) * bracket_k, k = 0..kmax <= order; thm8's rhs is sum_k w_k T_k."""
     log = degen_log_one_minus(order)
-    return tuple(inv_one_minus(order - k, k + 1).shift(k) * _bracket(k, log)
-                 for k in range(kmax + 1))
+    return HarmonicTerms(order, (inv_one_minus(order - k, k + 1).shift(k) * _bracket(k, log)
+                                 for k in range(kmax + 1)))
 
 
 def check_thm3(m: int, r: int, order: int, falling=None) -> CheckReport:
@@ -160,41 +168,34 @@ def check_cor7(n: int, k: int) -> CheckReport:
     return make_report("cor7", params, first_mismatch(lhs, rhs, "values"))
 
 
-def terms_match_closed_form(terms, order: int) -> bool:
-    """Theorem 6's closed form [t^n] T_k = C(n, k) H_n, for each T_k in ``terms``, n <= order."""
-    return all(term.coeffs[n] == degen_harmonic(n) * math.comb(n, k)
-               for k, term in enumerate(terms) for n in range(order + 1))
-
-
 def check_thm8(m: int, r: int, order: int, blocks=None, terms=None) -> CheckReport:
     """Harmonic-weighted power series against its Stirling expansion.
 
     Coefficient n of the lhs is H_n (n+r)_{m,l}, of the rhs sum_k S_r(m, k)
-    k! [t^n] T_k, with ``terms`` = ``harmonic_terms(order, >= m)``.  Where
-    ``terms_match_closed_form`` holds, both are H_n times entries ``[m][n]``
-    of ``blocks.main`` (``theorem2_blocks(r, order, >= m)``), and H_0 = 0.
-    Given ``blocks`` and no ``terms``, the caller has certified that, and
-    the check compares entries; otherwise the full series decide.
+    k! [t^n] T_k, ``terms`` = ``harmonic_terms(order, >= m)``.  Where their
+    closed form holds, both are H_n times ``blocks.main`` entries [m][n]
+    (``theorem2_blocks(r, order, >= m)``; H_0 = 0), which decide; else the
+    full series do.  Both are built when not given.
     """
     if order < max(m, 1):
         raise ValueError(_ORDER_COVERS_M)
-    params = {"m": m, "r": r, "order": order}
-    mix, falling = (blocks or theorem2_blocks(r, order, m)).main
-    if blocks is not None and terms is None:
-        for n in range(1, order + 1):
-            if mix[m][n] != falling[m][n]:
-                h = degen_harmonic(n)
-                return make_report("thm8", params, first_mismatch(
-                    h * falling[m][n], h * mix[m][n], f"series: coefficient of t^{n}"))
-        return make_report("thm8", params, None)
-    lhs = TruncSeries(QL, (degen_harmonic(n) * falling[m][n] for n in range(order + 1)))
-    fam = stirling.StirlingFamily(stirling.S2R_DEGENERATE, r)
+    if (blocks is not None and ((blocks.r, blocks.order) != (r, order) or m > blocks.degmax)
+            or terms is not None and (terms.order != order or m >= len(terms.series))):
+        raise ValueError("blocks or terms were built for a different r, order or m")
+    params, ns = {"m": m, "r": r, "order": order}, range(order + 1)
     terms = terms or harmonic_terms(order, m)
-    rhs = TruncSeries.zero(QL, order)
-    for k in range(m + 1):
-        w = stirling.stirling_value(fam, m, k) * math.factorial(k)
-        if not w.is_zero():
-            rhs = rhs + terms[k].scale(w)
+    if terms.closed_form:
+        mix, falling = (blocks or theorem2_blocks(r, order, m)).main
+        if all(mix[m][n] == falling[m][n] for n in ns[1:]):
+            return make_report("thm8", params, None)
+        lhs, rhs = (TruncSeries(QL, (degen_harmonic(n) * t[m][n] for n in ns))
+                    for t in (falling, mix))
+    else:
+        lhs = TruncSeries(QL, (degen_harmonic(n) * degen_falling(n + r, m) for n in ns))
+        fam = stirling.StirlingFamily(stirling.S2R_DEGENERATE, r)
+        weights = (stirling.stirling_value(fam, m, k) * math.factorial(k) for k in range(m + 1))
+        rhs = sum((term.scale(w) for term, w in zip(terms.series, weights) if not w.is_zero()),
+                  TruncSeries.zero(QL, order))
     return make_report("thm8", params, first_mismatch(lhs, rhs, "series"))
 
 
@@ -354,7 +355,6 @@ def _run_thm8(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
     if top < 0 or not rs:
         return []
     terms = harmonic_terms(order, top)
-    terms = None if terms_match_closed_form(terms, order) else terms
     falling = degen_falling_table(order + rs[-1], top)
     blocks = [theorem2_blocks(r, order, top, falling) for r in rs]
     return [check_thm8(m, r, order, blocks[r], terms) for m in range(mmax + 1) for r in rs]

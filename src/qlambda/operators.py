@@ -8,11 +8,10 @@ through the r-th derivative.  ``theorem2_blocks`` tabulates both sides
 of both forms once per (r, order), free of any g, and three checks
 compare their entries instead of weighted products:
 
-* ``theorem1_check``: the degenerate Euler operator sends x^j to one
-  monomial, and so does its Stirling-weighted derivative expansion; their
-  coefficients are entry ``[m][j]`` of the main (plain mode) or shifted
-  tables.  The operator and the expansion themselves live in
-  ``tests/routes.py`` as this check's oracle.
+* ``theorem1_check``: the degenerate Euler operator and its derivative
+  expansion (both in ``tests/routes.py``, as its oracle) send x^j to one
+  monomial, whose coefficients are entry ``[m][j]`` of the main (plain
+  mode) or shifted tables.
 * ``theorem2_check``: coefficient j of each side is g_j times
   sum_n a_n entry ``[n][j]``.  Q[l] has no zero divisors, so the sides
   agree exactly when g_j = 0 or the two sums agree; g_j multiplies only a
@@ -25,7 +24,8 @@ Nothing is memoized, so a triangle fault is always seen by the next check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import stirling
 from .factorials import degen_falling_table
@@ -33,6 +33,7 @@ from .kernel import LambdaPoly, TruncSeries, XPoly
 from .report import CheckReport, first_mismatch, make_report
 
 Table = tuple[tuple[LambdaPoly, ...], ...]
+_ZERO = LambdaPoly.zero()
 
 _MODES = ("plain", "shifted")
 
@@ -63,14 +64,31 @@ class Theorem2Blocks:
     j <= ``order``.  ``main``: sum_k {n+r over k+r}_r j(j-1)...(j-k+1)
     against (j+r)_{n,l}.  ``shifted``: sum_{k >= r} {n over k}_r
     j(j-1)...(j-k+1) against (j)_{n-r,l} j(j-1)...(j-r+1), both zero for
-    n < r.
+    n < r.  Each form is tabulated from ``tri`` and ``falling`` on its first read.
     """
 
     r: int
     order: int
     degmax: int
-    main: tuple[Table, Table]
-    shifted: tuple[Table, Table]
+    tri: stirling.Triangle = field(repr=False)
+    falling: Table = field(repr=False)
+
+    def _table(self, entry) -> Table:
+        js = range(self.order + 1)
+        return tuple(tuple(entry(n, j) for j in js) for n in range(self.degmax + 1))
+
+    def _mix(self, low: int) -> Table:  # sum_{k >= low} S_r(n - low, k - low) j...(j-k+1)
+        return self._table(lambda n, j: sum((self.tri.entry(n - low, k - low) * math.perm(j, k)
+                                             for k in range(low, min(n, j) + 1)), _ZERO))
+
+    @cached_property
+    def main(self) -> tuple[Table, Table]:
+        return self._mix(0), self._table(lambda n, j: self.falling[j + self.r][n])
+
+    @cached_property
+    def shifted(self) -> tuple[Table, Table]:
+        return self._mix(self.r), self._table(lambda n, j: _ZERO if n < self.r else
+                                              self.falling[j][n - self.r] * math.perm(j, self.r))
 
 
 def theorem2_blocks(r: int, order: int, degmax: int, falling=None) -> Theorem2Blocks:
@@ -83,18 +101,7 @@ def theorem2_blocks(r: int, order: int, degmax: int, falling=None) -> Theorem2Bl
     if degmax < 0:
         raise ValueError("degmax must be >= 0")
     tri = stirling.triangle(stirling.StirlingFamily(stirling.S2R_DEGENERATE, r), degmax)
-    falling = falling or degen_falling_table(order + r, degmax)
-    js, zero = range(order + 1), LambdaPoly.zero()
-
-    def mix(n, low):  # sum_{k >= low} S_r(n - low, k - low) j(j-1)...(j-k+1), per j
-        return tuple(sum((tri.entry(n - low, k - low) * math.perm(j, k)
-                          for k in range(low, min(n, j) + 1)), zero) for j in js)
-    main = (tuple(mix(n, 0) for n in range(degmax + 1)),
-            tuple(tuple(falling[j + r][n] for j in js) for n in range(degmax + 1)))
-    shifted = (tuple(mix(n, r) for n in range(degmax + 1)),
-               tuple(tuple(falling[j][n - r] * math.perm(j, r) if n >= r else zero for j in js)
-                     for n in range(degmax + 1)))
-    return Theorem2Blocks(r, order, degmax, main, shifted)
+    return Theorem2Blocks(r, order, degmax, tri, falling or degen_falling_table(order + r, degmax))
 
 
 def theorem1_check(m: int, r: int, mode: str, jmax: int = 10,
@@ -141,16 +148,13 @@ def theorem2_check(f: XPoly, g: TruncSeries, r: int, order: int,
         raise ValueError(f"g must be tracked to >= {order} (got {g.order})")
     if blocks is None:
         blocks = theorem2_blocks(r, order, max(f.degree, 0))
-    elif (blocks.r, blocks.order) != (r, order):
-        raise ValueError("blocks were built for a different r or order")
-    if f.degree > blocks.degmax:
-        raise ValueError(f"blocks cover degree <= {blocks.degmax}, f has degree {f.degree}")
+    elif (blocks.r, blocks.order) != (r, order) or f.degree > blocks.degmax:
+        raise ValueError("blocks were built for a different r, order or degree")
     params = {"r": r, "order": order, "deg_f": f.degree}
     terms = [(n, f.coeff(n)) for n in range(f.degree + 1) if not f.coeff(n).is_zero()]
-    zero = LambdaPoly.zero()
 
     def weighted(table, j):  # sum_n a_n table[n][j]
-        return sum((_times(a, table[n][j]) for n, a in terms), zero)
+        return sum((_times(a, table[n][j]) for n, a in terms), _ZERO)
     for label, (lhs, rhs) in (("main form", blocks.main), ("shifted form", blocks.shifted)):
         for j, gj in enumerate(g.coeffs[:order + 1]):
             if gj.is_zero():

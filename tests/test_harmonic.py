@@ -97,7 +97,7 @@ def test_large_order_rows_are_built_without_recursion():
 
 
 def test_hyperharmonic_row_matches_each_value():
-    # r < nmax takes prefix sums, r >= nmax the per-value convolution
+    # 2r <= nmax takes prefix sums, 2r > nmax the per-value convolution
     for nmax in range(13):
         for r in range(1, 6):
             with use(Tables()):

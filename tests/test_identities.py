@@ -86,6 +86,17 @@ def test_thm8_instances():
             assert check_thm8(m, r, 12).passed
 
 
+def test_thm8_rejects_mismatched_blocks_and_terms():
+    blocks, terms = theorem2_blocks(2, 10, 4), identities.harmonic_terms(10, 4)
+    assert check_thm8(4, 2, 10, blocks, terms).passed
+    for m, r, order in ((5, 2, 10), (3, 0, 10), (3, 2, 9)):
+        with pytest.raises(ValueError, match="blocks or terms were built"):
+            check_thm8(m, r, order, blocks)
+    for m, r, order in ((5, 2, 10), (3, 2, 9)):
+        with pytest.raises(ValueError, match="blocks or terms were built"):
+            check_thm8(m, r, order, None, terms)
+
+
 _ORDER_COVERS_M = "order must cover m (and be >= 1)"
 
 
@@ -332,11 +343,12 @@ def test_thm8_builds_its_series_once_per_run(monkeypatch):
 def test_thm8_falls_back_to_the_series_when_the_closed_form_fails(monkeypatch):
     bounds = replace(SuiteBounds(), thm8_mmax=4, thm8_rmax=2, thm8_order=8)
     good = identities.harmonic_terms(bounds.thm8_order, bounds.thm8_mmax)
-    broken = list(good)
+    broken = list(good.series)
     broken[2] = TruncSeries(QL, (c + LambdaPoly([0, 1]) if n == 5 else c
-                                 for n, c in enumerate(good[2].coeffs)))
-    monkeypatch.setattr(identities, "harmonic_terms", lambda order, kmax: tuple(broken))
-    assert not identities.terms_match_closed_form(broken, bounds.thm8_order)
+                                 for n, c in enumerate(broken[2].coeffs)))
+    terms = identities.HarmonicTerms(bounds.thm8_order, broken)
+    assert good.closed_form and not terms.closed_form
+    monkeypatch.setattr(identities, "harmonic_terms", lambda order, kmax: terms)
     expected = []
     for m in range(bounds.thm8_mmax + 1):
         for r in range(bounds.thm8_rmax + 1):  # the full series, from single values

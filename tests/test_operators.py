@@ -9,7 +9,7 @@ import pytest
 from qlambda.factorials import degen_falling
 from qlambda import stirling as st
 from qlambda.gfun import classical_exp, degen_log_one_minus, inv_one_minus
-from qlambda.identities import check_thm8, harmonic_terms, terms_match_closed_form
+from qlambda.identities import check_thm8, harmonic_terms
 from qlambda.kernel import QL, LambdaPoly, TruncSeries, XPoly
 from qlambda.operators import OperatorSpec, theorem1_check, theorem2_blocks, theorem2_check
 from qlambda.report import first_mismatch, make_report
@@ -347,7 +347,9 @@ def test_theorem2_check_agrees_with_the_derivative_oracle(faulted):
 def test_checks_on_prebuilt_blocks_take_no_product(monkeypatch):
     order, degmax, rmax = 10, 6, 3
     blocks = [theorem2_blocks(r, order, degmax) for r in range(rmax + 1)]
-    assert terms_match_closed_form(harmonic_terms(order, degmax), order)
+    assert all(block.main and block.shifted for block in blocks)  # tabulated before counting
+    terms = harmonic_terms(order, degmax)
+    assert terms.closed_form
     monomials = [XPoly.monomial(1, n) for n in range(degmax + 1)]
     gs = [_g_for(name, order) for name in ("geometric", "exp", "harmonic")]
     calls = []
@@ -360,7 +362,7 @@ def test_checks_on_prebuilt_blocks_take_no_product(monkeypatch):
                for r in range(min(m, rmax) + 1) for mode in ("plain", "shifted")]
     reports += [theorem2_check(f, g, r, order, blocks[r])
                 for f in monomials for g in gs for r in range(rmax + 1)]
-    reports += [check_thm8(m, r, order, blocks[r]) for m in range(degmax + 1)
+    reports += [check_thm8(m, r, order, blocks[r], terms) for m in range(degmax + 1)
                 for r in range(rmax + 1)]
     assert reports and all(rep.passed for rep in reports)
     assert calls == []
