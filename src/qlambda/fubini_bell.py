@@ -7,12 +7,13 @@ read one memoized triangle.  The generating-function route (a series
 reciprocal or a Bell composition) is a test oracle only.
 
 ``rfubini_numbers`` is the package's only numeric (non-symbolic)
-computation: an exact-rational partial sum with a certified geometric
-tail bound, never floating point.
+computation: a partial sum with a certified geometric tail bound,
+summed in integers and returned as an exact rational, never floating point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,29 +88,18 @@ def rfubini_numbers(m: int, r: int, lam: Fraction, tol_exponent: int) -> Fractio
 
     Sums (n+r)_{m,lam} / 2^(n+1) until the remaining tail is provably below
     10^(-tol_exponent); the tail uses |(n+r)_{m,lam}| <= (n+r+|lam|m)^m
-    against the geometric factor.  Exact rationals throughout.
+    against the geometric factor.  With lam = p/q the sum to n is A_n / (q^m 2^(n+1)),
+    A_n = 2 A_{n-1} + prod_j (q(n+r) - j p); the tail test is cleared of denominators too.
     """
     if m < 0 or r < 0:
         raise ValueError("indices must be >= 0")
     if tol_exponent < 0:
         raise ValueError("tolerance exponent must be >= 0")
-    lam = Fraction(lam)
-    target = Fraction(1, 10 ** tol_exponent)
-    slack = abs(lam) * m
-    partial = Fraction(0)
-    half_pow = Fraction(1, 2)  # (1/2)^(n+1)
-    n = 0
-    while True:
-        term = Fraction(1)
-        for j in range(m):
-            term *= n + r - j * lam
-        partial += term * half_pow
-        tail_start = n + 1
-        base = tail_start + r + slack
-        ratio = ((base + 1) / base) ** m / 2 if m else Fraction(1, 2)
-        if ratio < 1:
-            bound = base ** m * (half_pow / 2) / (1 - ratio)
-            if bound <= target:
-                return partial
-        n += 1
-        half_pow /= 2
+    p, q = Fraction(lam).as_integer_ratio()
+    qm, target, acc = q ** m, 10 ** tol_exponent, 0
+    for n in itertools.count():
+        acc = 2 * acc + math.prod(q * (n + r) - j * p for j in range(m))
+        base = q * (n + 1 + r) + abs(p) * m  # B; the tail past n is below
+        slack = 2 * base ** m - (base + q) ** m  # B^(2m) / (q^m 2^(n+1) slack) if slack > 0
+        if base ** (2 * m) * target <= qm * slack << (n + 1):  # never true for slack <= 0
+            return Fraction(acc, qm << (n + 1))

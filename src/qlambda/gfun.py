@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .factorials import classical_falling, degen_falling
+from .factorials import degen_falling
 from .kernel import QL, LambdaPoly, TruncSeries
 
 
@@ -22,29 +22,27 @@ def degen_exp(order: int, exponent=1) -> TruncSeries:
     of length n, divided by n!.  Exponent 1 gives the plain degenerate
     exponential; the limit l -> 0 is the classical exponential.
     """
-    coeffs = []
-    for n in range(order + 1):
-        coeffs.append(degen_falling(exponent, n) / math.factorial(n))
-    return TruncSeries(QL, coeffs)
+    return TruncSeries(QL, (degen_falling(exponent, n) / math.factorial(n)
+                            for n in range(order + 1)))
 
 
 def degen_log1p(order: int) -> TruncSeries:
     """Degenerate logarithm of 1 + t (the compositional inverse series).
 
     Coefficient of t^n, n >= 1, is (l-1)(l-2)...(l-n+1)/n!; the constant
-    term is 0.
+    term is 0.  Each falling product is the one before times l - n + 1.
     """
-    coeffs = [LambdaPoly.zero()]
+    coeffs, top = [LambdaPoly.zero()], LambdaPoly.one()
     for n in range(1, order + 1):
-        top = classical_falling(LambdaPoly.param() - 1, n - 1)
         coeffs.append(top / math.factorial(n))
-    return TruncSeries(QL, coeffs)
+        top = top * LambdaPoly((-n, 1))
+    return TruncSeries(QL, coeffs[:order + 1])  # no terms at all for order < 0
 
 
 def degen_log_one_minus(order: int) -> TruncSeries:
     """Degenerate logarithm of 1 - t (substitute -t into :func:`degen_log1p`)."""
     base = degen_log1p(order)
-    return TruncSeries(QL, tuple(c * ((-1) ** n) for n, c in enumerate(base.coeffs)))
+    return TruncSeries(QL, tuple(-c if n % 2 else c for n, c in enumerate(base.coeffs)))
 
 
 def classical_exp(order: int, ring=QL) -> TruncSeries:

@@ -6,8 +6,8 @@ in the degeneracy parameter; each summand is kept in the polynomial form
 parameter ever happens and the classical value is a plain substitution
 at 0.  Hyperharmonic numbers are the iterated partial sums, read off the
 stored harmonic row: one value as one binomial convolution, a row of
-them as r - 1 prefix sums.  Their generating function is the independent
-cross-check.
+them as r - 1 prefix sums.  Their generating function, -log_l(1-t)
+summed r times, is the independent cross-check.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from .gfun import degen_log_one_minus, inv_one_minus
-from .kernel import LambdaPoly, TruncSeries
+from .gfun import degen_log_one_minus
+from .kernel import QL, LambdaPoly, TruncSeries
 from .tables import current
 
 
@@ -52,26 +52,26 @@ def degen_hyperharmonic(n: int, r: int) -> LambdaPoly:
                LambdaPoly.zero())
 
 
+def running_sums(values, times: int) -> list:
+    """``values`` prefix-summed ``times`` times: their series' coefficients over (1-t)^times."""
+    for _ in range(times):
+        values = itertools.accumulate(values)
+    return list(values)
+
+
 def hyperharmonic_row(nmax: int, r: int) -> list[LambdaPoly]:
     """Order-r hyperharmonic numbers of index 0..nmax: the harmonic row prefix-summed
     r - 1 times, or one convolution per value where 2r > nmax makes that faster."""
     if r < 1:
         raise ValueError("order must be >= 1")
+    degen_harmonic(nmax)  # raises for nmax < 0; extends the stored row to index nmax
     if 2 * r > nmax:
         return [degen_hyperharmonic(n, r) for n in range(nmax + 1)]
-    degen_harmonic(nmax)  # extends the stored row to index nmax
-    row = current().harmonic[:nmax + 1]
-    for _ in range(r - 1):
-        row = list(itertools.accumulate(row))
-    return row
+    return running_sums(current().harmonic[:nmax + 1], r - 1)
 
 
 def harmonic_gf(r: int, order: int) -> TruncSeries:
-    """Generating series of the order-r hyperharmonic numbers.
-
-    Assembled from kernel operations as the degenerate logarithm against
-    the r-th reciprocal power of 1 - t; the constant term is 0.
-    """
+    """Generating series of the order-r hyperharmonic numbers: -log_l(1-t) summed r times."""
     if r < 1:
         raise ValueError("order must be >= 1")
-    return (-degen_log_one_minus(order)) * inv_one_minus(order, r)
+    return TruncSeries(QL, running_sums((-c for c in degen_log_one_minus(order).coeffs), r))

@@ -8,12 +8,12 @@ and aggregates deterministic, machine-readable reports.  The two-series
 identity is certified on the monomial basis; its seeded random instances
 run only to name a counterexample.  thm1, thm2 and thm8 compare entries
 of its g-free tables (``operators.theorem2_blocks``), thm8 where its
-series has Theorem 6's closed form.  The binomial series 1/(1-x)^(k+1)
-and x^k/(1-x)^(k+1) are read as their binomial coefficients, which
-multiply the other side's coefficients as integers.  Each runner builds
-what its grid shares once: the series that depend only on the
-truncation order, the falling factorials, the g-free tables of each r,
-and each triangle it reads, to its top row.  Nothing outlives a run.
+series has Theorem 6's closed form.  A product by 1/(1-x)^(k+1) is
+k + 1 running sums.  Each runner builds what its grid shares once: the
+series that depend only on the truncation order, the falling factorials
+and each triangle it reads, to its top row; each shifted binomial
+C(k - l, k) and the g-free tables of each (r, order, degmax) are built
+once per run for all runners.  Nothing outlives a run.
 
 Check ids: thm1 thm2 thm3 thm4 thm5 thm6 cor7 thm8.
 """
@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from . import stirling
 from .factorials import degen_falling, degen_falling_table, gen_binomial
 from .fubini_bell import RFUBINI_DEGENERATE, PolyFamily, poly_by_sum, rfubini_numbers
 from .gfun import classical_exp, degen_log_one_minus, inv_one_minus
-from .harmonic import degen_harmonic, degen_hyperharmonic, harmonic_gf
+from .harmonic import degen_harmonic, degen_hyperharmonic, harmonic_gf, running_sums
 from .kernel import QL, LambdaPoly, TruncSeries, XPoly
 from .operators import theorem1_check, theorem2_blocks, theorem2_check
 from .report import CheckReport, Counterexample, first_mismatch, make_report
@@ -39,12 +40,24 @@ from .tables import Tables, current, use
 CHECK_IDS = ("thm1", "thm2", "thm3", "thm4", "thm5", "thm6", "cor7", "thm8")
 _ORDER_COVERS_M = "order must cover m (and be >= 1)"
 _ORDER_COVERS_K = "order must be >= k"
+_RUN: ContextVar[dict] = ContextVar("qlambda_run")
 
 
-def _bracket(k: int, log: TruncSeries) -> TruncSeries:
-    """H_k - binom(k - l, k) log_l(1-x), at the order of ``log``."""
-    binom = gen_binomial(LambdaPoly([k, -1]), k)
-    return TruncSeries.const(QL, degen_harmonic(k), log.order) - log.scale(binom)
+def _per_run(key, build):
+    """``build()``, kept under ``key`` until the ``run_suite`` run ends; built anew outside one."""
+    store = _RUN.get({})
+    return store[key] if key in store else store.setdefault(key, build())
+
+
+def _shifted_binomial(k: int) -> LambdaPoly:
+    """C(k - l, k), once per run."""
+    return _per_run(("binomial", k), lambda: gen_binomial(LambdaPoly([k, -1]), k))
+
+
+def _bracket(k: int, log: TruncSeries) -> list[LambdaPoly]:
+    """Coefficients of H_k - C(k - l, k) log_l(1-x) (no constant term), to the order of ``log``."""
+    binom = _shifted_binomial(k)
+    return [degen_harmonic(k)] + [-(binom * c) for c in log.coeffs[1:]]
 
 
 class HarmonicTerms:
@@ -57,10 +70,13 @@ class HarmonicTerms:
 
 
 def harmonic_terms(order: int, kmax: int) -> HarmonicTerms:
-    """T_k = x^k/(1-x)^(k+1) * bracket_k, k = 0..kmax <= order; thm8's rhs is sum_k w_k T_k."""
+    """T_k = x^k/(1-x)^(k+1) * bracket_k, k = 0..kmax <= order: bracket_k to order - k,
+    summed k + 1 times and shifted by k.  thm8's rhs is sum_k w_k T_k."""
+    if kmax > order:
+        raise ValueError(_ORDER_COVERS_K)
     log = degen_log_one_minus(order)
-    return HarmonicTerms(order, (inv_one_minus(order - k, k + 1).shift(k) * _bracket(k, log)
-                                 for k in range(kmax + 1)))
+    return HarmonicTerms(order, (TruncSeries(QL, [QL.zero] * k + running_sums(
+        _bracket(k, log)[:order - k + 1], k + 1)) for k in range(kmax + 1)))
 
 
 def check_thm3(m: int, r: int, order: int, falling=None) -> CheckReport:
@@ -145,10 +161,8 @@ def check_thm6(k: int, order: int, blocks=None) -> CheckReport:
     derived = g.truncate(order + k)
     for _ in range(k):
         derived = derived.derive()
-    # (1-x)^-(k+1) has the coefficients C(i + k, k)
-    bracket, fact = _bracket(k, log).coeffs, math.factorial(k)
-    closed = TruncSeries(QL, (sum((bracket[n - i] * (fact * math.comb(i + k, k))
-                                   for i in range(n + 1)), QL.zero) for n in range(order + 1)))
+    # k! bracket_k / (1-x)^(k+1)
+    closed = TruncSeries(QL, running_sums(_bracket(k, log), k + 1)).scale(math.factorial(k))
     bad = first_mismatch(derived, closed, "derivative series")
     if bad is not None:
         return make_report("thm6", params, bad)
@@ -162,8 +176,7 @@ def check_cor7(n: int, k: int) -> CheckReport:
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
     params = {"n": n, "k": k}
-    binom = gen_binomial(LambdaPoly([k, -1]), k)
-    lhs = binom * degen_hyperharmonic(n, k + 1)
+    lhs = _shifted_binomial(k) * degen_hyperharmonic(n, k + 1)
     rhs = (degen_harmonic(n + k) - degen_harmonic(k)) * math.comb(n + k, k)
     return make_report("cor7", params, first_mismatch(lhs, rhs, "values"))
 
@@ -249,6 +262,14 @@ def _warm(family_id: str, rs, top: int) -> None:
         stirling.triangle(stirling.StirlingFamily(family_id, r), top)
 
 
+def _shared_blocks(rs, order: int, degmax: int) -> list:
+    """``theorem2_blocks(r, order, degmax)`` for r in ``rs``, each built once per run."""
+    amax = order + max(rs, default=0)
+    falling = _per_run(("falling", amax, degmax), lambda: degen_falling_table(amax, degmax))
+    return [_per_run(("blocks", r, order, degmax),
+                     lambda r=r: theorem2_blocks(r, order, degmax, falling)) for r in rs]
+
+
 def _run_thm1(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
     jmax, mmax = bounds.thm1_jmax, bounds.thm1_mmax
     rtop = min(mmax, bounds.thm1_rmax)
@@ -289,9 +310,7 @@ def _run_thm2(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
     rng = random.Random(seed)
     polys = [_random_poly(rng, bounds.thm2_degmax) for _ in range(bounds.thm2_trials)]
     monomials = [XPoly.monomial(1, m) for m in range(bounds.thm2_degmax + 1)]
-    falling = degen_falling_table(bounds.thm2_order + bounds.thm2_rmax, bounds.thm2_degmax)
-    blocks = [theorem2_blocks(r, bounds.thm2_order, bounds.thm2_degmax, falling)
-              for r in range(bounds.thm2_rmax + 1)]
+    blocks = _shared_blocks(range(bounds.thm2_rmax + 1), bounds.thm2_order, bounds.thm2_degmax)
     out = []
     for name in ("exp", "geometric", "harmonic"):
         g = _named_g(name, bounds.thm2_order)
@@ -354,9 +373,7 @@ def _run_thm8(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
     top = min(mmax, order)  # a check with m > order raises before reading anything
     if top < 0 or not rs:
         return []
-    terms = harmonic_terms(order, top)
-    falling = degen_falling_table(order + rs[-1], top)
-    blocks = [theorem2_blocks(r, order, top, falling) for r in rs]
+    terms, blocks = harmonic_terms(order, top), _shared_blocks(rs, order, top)
     return [check_thm8(m, r, order, blocks[r], terms) for m in range(mmax + 1) for r in rs]
 
 
@@ -401,9 +418,13 @@ def run_suite(selection, bounds: SuiteBounds | None = None, seed: int = 0,
         bounds = SuiteBounds()
     _check_bounds(ids, bounds)
     reports: list[CheckReport] = []
-    with use(tables or current()):
-        for check_id in ids:
-            reports.extend(_RUNNERS[check_id](bounds, seed))
+    token = _RUN.set({})
+    try:
+        with use(tables or current()):
+            for check_id in ids:
+                reports.extend(_RUNNERS[check_id](bounds, seed))
+    finally:
+        _RUN.reset(token)
     reports.sort(key=lambda rep: (rep.check_id,
                                   json.dumps(dict(rep.params), sort_keys=True, default=str)))
     return reports

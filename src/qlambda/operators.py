@@ -153,8 +153,9 @@ def theorem2_check(f: XPoly, g: TruncSeries, r: int, order: int,
     params = {"r": r, "order": order, "deg_f": f.degree}
     terms = [(n, f.coeff(n)) for n in range(f.degree + 1) if not f.coeff(n).is_zero()]
 
-    def weighted(table, j):  # sum_n a_n table[n][j]
-        return sum((_times(a, table[n][j]) for n, a in terms), _ZERO)
+    def weighted(table, j):  # sum_n a_n table[n][j]; one term is read as it is
+        parts = [_times(a, table[n][j]) for n, a in terms]
+        return parts[0] if len(parts) == 1 else sum(parts, _ZERO)
     for label, (lhs, rhs) in (("main form", blocks.main), ("shifted form", blocks.shifted)):
         for j, gj in enumerate(g.coeffs[:order + 1]):
             if gj.is_zero():

@@ -6,7 +6,10 @@ Stirling triangles through their generating functions (a series
 reciprocal, a Bell composition or powers of a series), a polynomial back
 from its coefficients in a factorial basis, and the degenerate transform
 of a polynomial one monomial at a time, and both sides of the
-two-series identity from the derivatives of g.  They use the kernel's
+two-series identity from the derivatives of g.  The binomial series
+(1-t)^-(k+1) is multiplied out as a product or a convolution, where the
+package takes running sums, and the numeric r-Fubini sum runs over
+``Fraction``s, where the package sums integers.  They use the kernel's
 arithmetic and the named series of ``gfun``, never ``fubini_bell``'s
 sums, and no triangle except through single ``stirling_value`` entries
 (so a faulted ``Tables`` reaches both routes), so agreement with the
@@ -19,10 +22,11 @@ import math
 from fractions import Fraction
 
 from qlambda import stirling
-from qlambda.factorials import BasisId, basis_poly, degen_falling
+from qlambda.factorials import BasisId, basis_poly, classical_falling, degen_falling, gen_binomial
 from qlambda.fubini_bell import (BELL_DEGENERATE, FUBINI_CLASSICAL, RBELL_DEGENERATE,
                                  PolyFamily)
 from qlambda.gfun import classical_exp, degen_exp, degen_log1p, degen_log_one_minus, inv_one_minus
+from qlambda.harmonic import degen_harmonic
 from qlambda.kernel import QL, QLX, LambdaPoly, TruncSeries, XPoly
 from qlambda.operators import OperatorSpec
 
@@ -210,3 +214,58 @@ def rhs_theorem1(spec: OperatorSpec, f):
         out = out + (XPoly((QL.zero,) * shift + (d * weight).coeffs) if poly
                      else d.scale(weight).shift(shift))
     return out
+
+
+def degen_log1p_by_falling(order: int) -> TruncSeries:
+    """log_l(1+t) with each coefficient's falling product (l-1)...(l-n+1) taken from scratch."""
+    coeffs = [LambdaPoly.zero()]
+    for n in range(1, order + 1):
+        coeffs.append(classical_falling(LambdaPoly.param() - 1, n - 1) / math.factorial(n))
+    return TruncSeries(QL, coeffs)
+
+
+def harmonic_gf_by_product(r: int, order: int) -> TruncSeries:
+    """-log_l(1-t) times the series of (1-t)^-r, as one series product."""
+    return (-degen_log_one_minus(order)) * inv_one_minus(order, r)
+
+
+def _bracket(k: int, log: TruncSeries) -> TruncSeries:
+    """H_k - C(k - l, k) log_l(1-t), at the order of ``log``."""
+    binom = gen_binomial(LambdaPoly([k, -1]), k)
+    return TruncSeries.const(QL, degen_harmonic(k), log.order) - log.scale(binom)
+
+
+def harmonic_terms_by_product(order: int, kmax: int) -> list[TruncSeries]:
+    """thm8's T_k = t^k (1-t)^-(k+1) bracket_k, k = 0..kmax, each as one series product."""
+    log = degen_log_one_minus(order)
+    return [inv_one_minus(order - k, k + 1).shift(k) * _bracket(k, log)
+            for k in range(kmax + 1)]
+
+
+def thm6_closed_by_convolution(k: int, order: int) -> TruncSeries:
+    """Theorem 6's closed form k! bracket_k (1-t)^-(k+1), convolved with C(i + k, k)."""
+    bracket, fact = _bracket(k, degen_log_one_minus(order)).coeffs, math.factorial(k)
+    return TruncSeries(QL, (sum((bracket[n - i] * (fact * math.comb(i + k, k))
+                                 for i in range(n + 1)), QL.zero) for n in range(order + 1)))
+
+
+def rfubini_numbers_by_fractions(m: int, r: int, lam, tol_exponent: int) -> Fraction:
+    """The certified partial sum of (n+r)_{m,lam} / 2^(n+1), summed and bounded in ``Fraction``s.
+
+    The tail past n is below base^m (1/2)^(n+2) / (1 - ratio), base = n + 1 + r + |lam| m and
+    ratio = ((base + 1) / base)^m / 2, once ratio < 1.
+    """
+    lam = Fraction(lam)
+    target, slack = Fraction(1, 10 ** tol_exponent), abs(lam) * m
+    partial, half_pow, n = Fraction(0), Fraction(1, 2), 0  # half_pow = (1/2)^(n+1)
+    while True:
+        term = Fraction(1)
+        for j in range(m):
+            term *= n + r - j * lam
+        partial += term * half_pow
+        base = n + 1 + r + slack
+        ratio = ((base + 1) / base) ** m / 2
+        if ratio < 1 and base ** m * (half_pow / 2) / (1 - ratio) <= target:
+            return partial
+        n += 1
+        half_pow /= 2

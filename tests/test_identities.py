@@ -257,6 +257,9 @@ def test_verify_thm2_builds_its_blocks_once_per_r(monkeypatch):
     monkeypatch.setattr(identities, "theorem2_blocks", counting)
     assert cli.main(["verify", "--suite", "thm2"]) == 0
     assert calls == list(range(SuiteBounds().thm2_rmax + 1))  # one block per r, for every g
+    calls.clear()  # thm8 reads the blocks thm2 built in the same run
+    assert cli.main(["verify", "--suite", "thm2,thm8"]) == 0
+    assert calls == list(range(SuiteBounds().thm2_rmax + 1))
 
 
 def test_thm2_basis_finds_a_fault_every_trial_misses():

@@ -8,6 +8,8 @@ there.
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 from qlambda import identities, kernel
@@ -39,3 +41,15 @@ def test_every_traced_name_resolves():
             assert callable(getattr(identities, name, None)), (check_id, name)
     assert sorted(identities._RUNNERS) == sorted(tracing.CHECK_IDS)
     assert sorted(tracing.CHECK_IDS) == sorted(identities.CHECK_IDS)
+
+
+def test_cli_import_loads_every_module_the_tracer_reads():
+    # the benchmark's worker imports only qlambda.cli, then the tracer looks each
+    # module up in sys.modules; importing them here, as above, would hide a missing one
+    tracing = _tracing()
+    needed = {mod for mod, _ in tracing.SPAN_LAYERS.values()} | {"qlambda.kernel",
+                                                                  "qlambda.identities"}
+    code = "import sys; from qlambda import cli; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert sorted(needed - set(proc.stdout.split())) == []
