@@ -54,10 +54,13 @@ def _shifted_binomial(k: int) -> LambdaPoly:
     return _per_run(("binomial", k), lambda: gen_binomial(LambdaPoly([k, -1]), k))
 
 
-def _bracket(k: int, log: TruncSeries) -> list[LambdaPoly]:
-    """Coefficients of H_k - C(k - l, k) log_l(1-x) (no constant term), to the order of ``log``."""
-    binom = _shifted_binomial(k)
-    return [degen_harmonic(k)] + [-(binom * c) for c in log.coeffs[1:]]
+def _bracket(k: int, log: TruncSeries) -> tuple[LambdaPoly, ...]:
+    """Coefficients of H_k - C(k - l, k) log_l(1-x) (no constant term), to the order of
+    ``log`` = ``degen_log_one_minus(order)``; once per run for each (k, order)."""
+    def build():
+        binom = _shifted_binomial(k)
+        return (degen_harmonic(k), *(-(binom * c) for c in log.coeffs[1:]))
+    return _per_run(("bracket", k, log.order), build)
 
 
 class HarmonicTerms:
@@ -158,9 +161,8 @@ def check_thm6(k: int, order: int, blocks=None) -> CheckReport:
         raise ValueError(_ORDER_COVERS_K)
     params = {"k": k, "order": order}
     g, log = blocks or (harmonic_gf(1, order + k), degen_log_one_minus(order))
-    derived = g.truncate(order + k)
-    for _ in range(k):
-        derived = derived.derive()
+    g = g.truncate(order + k).coeffs  # [x^n] g^(k) = g_{n+k} (n+k)!/n!
+    derived = TruncSeries(QL, (g[n + k] * math.perm(n + k, k) for n in range(order + 1)))
     # k! bracket_k / (1-x)^(k+1)
     closed = TruncSeries(QL, running_sums(_bracket(k, log), k + 1)).scale(math.factorial(k))
     bad = first_mismatch(derived, closed, "derivative series")
@@ -171,12 +173,13 @@ def check_thm6(k: int, order: int, blocks=None) -> CheckReport:
     return make_report("thm6", params, bad)
 
 
-def check_cor7(n: int, k: int) -> CheckReport:
-    """Hyperharmonic/harmonic relation through the shifted binomial."""
+def check_cor7(n: int, k: int, hyper=None) -> CheckReport:
+    """Hyperharmonic/harmonic relation through the shifted binomial; ``hyper`` is H^(k+1)_n."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
     params = {"n": n, "k": k}
-    lhs = _shifted_binomial(k) * degen_hyperharmonic(n, k + 1)
+    hyper = degen_hyperharmonic(n, k + 1) if hyper is None else hyper
+    lhs = _shifted_binomial(k) * hyper
     rhs = (degen_harmonic(n + k) - degen_harmonic(k)) * math.comb(n + k, k)
     return make_report("cor7", params, first_mismatch(lhs, rhs, "values"))
 
@@ -363,9 +366,12 @@ def _run_thm6(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
 
 
 def _run_cor7(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
-    return [check_cor7(n, k)
-            for n in range(1, bounds.cor7_nmax + 1)
-            for k in range(1, bounds.cor7_kmax + 1)]
+    ns, out = range(1, bounds.cor7_nmax + 1), []
+    row = [degen_harmonic(n) for n in range(bounds.cor7_nmax + 1)]
+    for k in range(1, bounds.cor7_kmax + 1):
+        row = running_sums(row, 1)  # the hyperharmonic row of order k + 1
+        out += [check_cor7(n, k, row[n]) for n in ns]
+    return out
 
 
 def _run_thm8(bounds: SuiteBounds, seed: int) -> list[CheckReport]:

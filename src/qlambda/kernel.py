@@ -482,7 +482,7 @@ class TruncSeries:
 
     @staticmethod
     def one(ring, order: int) -> "TruncSeries":
-        return TruncSeries(ring, (ring.one,) + (ring.zero,) * order)
+        return TruncSeries.const(ring, ring.one, order)
 
     @staticmethod
     def var(ring, order: int) -> "TruncSeries":
@@ -493,6 +493,8 @@ class TruncSeries:
 
     @staticmethod
     def const(ring, value, order: int) -> "TruncSeries":
+        if order < 0:
+            raise SeriesOrderError("a series needs order >= 0")
         return TruncSeries(ring, (value,) + (ring.zero,) * order)
 
     @property
@@ -557,8 +559,8 @@ class TruncSeries:
         return out
 
     def truncate(self, order: int) -> "TruncSeries":
-        if order > self.order:
-            raise SeriesOrderError(f"cannot extend order {self.order} to {order}")
+        if not 0 <= order <= self.order:
+            raise SeriesOrderError(f"cannot truncate order {self.order} to {order}")
         return TruncSeries(self.ring, self.coeffs[: order + 1])
 
     def shift(self, k: int) -> "TruncSeries":

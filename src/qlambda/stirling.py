@@ -1,13 +1,13 @@
 """Stirling-number families over Q[l]: eight triangles, one memoized route each.
 
-Every family is defined by a basis expansion (its defining route); the
-degenerate second kind is built by its additive recurrence instead.
-``stirling_by_basis`` and ``stirling2_by_recurrence`` expose those two
-routes entry by entry; for the seven families other than the degenerate
-second kind, ``stirling_by_basis`` shares ``_row_by_basis`` with
-``triangle``.  The generating-function route lives in ``tests/routes.py``
-as an independent oracle.  Values are polynomials in the degeneracy
-parameter; the classical families come out as degree-0 polynomials.
+Every family is defined by a basis expansion (``stirling_by_basis``).
+Five are built that way; three by Carlitz's row recurrence
+S(n+1, k) = S(n, k-1) + (a k + b n + r) S(n, k), with (a, b) = (1, -l)
+for S2-degenerate and (-l, 1) for S1- and S1r-unsigned-degenerate
+(``stirling2_by_recurrence`` reads the first).  So ``stirling_by_basis`` is
+independent of ``triangle`` for those three.  The generating-function
+route lives in ``tests/routes.py`` as an independent oracle.  Values are
+polynomials in l; the classical families are degree-0 polynomials.
 
 ``triangle`` memoizes whole triangles per (family id, r) in the current
 ``tables.Tables``; completed triangles are immutable, so concurrent
@@ -74,6 +74,14 @@ _BASIS_ROUTES = {
 }
 
 
+# (a, b) of the row recurrence, each as (c0, c1) for c0 + c1 l.
+_RECURRENCES = {
+    S2_DEGENERATE: ((1, 0), (0, -1)),
+    S1R_UNSIGNED_DEGENERATE: ((0, -1), (1, 0)),
+    S1_UNSIGNED_DEGENERATE: ((0, -1), (1, 0)),
+}
+
+
 @dataclass(frozen=True)
 class Triangle:
     """Lower-triangular table of one family; absent (k > n) entries are zero."""
@@ -98,21 +106,15 @@ def _row_by_basis(family: StirlingFamily, n: int) -> tuple[LambdaPoly, ...]:
     return tuple(row)
 
 
-def _recurrence_rows(nmax: int) -> tuple[tuple[LambdaPoly, ...], ...]:
-    """Second-kind degenerate triangle from its additive recurrence."""
-    lam = LambdaPoly.param()
+def _rows_by_recurrence(family: StirlingFamily, nmax: int) -> tuple[tuple[LambdaPoly, ...], ...]:
+    """Rows 0..nmax from S(n+1, k) = S(n, k-1) + (a k + b n + r) S(n, k), S(0, 0) = 1."""
+    (a0, a1), (b0, b1) = _RECURRENCES[family.id]
     rows: list[tuple[LambdaPoly, ...]] = [(LambdaPoly.one(),)]
     for n in range(nmax):
         prev = rows[n]
-        nxt = []
-        for k in range(n + 2):
-            acc = LambdaPoly.zero()
-            if 1 <= k <= n + 1:
-                acc = acc + prev[k - 1]
-            if k <= n:
-                acc = acc + (LambdaPoly.const(k) - lam * n) * prev[k]
-            nxt.append(acc)
-        rows.append(tuple(nxt))
+        scaled = [LambdaPoly((a0 * k + b0 * n + family.r, a1 * k + b1 * n)) * s
+                  for k, s in enumerate(prev)]
+        rows.append((scaled[0], *(prev[k - 1] + scaled[k] for k in range(1, n + 1)), prev[n]))
     return tuple(rows)
 
 
@@ -122,7 +124,7 @@ def stirling2_by_recurrence(n: int, k: int) -> LambdaPoly:
         raise ValueError("negative index in recurrence")
     if k > n:
         return LambdaPoly.zero()
-    return _recurrence_rows(n)[n][k]
+    return _rows_by_recurrence(StirlingFamily(S2_DEGENERATE), n)[n][k]
 
 
 def stirling_by_basis(family: StirlingFamily, n: int, k: int) -> LambdaPoly:
@@ -140,8 +142,8 @@ def unsigned_first_kind(n: int, k: int) -> LambdaPoly:
 
 
 def _build_rows(family: StirlingFamily, nmax: int) -> tuple[tuple[LambdaPoly, ...], ...]:
-    if family.id == S2_DEGENERATE:
-        return _recurrence_rows(nmax)
+    if family.id in _RECURRENCES:
+        return _rows_by_recurrence(family, nmax)
     return tuple(_row_by_basis(family, n) for n in range(nmax + 1))
 
 

@@ -409,3 +409,15 @@ def test_cli_mix_menu_matches_the_benchmark_references():
         if (code, hashlib.sha256(out.encode()).hexdigest()) != (ref["exit"], ref["sha256"]):
             mismatches.append(key)
     assert mismatches == []
+
+
+def test_recurrence_tables_match_the_emit_references():
+    # the emit commands whose triangles the row recurrence builds, in process on fresh tables
+    refs = json.loads(REFERENCES.read_text(encoding="utf-8"))["emit"]
+    commands = ["table stirling1du --nmax 32", "table stirling2d --nmax 32"]
+    commands += [f"table stirling1ru --nmax 32 --r {r}" for r in (1, 2, 3)]
+    for command in commands:
+        with use(Tables()):
+            code, out, _ = run_in_process(command.split(" "))
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, digest) == (refs[command]["exit"], refs[command]["sha256"]), command

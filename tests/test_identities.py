@@ -13,11 +13,12 @@ from qlambda import cli, identities, operators
 from qlambda import stirling as st
 from qlambda.factorials import degen_falling
 from qlambda.fubini_bell import FUBINI_DEGENERATE, PolyFamily, family_series, poly_by_sum
-from qlambda.harmonic import degen_harmonic
+from qlambda.gfun import degen_log_one_minus
+from qlambda.harmonic import degen_harmonic, harmonic_gf, hyperharmonic_row
 from qlambda.identities import (SuiteBounds, check_cor7, check_thm3, check_thm3_numeric,
                                 check_thm4, check_thm5, check_thm6, check_thm8, run_suite,
                                 suite_json)
-from qlambda.kernel import QL, LambdaPoly, TruncSeries, XPoly
+from qlambda.kernel import QL, LambdaPoly, SeriesOrderError, TruncSeries, XPoly
 from qlambda.operators import OperatorSpec, theorem2_blocks, theorem2_check
 from qlambda.report import first_mismatch, make_report
 from qlambda.tables import Tables, current, use
@@ -76,6 +77,43 @@ def test_cor7_instances():
     for n in range(1, 8):
         for k in range(1, 8):
             assert check_cor7(n, k).passed
+
+
+def test_cor7_reads_a_given_hyperharmonic_number():
+    for k in range(1, 11):
+        row = hyperharmonic_row(10, k + 1)
+        for n in range(1, 11):
+            assert check_cor7(n, k, row[n]).to_json() == check_cor7(n, k).to_json(), (n, k)
+    assert not check_cor7(3, 2, hyperharmonic_row(3, 2)[3]).passed  # order k, not k + 1
+    # the runner's prefix-summed rows give the reports of the per-value convolutions
+    expected = sorted((check_cor7(n, k) for n in range(1, 11) for k in range(1, 11)),
+                      key=lambda rep: json.dumps(dict(rep.params), sort_keys=True))
+    reports = run_suite({"cor7"}, tables=Tables())
+    assert [rep.to_json() for rep in reports] == [rep.to_json() for rep in expected]
+
+
+def test_thm6_needs_g_to_order_plus_k():
+    with pytest.raises(SeriesOrderError):
+        check_thm6(3, 8, (harmonic_gf(1, 10), degen_log_one_minus(8)))
+    assert check_thm6(3, 8, (harmonic_gf(1, 11), degen_log_one_minus(8))).passed
+
+
+def test_thm6_names_the_derivative_passes_counterexample(monkeypatch):
+    def moved(r, order):  # coefficient 7 of g moved by l
+        return TruncSeries(QL, (c + LambdaPoly([0, 1]) if n == 7 else c
+                                for n, c in enumerate(harmonic_gf(r, order).coeffs)))
+
+    monkeypatch.setattr(identities, "harmonic_gf", moved)
+    order = 10
+    for k in range(1, 8):
+        derived = moved(1, order + k)
+        for _ in range(k):  # the oracle: k termwise derivatives
+            derived = derived.derive()
+        closed = routes.thm6_closed_by_convolution(k, order)
+        expected = first_mismatch(derived, closed, "derivative series")
+        assert expected.location == f"derivative series: coefficient of t^{7 - k}"
+        rep = check_thm6(k, order)
+        assert rep.counterexample.to_json() == expected.to_json(), k
 
 
 def test_thm8_instances():

@@ -17,7 +17,7 @@ from qlambda.fubini_bell import rfubini_numbers
 from qlambda.gfun import classical_exp, degen_exp, degen_log1p, degen_log_one_minus, inv_one_minus
 from qlambda.harmonic import degen_hyperharmonic, harmonic_gf, hyperharmonic_row, running_sums
 from qlambda.identities import CHECK_IDS, SuiteBounds, check_thm6, harmonic_terms, run_suite
-from qlambda.kernel import SeriesOrderError, TruncSeries
+from qlambda.kernel import QL, SeriesOrderError, TruncSeries
 from qlambda.tables import Tables
 
 import routes
@@ -83,6 +83,11 @@ def test_rfubini_numbers_equal_the_fraction_sum(lam):
     (degen_hyperharmonic, (-1, 1), ValueError),
     (harmonic_terms, (3, 5), ValueError),
     (harmonic_terms, (0, 1), ValueError),
+    (inv_one_minus, (-3, 0), SeriesOrderError),
+    pytest.param(TruncSeries.one, (QL, -1), SeriesOrderError, id="one-(-1)"),
+    pytest.param(TruncSeries.const, (QL, QL.one, -2), SeriesOrderError, id="const-(-2)"),
+    pytest.param(inv_one_minus(5).truncate, (-2,), SeriesOrderError, id="truncate-(-2)"),
+    pytest.param(inv_one_minus(5).truncate, (-6,), SeriesOrderError, id="truncate-(-6)"),
 ], ids=lambda value: getattr(value, "__name__", None) or repr(value))
 def test_bad_orders_raise(fn, args, error):
     with pytest.raises(error):

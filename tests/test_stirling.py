@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qlambda import stirling as st
+from qlambda.identities import CHECK_IDS, run_suite
 from qlambda.kernel import LambdaPoly
 from qlambda.tables import Tables, current, use
 
@@ -84,6 +85,35 @@ def test_three_way_agreement_small_grid():
                 assert a == b, (fam, n, k)
                 if fam.id == st.S2_DEGENERATE:
                     assert st.stirling2_by_recurrence(n, k) == a
+
+
+def test_recurrence_triangles_equal_the_basis_route():
+    # the three recurrence-built families against the route ``stirling_by_basis`` reads
+    fams = [st.StirlingFamily(fid) for fid in (st.S2_DEGENERATE, st.S1_UNSIGNED_DEGENERATE)]
+    fams += [st.StirlingFamily(st.S1R_UNSIGNED_DEGENERATE, r) for r in range(6)]
+    assert {fam.id for fam in fams} == set(st._RECURRENCES)
+    with use(Tables()):
+        for fam in fams:
+            tri = st.triangle(fam, 24)
+            for n in range(25):
+                by_basis = st._row_by_basis(fam, n)
+                for k in range(n + 1):
+                    assert tri.entry(n, k) == by_basis[k], (fam, n, k)
+            assert tri.entry(24, 3) == st.stirling_by_basis(fam, 24, 3)
+
+
+def test_verify_all_expands_no_recurrence_family_in_a_basis(monkeypatch):
+    seen = set()
+    row_by_basis = st._row_by_basis
+
+    def recording(family, n):
+        seen.add(family.id)
+        return row_by_basis(family, n)
+
+    monkeypatch.setattr(st, "_row_by_basis", recording)
+    reports = run_suite(CHECK_IDS, tables=Tables())
+    assert reports and all(rep.passed for rep in reports)
+    assert seen and not seen & set(st._RECURRENCES)
 
 
 def test_matrix_inversion_of_the_two_kinds():
@@ -183,18 +213,22 @@ def test_triangle_cache_is_idempotent_under_threads():
 
 
 def test_fault_injection_changes_exactly_one_entry():
-    fam = st.StirlingFamily(st.S2R_DEGENERATE, 1)
-    clean = st.triangle(fam, 5)
-    delta = LambdaPoly.const(Fraction(1, 7))
-    with use(Tables({(fam.id, fam.r, 3, 1): delta})):
-        dirty = st.triangle(fam, 5)
-    for n in range(6):
-        for k in range(n + 1):
-            if (n, k) == (3, 1):
-                assert dirty.entry(n, k) == clean.entry(n, k) + delta
-            else:
-                assert dirty.entry(n, k) == clean.entry(n, k)
-    assert st.triangle(fam, 5).rows == clean.rows
+    # a basis-built family and both unsigned recurrence families: a fault is added
+    # after the build, so the recurrence never carries it into later rows
+    for fam in (st.StirlingFamily(st.S2R_DEGENERATE, 1),
+                st.StirlingFamily(st.S1R_UNSIGNED_DEGENERATE, 2),
+                st.StirlingFamily(st.S1_UNSIGNED_DEGENERATE)):
+        clean = st.triangle(fam, 5)
+        delta = LambdaPoly.const(Fraction(1, 7))
+        with use(Tables({(fam.id, fam.r, 3, 1): delta})):
+            dirty = st.triangle(fam, 5)
+        for n in range(6):
+            for k in range(n + 1):
+                if (n, k) == (3, 1):
+                    assert dirty.entry(n, k) == clean.entry(n, k) + delta, fam
+                else:
+                    assert dirty.entry(n, k) == clean.entry(n, k), (fam, n, k)
+        assert st.triangle(fam, 5).rows == clean.rows
 
 
 def test_faulted_build_never_reaches_a_concurrent_clean_store(monkeypatch):
