@@ -13,8 +13,8 @@ from .identities import CHECK_IDS, SuiteBounds, run_suite, suite_json
 from .kernel import QL, QLX, QQ, LambdaPoly, SeriesOrderError, TruncSeries, XPoly
 from .operators import OperatorSpec, theorem1_check, theorem2_blocks, theorem2_check
 from .report import CheckReport, Counterexample
-from .stirling import (StirlingFamily, Triangle, stirling2_by_recurrence, stirling_by_basis,
-                       stirling_value, triangle, unsigned_first_kind)
+from .stirling import (StirlingFamily, Triangle, stirling_by_basis, stirling_value, triangle,
+                       unsigned_first_kind)
 from .tables import Tables
 
 __version__ = "0.1.0"
@@ -24,7 +24,7 @@ __all__ = [
     "PolyFamily", "QL", "QLX", "QQ", "SeriesOrderError", "StirlingFamily", "SuiteBounds", "Tables",
     "Triangle", "TruncSeries", "XPoly", "classical_falling", "classical_rising", "degen_falling",
     "degen_harmonic", "degen_hyperharmonic", "degen_rising", "family_series", "gen_binomial",
-    "harmonic_gf", "poly_by_sum", "rfubini_numbers", "run_suite", "stirling2_by_recurrence",
-    "stirling_by_basis", "stirling_value", "suite_json", "theorem1_check", "theorem2_blocks",
-    "theorem2_check", "to_basis", "triangle", "unsigned_first_kind",
+    "harmonic_gf", "poly_by_sum", "rfubini_numbers", "run_suite", "stirling_by_basis",
+    "stirling_value", "suite_json", "theorem1_check", "theorem2_blocks", "theorem2_check",
+    "to_basis", "triangle", "unsigned_first_kind",
 ]

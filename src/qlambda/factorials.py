@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .kernel import LambdaPoly, XPoly
+from .kernel import QL, LambdaPoly, XPoly
 
 BASIS_KINDS = ("monomial", "falling", "rising", "degen-falling", "degen-rising")
 
@@ -40,15 +40,9 @@ def _factorial_product(x: PolyArg, n: int, step, sign: int):
     """Product x (x +/- step) (x +/- 2 step) ... with n factors."""
     if n < 0:
         raise ValueError("factorial length must be >= 0")
-    if isinstance(x, XPoly):
-        one_kind = XPoly.one()
-        step_el = XPoly.const(step)
-        base = x
-    else:
-        one_kind = LambdaPoly.one()
-        step_el = step if isinstance(step, LambdaPoly) else LambdaPoly.const(step)
-        base = x if isinstance(x, LambdaPoly) else LambdaPoly.const(x)
-    out = one_kind
+    base = x if isinstance(x, XPoly) else QL.coerce(x)
+    step_el = type(base)._coerce(step)
+    out = type(base).one()
     for j in range(n):
         out = out * (base + step_el * (sign * j))
     return out

@@ -8,6 +8,8 @@ Three nested coefficient rings, all exact over the rationals:
 * ``XPoly``      -- polynomials in x whose coefficients are ``LambdaPoly``,
 
 plus ``TruncSeries``, a truncated formal power series over any of them.
+``LambdaPoly`` and ``XPoly`` share one dense-polynomial implementation;
+each names only its coefficient ring and the scalars it accepts.
 A series carries its truncation order explicitly: combining series of
 different orders raises instead of silently truncating, and taking a
 derivative lowers the order by exactly one.
@@ -32,52 +34,86 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-class LambdaPoly:
-    """Dense polynomial in the degeneracy parameter over ``Fraction``.
+class _RationalRing:
+    """Coefficient-ring adapter for ``Fraction``."""
+
+    name = "QQ"
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    coerce = staticmethod(_as_fraction)
+
+    @staticmethod
+    def is_zero(value) -> bool:
+        return value == 0
+
+    @staticmethod
+    def invert(value: Fraction) -> Fraction:
+        if value == 0:
+            raise ZeroDivisionError("constant term 0 is not invertible")
+        return Fraction(1) / value
+
+
+QQ = _RationalRing()
+
+
+class _DensePoly:
+    """Dense polynomial over the coefficient ring ``_ring``.
 
     Coefficients are stored in ascending degree with no trailing zeros;
     the zero polynomial is the empty tuple.  Instances are immutable.
+    ``_scalars`` are the types a polynomial multiplies coefficientwise and
+    coerces to constants.
     """
 
     __slots__ = ("coeffs",)
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple
+    _ring: object
+    _scalars: tuple
+    _zero: "_DensePoly"
+    _one: "_DensePoly"
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+    def __init__(self, coeffs: Iterable = ()):
+        coerce = self._ring.coerce
+        cs = [coerce(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, name, value):
-        raise AttributeError("LambdaPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @staticmethod
-    def const(value: Scalar) -> "LambdaPoly":
-        return LambdaPoly((value,))
+    @classmethod
+    def _coerce(cls, value):
+        """``value`` as a polynomial of this class, or ``NotImplemented``."""
+        if isinstance(value, cls):
+            return value
+        if isinstance(value, cls._scalars):
+            return cls((value,))
+        return NotImplemented
 
-    @staticmethod
-    def zero() -> "LambdaPoly":
-        return _LP_ZERO
+    @classmethod
+    def const(cls, value):
+        return cls((value,))
 
-    @staticmethod
-    def one() -> "LambdaPoly":
-        return _LP_ONE
+    @classmethod
+    def zero(cls):
+        return cls._zero
 
-    @staticmethod
-    def param() -> "LambdaPoly":
-        """The degeneracy parameter itself (the degree-1 monomial)."""
-        return _LP_PARAM
+    @classmethod
+    def one(cls):
+        return cls._one
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def coeff(self, i: int) -> Fraction:
+    def coeff(self, i: int):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return Fraction(0)
+        return self._ring.zero
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -86,7 +122,7 @@ class LambdaPoly:
         return bool(self.coeffs)
 
     def __add__(self, other):
-        other = _coerce_lp(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -94,58 +130,83 @@ class LambdaPoly:
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return LambdaPoly(out)
-
-    __radd__ = __add__
+            out[i] = out[i] + c
+        return type(self)(out)
 
     def __neg__(self):
-        return LambdaPoly(tuple(-c for c in self.coeffs))
+        return type(self)(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        other = _coerce_lp(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        other = _coerce_lp(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return _LP_ZERO
-            return LambdaPoly(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, LambdaPoly):
+        if isinstance(other, self._scalars):
+            return type(self)(tuple(c * other for c in self.coeffs))
+        if not isinstance(other, type(self)):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
-            return _LP_ZERO
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return self._zero
+        out = [self._ring.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, ci in enumerate(self.coeffs):
-            if ci == 0:
+            if not ci:
                 continue
             for j, cj in enumerate(other.coeffs):
-                out[i + j] += ci * cj
-        return LambdaPoly(out)
-
-    __rmul__ = __mul__
+                out[i + j] = out[i + j] + ci * cj
+        return type(self)(out)
 
     def __truediv__(self, scalar: Scalar):
         scalar = _as_fraction(scalar)
         if scalar == 0:
             raise ZeroDivisionError("polynomial division by zero scalar")
-        return LambdaPoly(tuple(c / scalar for c in self.coeffs))
+        inv = Fraction(1) / scalar
+        return type(self)(tuple(c * inv for c in self.coeffs))
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = _LP_ONE
+        out = self._one
         for _ in range(n):
             out = out * self
         return out
+
+    def __eq__(self, other):
+        # A scalar is compared with the coefficient tuple of its constant
+        # without building it: the suite runs thousands of ``w == 1`` tests.
+        if isinstance(other, self._scalars):
+            return self.coeffs == ((other,) if other else ())
+        if isinstance(other, type(self)):
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.coeffs))
+
+
+class LambdaPoly(_DensePoly):
+    """Dense polynomial in the degeneracy parameter over ``Fraction``."""
+
+    __slots__ = ()
+
+    coeffs: tuple[Fraction, ...]
+    _ring = QQ
+    _scalars = (int, Fraction)
+    # Bound in each class body: perfbench/tracing.py wraps the class's own entries.
+    __add__ = __radd__ = _DensePoly.__add__
+    __mul__ = __rmul__ = _DensePoly.__mul__
+
+    @staticmethod
+    def param() -> "LambdaPoly":
+        """The degeneracy parameter itself (the degree-1 monomial)."""
+        return _LP_PARAM
 
     def subs(self, value: Scalar) -> Fraction:
         """Substitute a rational for the parameter (Horner)."""
@@ -155,74 +216,58 @@ class LambdaPoly:
             acc = acc * value + c
         return acc
 
-    def __eq__(self, other):
-        if isinstance(other, LambdaPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs == (() if other == 0 else (Fraction(other),))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("LambdaPoly", self.coeffs))
-
     def __repr__(self):
         from .render import lambda_poly_ascii
 
         return f"LambdaPoly({lambda_poly_ascii(self)!r})"
 
 
-def _coerce_lp(value) -> "LambdaPoly":
-    if isinstance(value, LambdaPoly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return LambdaPoly((value,))
-    return NotImplemented
+LambdaPoly._zero, LambdaPoly._one = LambdaPoly(), LambdaPoly((1,))
+_LP_PARAM = LambdaPoly((0, 1))
 
 
-_LP_ZERO = LambdaPoly.__new__(LambdaPoly)
-object.__setattr__(_LP_ZERO, "coeffs", ())
-_LP_ONE = LambdaPoly.__new__(LambdaPoly)
-object.__setattr__(_LP_ONE, "coeffs", (Fraction(1),))
-_LP_PARAM = LambdaPoly.__new__(LambdaPoly)
-object.__setattr__(_LP_PARAM, "coeffs", (Fraction(0), Fraction(1)))
+class _PolyRing:
+    """Coefficient-ring adapter for a dense polynomial class."""
+
+    def __init__(self, name: str, cls):
+        self.name = name
+        self.cls = cls
+        self.zero = cls.zero()
+        self.one = cls.one()
+
+    def coerce(self, value):
+        p = self.cls._coerce(value)
+        if p is NotImplemented:
+            raise TypeError(f"cannot coerce {value!r} into {self.cls.__name__}")
+        return p
+
+    @staticmethod
+    def is_zero(value) -> bool:
+        return value.is_zero()
+
+    def invert(self, value):
+        # The units of a polynomial ring are the units of its coefficient ring.
+        if value.degree > 0:
+            raise ZeroDivisionError("non-constant polynomial is not invertible")
+        if value.is_zero():
+            raise ZeroDivisionError("constant term 0 is not invertible")
+        return self.cls.const(self.cls._ring.invert(value.coeff(0)))
 
 
-class XPoly:
-    """Dense polynomial in x with ``LambdaPoly`` coefficients.
+QL = _PolyRing("QL", LambdaPoly)
 
-    Canonical form strips trailing zero coefficients; the zero polynomial
-    is the empty tuple.  Immutable, like every kernel value.
-    """
 
-    __slots__ = ("coeffs",)
+class XPoly(_DensePoly):
+    """Dense polynomial in x with ``LambdaPoly`` coefficients."""
+
+    __slots__ = ()
 
     coeffs: tuple[LambdaPoly, ...]
-
-    def __init__(self, coeffs: Iterable = ()):
-        cs = []
-        for c in coeffs:
-            lp = _coerce_lp(c)
-            if lp is NotImplemented:
-                raise TypeError(f"bad XPoly coefficient {c!r}")
-            cs.append(lp)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("XPoly is immutable")
-
-    @staticmethod
-    def const(value) -> "XPoly":
-        return XPoly((value,))
-
-    @staticmethod
-    def zero() -> "XPoly":
-        return _XP_ZERO
-
-    @staticmethod
-    def one() -> "XPoly":
-        return _XP_ONE
+    _ring = QL
+    _scalars = (int, Fraction, LambdaPoly)
+    # Bound in each class body: perfbench/tracing.py wraps the class's own entries.
+    __add__ = __radd__ = _DensePoly.__add__
+    __mul__ = __rmul__ = _DensePoly.__mul__
 
     @staticmethod
     def x() -> "XPoly":
@@ -232,87 +277,7 @@ class XPoly:
     @staticmethod
     def monomial(coeff, k: int) -> "XPoly":
         """coeff * x^k."""
-        lp = _coerce_lp(coeff)
-        if lp is NotImplemented:
-            raise TypeError(f"bad coefficient {coeff!r}")
-        return XPoly((LambdaPoly.zero(),) * k + (lp,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, k: int) -> LambdaPoly:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return LambdaPoly.zero()
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __add__(self, other):
-        other = _coerce_xp(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return XPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return XPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        other = _coerce_xp(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce_xp(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, LambdaPoly)):
-            lp = _coerce_lp(other)
-            return XPoly(tuple(c * lp for c in self.coeffs))
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return _XP_ZERO
-        out = [LambdaPoly.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci.is_zero():
-                continue
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + ci * cj
-        return XPoly(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar: Scalar):
-        scalar = _as_fraction(scalar)
-        if scalar == 0:
-            raise ZeroDivisionError("polynomial division by zero scalar")
-        inv = Fraction(1) / scalar
-        return XPoly(tuple(c * inv for c in self.coeffs))
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = _XP_ONE
-        for _ in range(n):
-            out = out * self
-        return out
+        return XPoly((QL.zero,) * k + (coeff,))
 
     def derivative(self) -> "XPoly":
         """Formal d/dx."""
@@ -320,10 +285,8 @@ class XPoly:
 
     def eval_x(self, value) -> LambdaPoly:
         """Evaluate at x = value (int, Fraction or LambdaPoly), by Horner."""
-        v = _coerce_lp(value)
-        if v is NotImplemented:
-            raise TypeError(f"cannot evaluate at {value!r}")
-        acc = LambdaPoly.zero()
+        v = QL.coerce(value)
+        acc = QL.zero
         for c in reversed(self.coeffs):
             acc = acc * v + c
         return acc
@@ -338,117 +301,15 @@ class XPoly:
             out.pop()
         return tuple(out)
 
-    def __eq__(self, other):
-        other = _coerce_xp(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("XPoly", self.coeffs))
-
     def __repr__(self):
         from .render import xpoly_ascii
 
         return f"XPoly({xpoly_ascii(self)!r})"
 
 
-def _coerce_xp(value) -> "XPoly":
-    if isinstance(value, XPoly):
-        return value
-    if isinstance(value, (int, Fraction, LambdaPoly)):
-        return XPoly((value,))
-    return NotImplemented
-
-
-_XP_ZERO = XPoly.__new__(XPoly)
-object.__setattr__(_XP_ZERO, "coeffs", ())
-_XP_ONE = XPoly.__new__(XPoly)
-object.__setattr__(_XP_ONE, "coeffs", (_LP_ONE,))
-_XP_X = XPoly.__new__(XPoly)
-object.__setattr__(_XP_X, "coeffs", (_LP_ZERO, _LP_ONE))
-
-
-class _RationalRing:
-    """Coefficient-ring adapter for ``Fraction`` series."""
-
-    name = "QQ"
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def coerce(value) -> Fraction:
-        return _as_fraction(value)
-
-    @staticmethod
-    def is_zero(value) -> bool:
-        return value == 0
-
-    @staticmethod
-    def invert(value: Fraction) -> Fraction:
-        if value == 0:
-            raise ZeroDivisionError("constant term 0 is not invertible")
-        return Fraction(1) / value
-
-
-class _LambdaPolyRing:
-    """Coefficient-ring adapter for ``LambdaPoly`` series."""
-
-    name = "QL"
-    zero = _LP_ZERO
-    one = _LP_ONE
-
-    @staticmethod
-    def coerce(value) -> LambdaPoly:
-        lp = _coerce_lp(value)
-        if lp is NotImplemented:
-            raise TypeError(f"cannot coerce {value!r} into Q[l]")
-        return lp
-
-    @staticmethod
-    def is_zero(value: LambdaPoly) -> bool:
-        return value.is_zero()
-
-    @staticmethod
-    def invert(value: LambdaPoly) -> LambdaPoly:
-        # Units of Q[l] are the nonzero rationals.
-        if value.degree > 0:
-            raise ZeroDivisionError("non-constant polynomial is not invertible")
-        if value.is_zero():
-            raise ZeroDivisionError("constant term 0 is not invertible")
-        return LambdaPoly.const(Fraction(1) / value.coeff(0))
-
-
-class _XPolyRing:
-    """Coefficient-ring adapter for ``XPoly`` series."""
-
-    name = "QLX"
-    zero = _XP_ZERO
-    one = _XP_ONE
-
-    @staticmethod
-    def coerce(value) -> XPoly:
-        xp = _coerce_xp(value)
-        if xp is NotImplemented:
-            raise TypeError(f"cannot coerce {value!r} into Q[l][x]")
-        return xp
-
-    @staticmethod
-    def is_zero(value: XPoly) -> bool:
-        return value.is_zero()
-
-    @staticmethod
-    def invert(value: XPoly) -> XPoly:
-        if value.degree > 0:
-            raise ZeroDivisionError("non-constant polynomial is not invertible")
-        if value.is_zero():
-            raise ZeroDivisionError("constant term 0 is not invertible")
-        return XPoly.const(_LambdaPolyRing.invert(value.coeff(0)))
-
-
-QQ = _RationalRing()
-QL = _LambdaPolyRing()
-QLX = _XPolyRing()
+XPoly._zero, XPoly._one = XPoly(), XPoly((1,))
+_XP_X = XPoly((0, 1))
+QLX = _PolyRing("QLX", XPoly)
 
 
 class SeriesOrderError(ValueError):

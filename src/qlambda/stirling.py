@@ -3,11 +3,11 @@
 Every family is defined by a basis expansion (``stirling_by_basis``).
 Five are built that way; three by Carlitz's row recurrence
 S(n+1, k) = S(n, k-1) + (a k + b n + r) S(n, k), with (a, b) = (1, -l)
-for S2-degenerate and (-l, 1) for S1- and S1r-unsigned-degenerate
-(``stirling2_by_recurrence`` reads the first).  So ``stirling_by_basis`` is
-independent of ``triangle`` for those three.  The generating-function
-route lives in ``tests/routes.py`` as an independent oracle.  Values are
-polynomials in l; the classical families are degree-0 polynomials.
+for S2-degenerate and (-l, 1) for S1- and S1r-unsigned-degenerate.  So
+``stirling_by_basis`` is independent of ``triangle`` for those three.  The
+generating-function route lives in ``tests/routes.py`` as an independent
+oracle.  Values are polynomials in l; the classical families are degree-0
+polynomials.
 
 ``triangle`` memoizes whole triangles per (family id, r) in the current
 ``tables.Tables``; completed triangles are immutable, so concurrent
@@ -116,15 +116,6 @@ def _rows_by_recurrence(family: StirlingFamily, nmax: int) -> tuple[tuple[Lambda
                   for k, s in enumerate(prev)]
         rows.append((scaled[0], *(prev[k - 1] + scaled[k] for k in range(1, n + 1)), prev[n]))
     return tuple(rows)
-
-
-def stirling2_by_recurrence(n: int, k: int) -> LambdaPoly:
-    """Degenerate second kind via the row recurrence (seed 1 at (0,0))."""
-    if n < 0 or k < 0:
-        raise ValueError("negative index in recurrence")
-    if k > n:
-        return LambdaPoly.zero()
-    return _rows_by_recurrence(StirlingFamily(S2_DEGENERATE), n)[n][k]
 
 
 def stirling_by_basis(family: StirlingFamily, n: int, k: int) -> LambdaPoly:

@@ -195,3 +195,83 @@ def test_series_shift_and_truncate_track_order():
     assert s.truncate(1).coeffs == (1, 2)
     with pytest.raises(SeriesOrderError):
         s.truncate(5)
+    with pytest.raises(SeriesOrderError):
+        s.truncate(3)
+
+
+# Contracts the two dense polynomial classes share: coercion errors, mixed
+# products, scalar equality, bad divisors and powers, immutability.
+
+def test_bad_coefficients_raise_type_error():
+    with pytest.raises(TypeError):
+        LambdaPoly(["1"])
+    with pytest.raises(TypeError):
+        XPoly([object()])
+    with pytest.raises(TypeError):
+        XPoly.monomial("x", 2)
+    with pytest.raises(TypeError):
+        XPoly.x().eval_x("x")
+    with pytest.raises(TypeError):
+        LambdaPoly.one() + "a"
+    with pytest.raises(TypeError):
+        XPoly.one() * "a"
+
+
+def test_mixed_products_take_the_larger_ring():
+    lp = LambdaPoly([1, 2])
+    xp = XPoly([LambdaPoly([0, 1]), 1])  # l + x
+    for prod in (lp * xp, xp * lp):
+        assert type(prod) is XPoly
+        assert prod == XPoly([LambdaPoly([0, 1, 2]), lp])
+    for prod in (2 * xp, xp * 2):
+        assert type(prod) is XPoly
+        assert prod == XPoly([LambdaPoly([0, 2]), 2])
+    for prod in (Fraction(1, 3) * lp, lp * Fraction(1, 3)):
+        assert type(prod) is LambdaPoly
+        assert prod == LambdaPoly([Fraction(1, 3), Fraction(2, 3)])
+    assert type(lp + xp) is XPoly and lp + xp == xp + lp
+    assert type(1 - xp) is XPoly and 1 - xp == -(xp - 1)
+    assert type(0 * lp) is LambdaPoly and (0 * lp).is_zero()
+    assert type(xp * 0) is XPoly and (xp * 0).is_zero()
+
+
+def test_scalar_equality():
+    assert LambdaPoly.const(3) == 3
+    assert 3 == LambdaPoly.const(3)
+    assert LambdaPoly.const(Fraction(1, 2)) == Fraction(1, 2)
+    assert LambdaPoly.zero() == 0
+    assert LambdaPoly.const(3) != 4
+    assert LambdaPoly.param() != 0
+    assert XPoly.const(2) == LambdaPoly.const(2)
+    assert LambdaPoly.const(2) == XPoly.const(2)
+    assert XPoly.const(2) == 2
+    assert XPoly.zero() == 0 and XPoly.zero() == LambdaPoly.zero()
+    assert XPoly.x() != LambdaPoly.param()
+    assert LambdaPoly.one() != "1" and XPoly.one() != "1"
+
+
+def test_equal_values_hash_equal():
+    assert hash(LambdaPoly([1, 2])) == hash(LambdaPoly((Fraction(1), Fraction(4, 2), 0)))
+    assert hash(XPoly([LambdaPoly([1]), 2])) == hash(XPoly([1, LambdaPoly([2]), 0]))
+    assert hash(LambdaPoly([1, 1]) - LambdaPoly([1, 1])) == hash(LambdaPoly.zero())
+
+
+def test_bad_divisor_and_power_raise():
+    for p in (LambdaPoly([1, 2]), XPoly([1, LambdaPoly([0, 1])])):
+        with pytest.raises(ZeroDivisionError):
+            p / 0
+        with pytest.raises(ZeroDivisionError):
+            p / Fraction(0)
+        with pytest.raises(ValueError):
+            p ** -1
+        assert p / 2 == p * Fraction(1, 2)
+        assert p ** 0 == 1 and p ** 3 == p * p * p
+
+
+def test_xpoly_is_immutable():
+    p = XPoly([1, LambdaPoly([0, 1])])
+    with pytest.raises(AttributeError):
+        p.coeffs = ()
+    with pytest.raises(AttributeError):
+        p.other = 1
+    assert p.coeffs == (LambdaPoly.one(), LambdaPoly.param())

@@ -29,12 +29,13 @@ def test_by_basis_examples():
 
 
 def test_recurrence_examples():
-    assert st.stirling2_by_recurrence(3, 2) == LambdaPoly([3, -3])
+    tri = st.triangle(F2D, 12)
+    assert tri.entry(3, 2) == LambdaPoly([3, -3])
     for n in range(13):
-        assert st.stirling2_by_recurrence(n, n) == LambdaPoly.one()
-    assert st.stirling2_by_recurrence(4, 2).subs(0) == 7
+        assert tri.entry(n, n) == LambdaPoly.one()
+    assert tri.entry(4, 2).subs(0) == 7
     with pytest.raises(ValueError):
-        st.stirling2_by_recurrence(-1, 0)
+        st.stirling_value(F2D, -1, 0)
 
 
 def test_by_gf_examples():
@@ -83,8 +84,6 @@ def test_three_way_agreement_small_grid():
                 a = st.stirling_by_basis(fam, n, k)
                 b = gf_tri.entry(n, k)
                 assert a == b, (fam, n, k)
-                if fam.id == st.S2_DEGENERATE:
-                    assert st.stirling2_by_recurrence(n, k) == a
 
 
 def test_recurrence_triangles_equal_the_basis_route():

@@ -1,0 +1,115 @@
+"""Mutation check: every named source edit must make a test fail.
+
+Each mutant is a named ``(file, old, new)`` edit of the package source.
+For each one the script copies ``src/``, ``tests/`` and ``pyproject.toml``
+into a fresh temporary directory, replaces the single occurrence of
+``old`` by ``new`` and runs the test subset in ``TESTS`` there.  A mutant
+is caught when that run fails.  The unedited copy runs first and must
+pass.
+
+    python tools/mutants.py
+
+Exits 0 when every mutant is caught, 1 otherwise.  Runs for about a
+minute; it is not part of the tier-1 suite.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TESTS = ("tests/test_kernel.py", "tests/test_acceptance.py::test_criterion_11_kernel_laws")
+KERNEL = "src/qlambda/kernel.py"
+
+# name -> (file, old, new); ``old`` must occur exactly once in ``file``.
+MUTANTS = {
+    "product index off by one": (
+        KERNEL,
+        "for j, cj in enumerate(other.coeffs):\n"
+        "                out[i + j] = out[i + j] + ci * cj",
+        "for j, cj in enumerate(other.coeffs):\n"
+        "                out[i + j - 1] = out[i + j - 1] + ci * cj",
+    ),
+    "add drops the longer tail": (KERNEL, "out = list(a)\n", "out = list(a[:len(b)])\n"),
+    "no trailing-zero strip": (KERNEL, "while cs and not cs[-1]:", "while False:"),
+    "hash disagrees with eq": (
+        KERNEL,
+        "return hash((type(self).__name__, self.coeffs))",
+        "return hash((type(self).__name__, id(self)))",
+    ),
+    "truncate keeps one term too few": (
+        KERNEL,
+        "self.coeffs[: order + 1])",
+        "self.coeffs[: order])",
+    ),
+    "truncate accepts an order one too high": (
+        KERNEL,
+        "if not 0 <= order <= self.order:",
+        "if not 0 <= order <= self.order + 1:",
+    ),
+    "reciprocal sign": (KERNEL, "out.append(-(b0 * acc))", "out.append(b0 * acc)"),
+    "scalar equality misses zero": (
+        KERNEL,
+        "return self.coeffs == ((other,) if other else ())",
+        "return self.coeffs == (other,)",
+    ),
+}
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _apply(dest: Path, file: str, old: str, new: str) -> None:
+    path = dest / file
+    text = path.read_text(encoding="utf-8")
+    if text.count(old) != 1:
+        raise SystemExit(f"{file}: expected one occurrence of {old!r}, found {text.count(old)}")
+    path.write_text(text.replace(old, new), encoding="utf-8")
+
+
+def _run_tests(dest: Path) -> tuple[int, float]:
+    env = dict(os.environ, PYTHONPATH=str(dest / "src"), PYTHONDONTWRITEBYTECODE="1")
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                           *TESTS], cwd=dest, env=env, capture_output=True, text=True)
+    return proc.returncode, time.perf_counter() - t0
+
+
+def _trial(edit) -> tuple[int, float]:
+    with tempfile.TemporaryDirectory(prefix="qlambda-mutant-") as tmp:
+        dest = Path(tmp)
+        _copy(dest)
+        if edit is not None:
+            _apply(dest, *edit)
+        return _run_tests(dest)
+
+
+def main() -> int:
+    code, secs = _trial(None)
+    print(f"{'unedited':40s} exit {code}  {secs:5.1f} s")
+    if code != 0:
+        print("the unedited copy fails its tests; no mutant can be judged")
+        return 1
+    survivors = []
+    for name, edit in MUTANTS.items():
+        code, secs = _trial(edit)
+        verdict = "caught" if code != 0 else "SURVIVED"
+        print(f"{name:40s} exit {code}  {secs:5.1f} s  {verdict}")
+        if code == 0:
+            survivors.append(name)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants caught")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
