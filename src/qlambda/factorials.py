@@ -10,7 +10,7 @@ before expanding, so one conversion engine serves every family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -22,18 +22,17 @@ BASIS_KINDS = ("monomial", "falling", "rising", "degen-falling", "degen-rising")
 PolyArg = Union[int, Fraction, LambdaPoly, XPoly]
 
 
-@dataclass(frozen=True)
-class BasisId:
+class BasisId(namedtuple("BasisId", "kind shift")):
     """A factorial basis of Q[l][x], optionally shifted by x -> x + shift."""
 
-    kind: str
-    shift: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in BASIS_KINDS:
-            raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.shift < 0:
+    def __new__(cls, kind: str, shift: int = 0):
+        if kind not in BASIS_KINDS:
+            raise ValueError(f"unknown basis kind {kind!r}")
+        if shift < 0:
             raise ValueError("basis shift must be >= 0")
+        return super().__new__(cls, kind, shift)
 
 
 def _factorial_product(x: PolyArg, n: int, step, sign: int):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import stirling
@@ -37,18 +37,17 @@ POLY_FAMILY_IDS = (
 _R_POLY_FAMILIES = (RBELL_DEGENERATE, RFUBINI_DEGENERATE)
 
 
-@dataclass(frozen=True)
-class PolyFamily:
-    id: str
-    r: int = 0
+class PolyFamily(namedtuple("PolyFamily", "id r")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.id not in POLY_FAMILY_IDS:
-            raise ValueError(f"unknown polynomial family {self.id!r}")
-        if self.r < 0:
+    def __new__(cls, id: str, r: int = 0):
+        if id not in POLY_FAMILY_IDS:
+            raise ValueError(f"unknown polynomial family {id!r}")
+        if r < 0:
             raise ValueError("r must be >= 0")
-        if self.r and self.id not in _R_POLY_FAMILIES:
-            raise ValueError(f"family {self.id} does not take r != 0")
+        if r and id not in _R_POLY_FAMILIES:
+            raise ValueError(f"family {id} does not take r != 0")
+        return super().__new__(cls, id, r)
 
 
 def _triangle_family(family: PolyFamily) -> stirling.StirlingFamily:
@@ -59,13 +58,9 @@ def _triangle_family(family: PolyFamily) -> stirling.StirlingFamily:
     return stirling.StirlingFamily(stirling.S2R_DEGENERATE, family.r)
 
 
-def _weighted(family: PolyFamily) -> bool:
-    return family.id in (FUBINI_CLASSICAL, FUBINI_DEGENERATE, RFUBINI_DEGENERATE)
-
-
 def _row_poly(family: PolyFamily, row) -> XPoly:
     """A row of the family's triangle as a polynomial in x; Fubini families carry k!."""
-    weighted = _weighted(family)
+    weighted = family.id in (FUBINI_CLASSICAL, FUBINI_DEGENERATE, RFUBINI_DEGENERATE)
     return XPoly(c * math.factorial(k) if weighted else c for k, c in enumerate(row))
 
 

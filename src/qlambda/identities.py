@@ -24,8 +24,8 @@ import json
 import math
 import random
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import stirling
 from .factorials import degen_falling, degen_falling_table, gen_binomial
@@ -215,8 +215,7 @@ def check_thm8(m: int, r: int, order: int, blocks=None, terms=None) -> CheckRepo
     return make_report("thm8", params, first_mismatch(lhs, rhs, "series"))
 
 
-@dataclass(frozen=True)
-class SuiteBounds:
+class SuiteBounds(NamedTuple):
     """Parameter grids for run_suite; defaults match the acceptance gate."""
 
     thm1_jmax: int = 10
@@ -247,15 +246,15 @@ class SuiteBounds:
         """Map the generic CLI limits onto each check's own bounds."""
         out = self
         if nmax is not None:
-            out = replace(out, thm1_mmax=nmax, thm3_mmax=nmax, thm4_nmax=nmax,
-                          thm5_nmax=nmax, thm6_kmax=nmax, cor7_nmax=nmax,
-                          cor7_kmax=nmax, thm8_mmax=nmax, thm3_numeric_mmax=nmax)
+            out = out._replace(thm1_mmax=nmax, thm3_mmax=nmax, thm4_nmax=nmax,
+                               thm5_nmax=nmax, thm6_kmax=nmax, cor7_nmax=nmax,
+                               cor7_kmax=nmax, thm8_mmax=nmax, thm3_numeric_mmax=nmax)
         if rmax is not None:
-            out = replace(out, thm1_rmax=rmax, thm2_rmax=rmax, thm3_rmax=rmax,
-                          thm5_rmax=rmax, thm8_rmax=rmax, thm3_numeric_rmax=rmax)
+            out = out._replace(thm1_rmax=rmax, thm2_rmax=rmax, thm3_rmax=rmax,
+                               thm5_rmax=rmax, thm8_rmax=rmax, thm3_numeric_rmax=rmax)
         if order is not None:
-            out = replace(out, thm2_order=order, thm3_order=order,
-                          thm6_order=order, thm8_order=order)
+            out = out._replace(thm2_order=order, thm3_order=order,
+                               thm6_order=order, thm8_order=order)
         return out
 
 

@@ -53,6 +53,9 @@ class _RationalRing:
             raise ZeroDivisionError("constant term 0 is not invertible")
         return Fraction(1) / value
 
+    def __reduce__(self):
+        return self.name  # the module global itself, so ``ring is QQ`` survives a round trip
+
 
 QQ = _RationalRing()
 
@@ -83,6 +86,9 @@ class _DensePoly:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.coeffs,)
 
     @classmethod
     def _coerce(cls, value):
@@ -253,6 +259,9 @@ class _PolyRing:
             raise ZeroDivisionError("constant term 0 is not invertible")
         return self.cls.const(self.cls._ring.invert(value.coeff(0)))
 
+    def __reduce__(self):
+        return self.name  # as ``QQ`` does: render and series arithmetic test ``ring is QL``
+
 
 QL = _PolyRing("QL", LambdaPoly)
 
@@ -336,6 +345,9 @@ class TruncSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
+
+    def __reduce__(self):
+        return TruncSeries, (self.ring, self.coeffs)
 
     @staticmethod
     def zero(ring, order: int) -> "TruncSeries":

@@ -24,7 +24,7 @@ Nothing is memoized, so a triangle fault is always seen by the next check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 
 from . import stirling
@@ -38,25 +38,22 @@ _ZERO = LambdaPoly.zero()
 _MODES = ("plain", "shifted")
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(namedtuple("OperatorSpec", "m r mode")):
     """Degenerate-factorial length m, power-of-x prefactor r, and mode."""
 
-    m: int
-    r: int = 0
-    mode: str = "plain"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.m < 0 or self.r < 0:
+    def __new__(cls, m: int, r: int = 0, mode: str = "plain"):
+        if mode not in _MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        if m < 0 or r < 0:
             raise ValueError("m and r must be >= 0")
-        if self.mode == "shifted" and self.m < self.r:
+        if mode == "shifted" and m < r:
             raise ValueError("shifted mode requires m >= r")
+        return super().__new__(cls, m, r, mode)
 
 
-@dataclass(frozen=True)
-class Theorem2Blocks:
+class Theorem2Blocks(namedtuple("Theorem2Blocks", "r order degmax tri falling")):
     """The g-free tables of the two-series identity for one (r, order).
 
     At f = x^n, coefficient j of each side of each form is g_j times an
@@ -64,14 +61,15 @@ class Theorem2Blocks:
     j <= ``order``.  ``main``: sum_k {n+r over k+r}_r j(j-1)...(j-k+1)
     against (j+r)_{n,l}.  ``shifted``: sum_{k >= r} {n over k}_r
     j(j-1)...(j-k+1) against (j)_{n-r,l} j(j-1)...(j-r+1), both zero for
-    n < r.  Each form is tabulated from ``tri`` and ``falling`` on its first read.
+    n < r.  Each form is tabulated from ``tri`` and ``falling`` on its first read and
+    cached in the instance ``__dict__``: the one reason the class has no ``__slots__``.
     """
 
-    r: int
-    order: int
-    degmax: int
-    tri: stirling.Triangle = field(repr=False)
-    falling: Table = field(repr=False)
+    def __setattr__(self, name, value):
+        raise AttributeError("Theorem2Blocks is immutable")
+
+    def __repr__(self):
+        return f"Theorem2Blocks(r={self.r!r}, order={self.order!r}, degmax={self.degmax!r})"
 
     def _table(self, entry) -> Table:
         js = range(self.order + 1)

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .kernel import LambdaPoly, TruncSeries, XPoly
 from .render import lambda_poly_ascii, xpoly_ascii
@@ -18,8 +17,7 @@ def render_value(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     location: str
     lhs: str
     rhs: str
@@ -28,8 +26,7 @@ class Counterexample:
         return {"location": self.location, "lhs": self.lhs, "rhs": self.rhs}
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of one identity check instance.
 
     ``passed`` is true exactly when ``counterexample`` is absent; params

@@ -18,7 +18,8 @@ corrupted table without touching anyone else's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .factorials import BasisId, basis_poly, to_basis
 from .kernel import LambdaPoly
@@ -46,18 +47,17 @@ FAMILY_IDS = (
 R_FAMILY_IDS = (S1R_DEGENERATE, S2R_DEGENERATE, S1R_UNSIGNED_DEGENERATE)
 
 
-@dataclass(frozen=True)
-class StirlingFamily:
-    id: str
-    r: int = 0
+class StirlingFamily(namedtuple("StirlingFamily", "id r")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.id not in FAMILY_IDS:
-            raise ValueError(f"unknown Stirling family {self.id!r}")
-        if self.r < 0:
+    def __new__(cls, id: str, r: int = 0):
+        if id not in FAMILY_IDS:
+            raise ValueError(f"unknown Stirling family {id!r}")
+        if r < 0:
             raise ValueError("r must be >= 0")
-        if self.r and self.id not in R_FAMILY_IDS:
-            raise ValueError(f"family {self.id} does not take r != 0")
+        if r and id not in R_FAMILY_IDS:
+            raise ValueError(f"family {id} does not take r != 0")
+        return super().__new__(cls, id, r)
 
 
 # (basis of the degree-n polynomial being expanded, basis expanded into).
@@ -82,8 +82,7 @@ _RECURRENCES = {
 }
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(NamedTuple):
     """Lower-triangular table of one family; absent (k > n) entries are zero."""
 
     family: StirlingFamily

@@ -191,6 +191,17 @@ def test_verify_determinism_bytes():
     assert a.stdout == b.stdout
 
 
+def test_cli_import_loads_no_introspection_modules():
+    # every command imports the package afresh; ``dataclasses`` alone pulls these in (~10 ms)
+    code = ("import sys; before = set(sys.modules); from qlambda import cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True)
+    loaded = set(proc.stdout.split())
+    assert "qlambda.identities" in loaded
+    assert sorted(loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}) == []
+
+
 def test_usage_errors_exit_two():
     assert run_cli("table", "nosuch").returncode == 2
     assert run_cli("table", "stirling2d", "--nmax", "100").returncode == 2

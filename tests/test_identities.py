@@ -4,7 +4,6 @@ import json
 import math
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -141,8 +140,8 @@ _ORDER_COVERS_M = "order must cover m (and be >= 1)"
 @pytest.mark.parametrize("bounds,message", [
     (SuiteBounds().with_cli_overrides(nmax=64), _ORDER_COVERS_M),
     (SuiteBounds().with_cli_overrides(nmax=64, order=6), _ORDER_COVERS_M),
-    (replace(SuiteBounds(), thm3_order=1, thm3_mmax=0, thm8_order=0), _ORDER_COVERS_M),
-    (replace(SuiteBounds(), thm6_kmax=5, thm6_order=4), "order must be >= k"),
+    (SuiteBounds()._replace(thm3_order=1, thm3_mmax=0, thm8_order=0), _ORDER_COVERS_M),
+    (SuiteBounds()._replace(thm6_kmax=5, thm6_order=4), "order must be >= k"),
 ])
 def test_bounds_are_checked_before_any_check_runs(monkeypatch, bounds, message):
     def refuse(name):
@@ -161,7 +160,7 @@ def test_bounds_are_checked_before_any_check_runs(monkeypatch, bounds, message):
 
 def test_bounds_pass_when_the_order_covers_the_grid():
     reports = run_suite({"thm3", "thm6", "thm8"},
-                        replace(SuiteBounds(), thm3_mmax=2, thm3_order=2, thm3_rmax=0,
+                        SuiteBounds()._replace(thm3_mmax=2, thm3_order=2, thm3_rmax=0,
                                 thm3_numeric_mmax=0, thm3_numeric_rmax=0, thm6_kmax=2,
                                 thm6_order=2, thm8_mmax=1, thm8_rmax=0, thm8_order=1),
                         tables=Tables())
@@ -372,7 +371,7 @@ def test_thm8_builds_its_series_once_per_run(monkeypatch):
 
     monkeypatch.setattr(identities, "degen_log_one_minus", counting)
     default = SuiteBounds()
-    doubled = replace(default, thm8_mmax=2 * default.thm8_mmax, thm8_rmax=2 * default.thm8_rmax)
+    doubled = default._replace(thm8_mmax=2 * default.thm8_mmax, thm8_rmax=2 * default.thm8_rmax)
     for bounds in (default, doubled):
         calls.clear()
         reports = run_suite({"thm8"}, bounds, tables=Tables())
@@ -382,7 +381,7 @@ def test_thm8_builds_its_series_once_per_run(monkeypatch):
 
 
 def test_thm8_falls_back_to_the_series_when_the_closed_form_fails(monkeypatch):
-    bounds = replace(SuiteBounds(), thm8_mmax=4, thm8_rmax=2, thm8_order=8)
+    bounds = SuiteBounds()._replace(thm8_mmax=4, thm8_rmax=2, thm8_order=8)
     good = identities.harmonic_terms(bounds.thm8_order, bounds.thm8_mmax)
     broken = list(good.series)
     broken[2] = TruncSeries(QL, (c + LambdaPoly([0, 1]) if n == 5 else c

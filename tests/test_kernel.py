@@ -1,11 +1,13 @@
 """Kernel contracts: exact rationals, polynomial rings, truncated series."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from qlambda.kernel import QL, QQ, LambdaPoly, SeriesOrderError, TruncSeries, XPoly
+from qlambda.kernel import QL, QLX, QQ, LambdaPoly, SeriesOrderError, TruncSeries, XPoly
 from qlambda.gfun import degen_exp, degen_log1p, inv_one_minus
 
 from oracles import convolve
@@ -186,6 +188,19 @@ def test_values_are_immutable_and_hashable():
     with pytest.raises(AttributeError):
         s.coeffs = ()
     assert len({p, LambdaPoly([1, 2]), XPoly([p]), s}) == 3
+
+
+@pytest.mark.parametrize("ring", [QQ, QL, QLX], ids=lambda ring: ring.name)
+def test_values_pickle_and_copy(ring):
+    series = _random_series(random.Random(7), ring, 4)
+    for value in (series, *series.coeffs):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert twin == value and type(twin) is type(value) and hash(twin) == hash(value)
+    # the rings are singletons: series arithmetic and rendering test ``ring is QL``
+    for twin in (pickle.loads(pickle.dumps(ring)), copy.copy(ring), copy.deepcopy(ring)):
+        assert twin is ring
+    assert pickle.loads(pickle.dumps(series)).ring is ring
+    assert copy.deepcopy(series) * series == series * series
 
 
 def test_series_shift_and_truncate_track_order():

@@ -1,6 +1,7 @@
 """Degenerate Euler operator, the transform, and the two-series identity."""
 
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -240,6 +241,9 @@ def test_theorem2_blocks_shapes():
     assert all(t[0] == t[1] == zero for t in blocks.shifted)
     assert blocks.main[1][2][5] == degen_falling(5 + 2, 2)
     assert blocks.shifted[1][3][5] == degen_falling(5, 1) * 20
+    assert blocks.main is blocks.main
+    twin = pickle.loads(pickle.dumps(blocks))  # carries the tables read so far
+    assert twin == blocks and twin.main == blocks.main and twin.shifted == blocks.shifted
 
 
 def _x_derivs(g, kmax, order):

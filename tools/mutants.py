@@ -1,11 +1,12 @@
 """Mutation check: every named source edit must make a test fail.
 
-Each mutant is a named ``(file, old, new)`` edit of the package source.
-For each one the script copies ``src/``, ``tests/`` and ``pyproject.toml``
-into a fresh temporary directory, replaces the single occurrence of
-``old`` by ``new`` and runs the test subset in ``TESTS`` there.  A mutant
-is caught when that run fails.  The unedited copy runs first and must
-pass.
+Each mutant is a named ``(file, old, new)`` edit of the package source,
+optionally followed by the test subset that must catch it (``TESTS``, the
+kernel's, when absent).  For each one the script copies ``src/``,
+``tests/`` and ``pyproject.toml`` into a fresh temporary directory,
+replaces the single occurrence of ``old`` by ``new`` and runs that subset
+there.  A mutant is caught when that run fails.  The unedited copy runs
+every subset first and must pass.
 
     python tools/mutants.py
 
@@ -26,8 +27,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = ("tests/test_kernel.py", "tests/test_acceptance.py::test_criterion_11_kernel_laws")
 KERNEL = "src/qlambda/kernel.py"
+VALUES = ("tests/test_value_types.py",)
 
-# name -> (file, old, new); ``old`` must occur exactly once in ``file``.
+# name -> (file, old, new[, tests]); ``old`` must occur exactly once in ``file``.
 MUTANTS = {
     "product index off by one": (
         KERNEL,
@@ -59,6 +61,26 @@ MUTANTS = {
         "return self.coeffs == ((other,) if other else ())",
         "return self.coeffs == (other,)",
     ),
+    "BasisId accepts a negative shift": (
+        "src/qlambda/factorials.py", "if shift < 0:", "if False:", VALUES,
+    ),
+    "PolyFamily accepts a negative r": (
+        "src/qlambda/fubini_bell.py", "if r < 0:", "if False:", VALUES,
+    ),
+    "StirlingFamily lets any family take r": (
+        "src/qlambda/stirling.py", "if r and id not in R_FAMILY_IDS:", "if False:",
+        ("tests/test_stirling.py::test_family_validation",),
+    ),
+    "OperatorSpec accepts shifted m < r": (
+        "src/qlambda/operators.py", 'if mode == "shifted" and m < r:', "if False:",
+        ("tests/test_operators.py::test_spec_validation",),
+    ),
+    "Theorem2Blocks is mutable": (
+        "src/qlambda/operators.py",
+        "    def __setattr__(self, name, value):\n"
+        '        raise AttributeError("Theorem2Blocks is immutable")\n\n',
+        "", VALUES,
+    ),
 }
 
 
@@ -77,32 +99,37 @@ def _apply(dest: Path, file: str, old: str, new: str) -> None:
     path.write_text(text.replace(old, new), encoding="utf-8")
 
 
-def _run_tests(dest: Path) -> tuple[int, float]:
+def _run_tests(dest: Path, tests) -> tuple[int, float]:
     env = dict(os.environ, PYTHONPATH=str(dest / "src"), PYTHONDONTWRITEBYTECODE="1")
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                           *TESTS], cwd=dest, env=env, capture_output=True, text=True)
+                           *tests], cwd=dest, env=env, capture_output=True, text=True)
     return proc.returncode, time.perf_counter() - t0
 
 
-def _trial(edit) -> tuple[int, float]:
+def _trial(edit, tests) -> tuple[int, float]:
     with tempfile.TemporaryDirectory(prefix="qlambda-mutant-") as tmp:
         dest = Path(tmp)
         _copy(dest)
         if edit is not None:
             _apply(dest, *edit)
-        return _run_tests(dest)
+        return _run_tests(dest, tests)
+
+
+def _tests(edit) -> tuple[str, ...]:
+    return edit[3] if len(edit) > 3 else TESTS
 
 
 def main() -> int:
-    code, secs = _trial(None)
+    every = dict.fromkeys(test for edit in MUTANTS.values() for test in _tests(edit))
+    code, secs = _trial(None, list(every))
     print(f"{'unedited':40s} exit {code}  {secs:5.1f} s")
     if code != 0:
         print("the unedited copy fails its tests; no mutant can be judged")
         return 1
     survivors = []
     for name, edit in MUTANTS.items():
-        code, secs = _trial(edit)
+        code, secs = _trial(edit[:3], _tests(edit))
         verdict = "caught" if code != 0 else "SURVIVED"
         print(f"{name:40s} exit {code}  {secs:5.1f} s  {verdict}")
         if code == 0:
