@@ -26,6 +26,7 @@ class BasisId(namedtuple("BasisId", "kind shift")):
     """A factorial basis of Q[l][x], optionally shifted by x -> x + shift."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, kind: str, shift: int = 0):
         if kind not in BASIS_KINDS:

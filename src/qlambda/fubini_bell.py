@@ -39,6 +39,7 @@ _R_POLY_FAMILIES = (RBELL_DEGENERATE, RFUBINI_DEGENERATE)
 
 class PolyFamily(namedtuple("PolyFamily", "id r")):
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, id: str, r: int = 0):
         if id not in POLY_FAMILY_IDS:

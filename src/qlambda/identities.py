@@ -6,14 +6,14 @@ certifies the identity for every value of the degeneracy parameter).
 ``run_suite`` drives bounded parameter grids over the registered checks
 and aggregates deterministic, machine-readable reports.  The two-series
 identity is certified on the monomial basis; its seeded random instances
-run only to name a counterexample.  thm1, thm2 and thm8 compare entries
-of its g-free tables (``operators.theorem2_blocks``), thm8 where its
-series has Theorem 6's closed form.  A product by 1/(1-x)^(k+1) is
-k + 1 running sums.  Each runner builds what its grid shares once: the
-series that depend only on the truncation order, the falling factorials
-and each triangle it reads, to its top row; each shifted binomial
-C(k - l, k) and the g-free tables of each (r, order, degmax) are built
-once per run for all runners.  Nothing outlives a run.
+are drawn only to name a counterexample.  thm1, thm2 and thm8 compare
+entries of its g-free tables (``operators.theorem2_blocks``), thm8 where
+its series has Theorem 6's closed form; they and thm3 compare m + 1
+indices, which certify the rest by degree.  A product by 1/(1-x)^(k+1)
+is k + 1 running sums.  Each runner builds the series its grid shares
+once; one falling table and one set of g-free tables per r, each shifted
+binomial C(k - l, k) and each bracket are built once per run.  Nothing
+outlives a run.
 
 Check ids: thm1 thm2 thm3 thm4 thm5 thm6 cor7 thm8.
 """
@@ -54,12 +54,15 @@ def _shifted_binomial(k: int) -> LambdaPoly:
     return _per_run(("binomial", k), lambda: gen_binomial(LambdaPoly([k, -1]), k))
 
 
-def _bracket(k: int, log: TruncSeries) -> tuple[LambdaPoly, ...]:
-    """Coefficients of H_k - C(k - l, k) log_l(1-x) (no constant term), to the order of
-    ``log`` = ``degen_log_one_minus(order)``; once per run for each (k, order)."""
+def _summed_bracket(k: int, log: TruncSeries) -> tuple[LambdaPoly, ...]:
+    """bracket_k = H_k - C(k - l, k) log_l(1-x) summed k + 1 times, to the order of ``log``:
+    H_k C(n + k, k) - C(k - l, k) [log summed k + 1 times]_n; once per run."""
     def build():
-        binom = _shifted_binomial(k)
-        return (degen_harmonic(k), *(-(binom * c) for c in log.coeffs[1:]))
+        sums = _per_run(("log sums", log.order), lambda: [log.coeffs])  # [i]: summed i times
+        while len(sums) <= k + 1:
+            sums.append(running_sums(sums[-1], 1))
+        harmonic, binom = degen_harmonic(k), _shifted_binomial(k)
+        return tuple(harmonic * math.comb(n + k, k) - binom * c for n, c in enumerate(sums[k + 1]))
     return _per_run(("bracket", k, log.order), build)
 
 
@@ -73,30 +76,31 @@ class HarmonicTerms:
 
 
 def harmonic_terms(order: int, kmax: int) -> HarmonicTerms:
-    """T_k = x^k/(1-x)^(k+1) * bracket_k, k = 0..kmax <= order: bracket_k to order - k,
-    summed k + 1 times and shifted by k.  thm8's rhs is sum_k w_k T_k."""
+    """T_k = x^k/(1-x)^(k+1) * bracket_k, k = 0..kmax <= order: bracket_k summed k + 1
+    times, to order - k, and shifted by k.  thm8's rhs is sum_k w_k T_k."""
     if kmax > order:
         raise ValueError(_ORDER_COVERS_K)
     log = degen_log_one_minus(order)
-    return HarmonicTerms(order, (TruncSeries(QL, [QL.zero] * k + running_sums(
-        _bracket(k, log)[:order - k + 1], k + 1)) for k in range(kmax + 1)))
+    return HarmonicTerms(order, (TruncSeries(QL, (QL.zero,) * k + _summed_bracket(k, log)[
+        :order - k + 1]) for k in range(kmax + 1)))
 
 
 def check_thm3(m: int, r: int, order: int, falling=None) -> CheckReport:
     """Rational generating function of the r-Fubini polynomial at x/(1-x).
 
-    ``falling`` is ``degen_falling_table(>= order + r, >= m)``.
+    Both sides are of degree <= m in n, so n <= m certify every n <= order.
+    ``falling`` is ``degen_falling_table(>= m + r, >= m)``.
     """
     if order < max(m, 1):
         raise ValueError(_ORDER_COVERS_M)
-    params = {"m": m, "r": r, "order": order}
+    params, ns = {"m": m, "r": r, "order": order}, range(m + 1)
     fpoly = poly_by_sum(PolyFamily(RFUBINI_DEGENERATE, r), m)
     terms = [(k, c) for k, c in enumerate(fpoly.coeffs) if not c.is_zero()]
     # (x/(1-x))^k / (1-x) has the coefficients C(n, k)
     lhs = TruncSeries(QL, (sum((c * math.comb(n, k) for k, c in terms if k <= n), QL.zero)
-                           for n in range(order + 1)))
-    falling = falling or degen_falling_table(order + r, m)
-    rhs = TruncSeries(QL, (falling[n + r][m] for n in range(order + 1)))
+                           for n in ns))
+    falling = falling or degen_falling_table(m + r, m)
+    rhs = TruncSeries(QL, (falling[n + r][m] for n in ns))
     return make_report("thm3", params, first_mismatch(lhs, rhs, "series"))
 
 
@@ -129,25 +133,18 @@ def check_thm5(n: int, r: int) -> CheckReport:
     """Hyperharmonic values as first-column unsigned r-Stirling entries."""
     if n < 1 or r < 1:
         raise ValueError("n and r must be >= 1")
-    params = {"n": n, "r": r}
-    fam_r = stirling.StirlingFamily(stirling.S1R_UNSIGNED_DEGENERATE, r)
-    lhs = degen_hyperharmonic(n, r) * math.factorial(n)
-    rhs = stirling.stirling_value(fam_r, n, 1)
-    bad = first_mismatch(lhs, rhs, "column identity")
-    if bad is not None:
-        return make_report("thm5", params, bad)
-
-    fam_1 = stirling.StirlingFamily(stirling.S1R_UNSIGNED_DEGENERATE, 1)
-    two_lam = LambdaPoly.param() * 2
-    lhs2 = degen_harmonic(n) * math.factorial(n)
-    rhs2 = two_lam * stirling.stirling_value(fam_1, n, 2) + stirling.unsigned_first_kind(n + 1, 2)
-    bad = first_mismatch(lhs2, rhs2, "harmonic split")
-    if bad is not None:
-        return make_report("thm5", params, bad)
-
-    lhs3 = stirling.stirling_value(fam_1, n, 1)
-    bad = first_mismatch(lhs3, rhs2, "column two-term split")
-    return make_report("thm5", params, bad)
+    fam_r, fam_1 = (stirling.StirlingFamily(stirling.S1R_UNSIGNED_DEGENERATE, q) for q in (r, 1))
+    split = (LambdaPoly.param() * 2 * stirling.stirling_value(fam_1, n, 2)
+             + stirling.unsigned_first_kind(n + 1, 2))
+    for lhs, rhs, label in (
+            (degen_hyperharmonic(n, r) * math.factorial(n), stirling.stirling_value(fam_r, n, 1),
+             "column identity"),
+            (degen_harmonic(n) * math.factorial(n), split, "harmonic split"),
+            (stirling.stirling_value(fam_1, n, 1), split, "column two-term split")):
+        bad = first_mismatch(lhs, rhs, label)
+        if bad is not None:
+            break
+    return make_report("thm5", {"n": n, "r": r}, bad)
 
 
 def check_thm6(k: int, order: int, blocks=None) -> CheckReport:
@@ -164,7 +161,7 @@ def check_thm6(k: int, order: int, blocks=None) -> CheckReport:
     g = g.truncate(order + k).coeffs  # [x^n] g^(k) = g_{n+k} (n+k)!/n!
     derived = TruncSeries(QL, (g[n + k] * math.perm(n + k, k) for n in range(order + 1)))
     # k! bracket_k / (1-x)^(k+1)
-    closed = TruncSeries(QL, running_sums(_bracket(k, log), k + 1)).scale(math.factorial(k))
+    closed = TruncSeries(QL, _summed_bracket(k, log)).scale(math.factorial(k))
     bad = first_mismatch(derived, closed, "derivative series")
     if bad is not None:
         return make_report("thm6", params, bad)
@@ -190,18 +187,20 @@ def check_thm8(m: int, r: int, order: int, blocks=None, terms=None) -> CheckRepo
     Coefficient n of the lhs is H_n (n+r)_{m,l}, of the rhs sum_k S_r(m, k)
     k! [t^n] T_k, ``terms`` = ``harmonic_terms(order, >= m)``.  Where their
     closed form holds, both are H_n times ``blocks.main`` entries [m][n]
-    (``theorem2_blocks(r, order, >= m)``; H_0 = 0), which decide; else the
-    full series do.  Both are built when not given.
+    (``theorem2_blocks(r, >= min(m + 1, order), >= m)``; H_0 = 0), of
+    degree <= m in n, so n = 1..m+1 decide; else the full series do.
+    Both are built when not given.
     """
     if order < max(m, 1):
         raise ValueError(_ORDER_COVERS_M)
-    if (blocks is not None and ((blocks.r, blocks.order) != (r, order) or m > blocks.degmax)
+    top = min(m + 1, order)
+    if (blocks is not None and (blocks.r != r or blocks.order < top or m > blocks.degmax)
             or terms is not None and (terms.order != order or m >= len(terms.series))):
         raise ValueError("blocks or terms were built for a different r, order or m")
-    params, ns = {"m": m, "r": r, "order": order}, range(order + 1)
-    terms = terms or harmonic_terms(order, m)
+    params, terms = {"m": m, "r": r, "order": order}, terms or harmonic_terms(order, m)
+    ns = range((top if terms.closed_form else order) + 1)
     if terms.closed_form:
-        mix, falling = (blocks or theorem2_blocks(r, order, m)).main
+        mix, falling = (blocks or theorem2_blocks(r, top, m)).main
         if all(mix[m][n] == falling[m][n] for n in ns[1:]):
             return make_report("thm8", params, None)
         lhs, rhs = (TruncSeries(QL, (degen_harmonic(n) * t[m][n] for n in ns))
@@ -243,19 +242,11 @@ class SuiteBounds(NamedTuple):
     thm8_order: int = 16
 
     def with_cli_overrides(self, nmax=None, rmax=None, order=None) -> "SuiteBounds":
-        """Map the generic CLI limits onto each check's own bounds."""
-        out = self
-        if nmax is not None:
-            out = out._replace(thm1_mmax=nmax, thm3_mmax=nmax, thm4_nmax=nmax,
-                               thm5_nmax=nmax, thm6_kmax=nmax, cor7_nmax=nmax,
-                               cor7_kmax=nmax, thm8_mmax=nmax, thm3_numeric_mmax=nmax)
-        if rmax is not None:
-            out = out._replace(thm1_rmax=rmax, thm2_rmax=rmax, thm3_rmax=rmax,
-                               thm5_rmax=rmax, thm8_rmax=rmax, thm3_numeric_rmax=rmax)
-        if order is not None:
-            out = out._replace(thm2_order=order, thm3_order=order,
-                               thm6_order=order, thm8_order=order)
-        return out
+        """Map the generic CLI limits onto each check's own bounds: ``nmax`` onto every
+        ``*_mmax``, ``*_nmax`` and ``*_kmax``, ``rmax`` and ``order`` onto every field so named."""
+        limits = {"mmax": nmax, "nmax": nmax, "kmax": nmax, "rmax": rmax, "order": order}
+        return self._replace(**{name: limits[name.rsplit("_", 1)[1]] for name in self._fields
+                                if limits.get(name.rsplit("_", 1)[1]) is not None})
 
 
 def _warm(family_id: str, rs, top: int) -> None:
@@ -264,19 +255,42 @@ def _warm(family_id: str, rs, top: int) -> None:
         stirling.triangle(stirling.StirlingFamily(family_id, r), top)
 
 
-def _shared_blocks(rs, order: int, degmax: int) -> list:
-    """``theorem2_blocks(r, order, degmax)`` for r in ``rs``, each built once per run."""
-    amax = order + max(rs, default=0)
-    falling = _per_run(("falling", amax, degmax), lambda: degen_falling_table(amax, degmax))
-    return [_per_run(("blocks", r, order, degmax),
-                     lambda r=r: theorem2_blocks(r, order, degmax, falling)) for r in rs]
+def _plan(ids, bounds: SuiteBounds) -> tuple[int, int, int]:
+    """Raise the first bound error the runners of ``ids`` would raise; else the largest r, m
+    (or deg f) and index their thm1, thm2, thm3 and thm8 checks read: min(m, jmax), m,
+    min(m + 1, order), and min(degmax + 1, order) for thm2, whose named g are nonzero at j >= 1."""
+    reach = []
+    for check_id in ids:
+        if check_id == "thm1":
+            mmax = bounds.thm1_mmax
+            reach.append((min(mmax, bounds.thm1_rmax), mmax, min(mmax, bounds.thm1_jmax)))
+        elif check_id == "thm2":
+            degmax = bounds.thm2_degmax
+            reach.append((bounds.thm2_rmax, degmax, min(degmax + 1, bounds.thm2_order)))
+        elif check_id in ("thm3", "thm8"):
+            mmax, rmax, order = (getattr(bounds, f"{check_id}_{name}")
+                                 for name in ("mmax", "rmax", "order"))
+            if min(mmax, rmax) >= 0 and order < max(mmax, 1):
+                raise ValueError(_ORDER_COVERS_M)
+            top = min(mmax, order)
+            reach.append((rmax, top, min(top + (check_id == "thm8"), order)))
+        elif check_id == "thm6" and 1 <= bounds.thm6_kmax > bounds.thm6_order:
+            raise ValueError(_ORDER_COVERS_K)
+    return tuple(map(max, zip(*reach))) or (0, 0, 0)
+
+
+def _shared_blocks(check_id: str, bounds: SuiteBounds, rs) -> list:
+    """The run's ``theorem2_blocks`` for r in ``rs`` on its one falling table, each built once
+    per run and sized by ``_plan`` over the run's ids (over ``check_id`` alone outside a run)."""
+    rmax, degmax, index = _per_run("reach", lambda: _plan((check_id,), bounds))
+    falling = _per_run("falling", lambda: degen_falling_table(index + rmax, degmax))
+    return [_per_run(("blocks", r), lambda r=r: theorem2_blocks(r, index, degmax, falling))
+            for r in rs]
 
 
 def _run_thm1(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
     jmax, mmax = bounds.thm1_jmax, bounds.thm1_mmax
-    rtop = min(mmax, bounds.thm1_rmax)
-    falling = degen_falling_table(jmax + rtop, mmax)
-    blocks = [theorem2_blocks(r, jmax, mmax, falling) for r in range(rtop + 1)]
+    blocks = _shared_blocks("thm1", bounds, range(min(mmax, bounds.thm1_rmax) + 1))
     return [theorem1_check(m, r, mode, jmax, blocks[r])
             for m in range(mmax + 1) for r in range(min(m, bounds.thm1_rmax) + 1)
             for mode in ("plain", "shifted")]
@@ -301,7 +315,7 @@ def _named_g(name: str, order: int) -> TruncSeries:
 def _first_failure(fs, label: str, g: TruncSeries, blocks) -> Counterexample | None:
     """The first f in ``fs`` failing Theorem 2 against g, located as ``label.format(index)``."""
     for i, f in enumerate(fs):
-        rep = theorem2_check(f, g, blocks.r, blocks.order, blocks)
+        rep = theorem2_check(f, g, blocks.r, g.order, blocks)
         if not rep.passed:
             bad = rep.counterexample
             return Counterexample(f"{label.format(i)}: {bad.location}", bad.lhs, bad.rhs)
@@ -309,20 +323,22 @@ def _first_failure(fs, label: str, g: TruncSeries, blocks) -> Counterexample | N
 
 
 def _run_thm2(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
-    rng = random.Random(seed)
-    polys = [_random_poly(rng, bounds.thm2_degmax) for _ in range(bounds.thm2_trials)]
-    monomials = [XPoly.monomial(1, m) for m in range(bounds.thm2_degmax + 1)]
-    blocks = _shared_blocks(range(bounds.thm2_rmax + 1), bounds.thm2_order, bounds.thm2_degmax)
+    order, degmax, polys = bounds.thm2_order, bounds.thm2_degmax, []
+    monomials = [XPoly.monomial(1, m) for m in range(degmax + 1)]
+    blocks = _shared_blocks("thm2", bounds, range(bounds.thm2_rmax + 1))
     out = []
     for name in ("exp", "geometric", "harmonic"):
-        g = _named_g(name, bounds.thm2_order)
+        g = _named_g(name, order)
         for r, block in enumerate(blocks):
-            params = {"g": name, "r": r, "order": bounds.thm2_order,
+            params = {"g": name, "r": r, "order": order,
                       "trials": bounds.thm2_trials, "seed": seed}
-            # Both sides are linear in f, so x^0..x^degmax certify every trial;
-            # the trials run only to name a counterexample once a monomial fails.
+            # Both sides are linear in f, so x^0..x^degmax certify every trial; the
+            # trials are drawn and run only to name a counterexample once a monomial fails.
             failure = _first_failure(monomials, "monomial x^{}", g, block)
             if failure is not None:
+                if not polys:
+                    rng = random.Random(seed)
+                    polys = [_random_poly(rng, degmax) for _ in range(bounds.thm2_trials)]
                 failure = _first_failure(polys, "trial {}", g, block) or failure
             out.append(make_report("thm2", params, failure))
     return out
@@ -330,16 +346,13 @@ def _run_thm2(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
 
 def _run_thm3(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
     order, mmax, rs = bounds.thm3_order, bounds.thm3_mmax, range(bounds.thm3_rmax + 1)
-    top = min(mmax, order)  # a check with m > order raises before reading anything
-    _warm(stirling.S2R_DEGENERATE, rs, top)
-    falling = degen_falling_table(order + bounds.thm3_rmax, top)
-    out = [check_thm3(m, r, order, falling) for m in range(mmax + 1) for r in rs]
-    _warm(stirling.S2R_DEGENERATE, range(bounds.thm3_numeric_rmax + 1), bounds.thm3_numeric_mmax)
-    for lam in (Fraction(1, 3), Fraction(1, 2)):
-        for m in range(bounds.thm3_numeric_mmax + 1):
-            for r in range(bounds.thm3_numeric_rmax + 1):
-                out.append(check_thm3_numeric(m, r, lam, bounds.thm3_tol_exponent))
-    return out
+    # the blocks build each triangle to row mmax or above, and hold the falling table
+    blocks = _shared_blocks("thm3", bounds, rs if mmax >= 0 else ())
+    out = [check_thm3(m, r, order, blocks[r].falling) for m in range(mmax + 1) for r in rs]
+    mmax, rs = bounds.thm3_numeric_mmax, range(bounds.thm3_numeric_rmax + 1)
+    _warm(stirling.S2R_DEGENERATE, rs, mmax)
+    return out + [check_thm3_numeric(m, r, lam, bounds.thm3_tol_exponent)
+                  for lam in (Fraction(1, 3), Fraction(1, 2)) for m in range(mmax + 1) for r in rs]
 
 
 def _run_thm4(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
@@ -378,32 +391,12 @@ def _run_thm8(bounds: SuiteBounds, seed: int) -> list[CheckReport]:
     top = min(mmax, order)  # a check with m > order raises before reading anything
     if top < 0 or not rs:
         return []
-    terms, blocks = harmonic_terms(order, top), _shared_blocks(rs, order, top)
+    terms, blocks = harmonic_terms(order, top), _shared_blocks("thm8", bounds, rs)
     return [check_thm8(m, r, order, blocks[r], terms) for m in range(mmax + 1) for r in rs]
 
 
-def _check_bounds(ids, bounds: SuiteBounds) -> None:
-    """Raise the first bound error the runners of ``ids`` would raise, before any runs."""
-    for check_id in ids:
-        if check_id in ("thm3", "thm8"):
-            mmax, rmax, order = (getattr(bounds, f"{check_id}_{name}")
-                                 for name in ("mmax", "rmax", "order"))
-            if min(mmax, rmax) >= 0 and order < max(mmax, 1):
-                raise ValueError(_ORDER_COVERS_M)
-        elif check_id == "thm6" and 1 <= bounds.thm6_kmax > bounds.thm6_order:
-            raise ValueError(_ORDER_COVERS_K)
-
-
-_RUNNERS = {
-    "thm1": _run_thm1,
-    "thm2": _run_thm2,
-    "thm3": _run_thm3,
-    "thm4": _run_thm4,
-    "thm5": _run_thm5,
-    "thm6": _run_thm6,
-    "cor7": _run_cor7,
-    "thm8": _run_thm8,
-}
+_RUNNERS = dict(zip(CHECK_IDS, (_run_thm1, _run_thm2, _run_thm3, _run_thm4, _run_thm5,
+                                _run_thm6, _run_cor7, _run_thm8)))
 
 
 def run_suite(selection, bounds: SuiteBounds | None = None, seed: int = 0,
@@ -419,11 +412,9 @@ def run_suite(selection, bounds: SuiteBounds | None = None, seed: int = 0,
     for check_id in ids:
         if check_id not in _RUNNERS:
             raise ValueError(f"unknown check id {check_id!r}; valid ids: {', '.join(CHECK_IDS)}")
-    if bounds is None:
-        bounds = SuiteBounds()
-    _check_bounds(ids, bounds)
+    bounds = bounds or SuiteBounds()
     reports: list[CheckReport] = []
-    token = _RUN.set({})
+    token = _RUN.set({"reach": _plan(ids, bounds)})  # raises before any check runs
     try:
         with use(tables or current()):
             for check_id in ids:

@@ -5,8 +5,8 @@ coefficient j, that a sum_k S_r(n, k) j(j-1)...(j-k+1) of degenerate
 r-Stirling entries with integer weights equals the degenerate falling
 factorial (j+r)_{n,l} (the main form), and likewise for a shifted form
 through the r-th derivative.  ``theorem2_blocks`` tabulates both sides
-of both forms once per (r, order), free of any g, and three checks
-compare their entries instead of weighted products:
+of both forms once per r, free of any g, and three checks compare their
+entries instead of weighted products:
 
 * ``theorem1_check``: the degenerate Euler operator and its derivative
   expansion (both in ``tests/routes.py``, as its oracle) send x^j to one
@@ -18,6 +18,9 @@ compare their entries instead of weighted products:
   counterexample.
 * ``identities.check_thm8``: its coefficient n is H_n times a main entry.
 
+Whatever the triangle holds, entry ``[n][j]`` is of degree <= n in j, and
+a nonzero polynomial of degree <= m has at most m roots, so each check
+compares only the first m + 1 indices it would read (all when fewer exist).
 Nothing is memoized, so a triangle fault is always seen by the next check.
 """
 
@@ -42,6 +45,7 @@ class OperatorSpec(namedtuple("OperatorSpec", "m r mode")):
     """Degenerate-factorial length m, power-of-x prefactor r, and mode."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, m: int, r: int = 0, mode: str = "plain"):
         if mode not in _MODES:
@@ -54,7 +58,7 @@ class OperatorSpec(namedtuple("OperatorSpec", "m r mode")):
 
 
 class Theorem2Blocks(namedtuple("Theorem2Blocks", "r order degmax tri falling")):
-    """The g-free tables of the two-series identity for one (r, order).
+    """The g-free tables of the two-series identity for one r, to index ``order``.
 
     At f = x^n, coefficient j of each side of each form is g_j times an
     entry ``[n][j]`` of a (lhs, rhs) pair of tables, n <= ``degmax`` and
@@ -110,18 +114,20 @@ def theorem1_check(m: int, r: int, mode: str, jmax: int = 10,
     (j+r)_{m,l} x^{j+r}; shifted mode applies the length-(m-r) operator to
     x^r times the r-th derivative of x^j, giving (j)_{m-r,l} j(j-1)...(j-r+1)
     x^j.  The Stirling-weighted derivative expansion gives the same
-    monomial with the table's other entry ``[m][j]``.  ``blocks`` is
-    ``theorem2_blocks(r, jmax, >= m)``; built when not given.
+    monomial with the table's other entry ``[m][j]``; j <= min(m, jmax)
+    certify every j.  ``blocks`` is ``theorem2_blocks(r, >= min(m, jmax),
+    >= m)``; built when not given.
     """
     OperatorSpec(m, r, mode)
+    top = min(m, jmax)
     if blocks is None:
-        blocks = theorem2_blocks(r, jmax, m)
-    elif (blocks.r, blocks.order) != (r, jmax) or m > blocks.degmax:
+        blocks = theorem2_blocks(r, top, m)
+    elif blocks.r != r or blocks.order < top or m > blocks.degmax:
         raise ValueError("blocks were built for a different r, jmax or m")
     params = {"m": m, "r": r, "mode": mode, "jmax": jmax}
     mix, falling = blocks.main if mode == "plain" else blocks.shifted
     shift = r if mode == "plain" else 0
-    for j in range(jmax + 1):
+    for j in range(top + 1):
         bad = first_mismatch(falling[m][j], mix[m][j],
                              f"operand x^{j}: coefficient of x^{j + shift}")
         if bad is not None:
@@ -138,15 +144,16 @@ def theorem2_check(f: XPoly, g: TruncSeries, r: int, order: int,
                    blocks: Theorem2Blocks | None = None) -> CheckReport:
     """Both forms of the two-series identity, coefficientwise to ``order``.
 
-    Requires g tracked to at least ``order``.  ``blocks`` is
-    ``theorem2_blocks(r, order, degmax)`` for some degmax >= deg f; it is
-    built here when not given.
+    Requires g tracked to at least ``order``.  The first deg f + 1 indices
+    with g_j != 0 certify every j.  ``blocks`` is ``theorem2_blocks(r, >=
+    the last of them, >= deg f)``; built when not given.
     """
     if g.order < order:
         raise ValueError(f"g must be tracked to >= {order} (got {g.order})")
+    js = [j for j, gj in enumerate(g.coeffs[:order + 1]) if not gj.is_zero()][:f.degree + 1]
     if blocks is None:
-        blocks = theorem2_blocks(r, order, max(f.degree, 0))
-    elif (blocks.r, blocks.order) != (r, order) or f.degree > blocks.degmax:
+        blocks = theorem2_blocks(r, js[-1] if js else 0, max(f.degree, 0))
+    elif blocks.r != r or f.degree > blocks.degmax or js and js[-1] > blocks.order:
         raise ValueError("blocks were built for a different r, order or degree")
     params = {"r": r, "order": order, "deg_f": f.degree}
     terms = [(n, f.coeff(n)) for n in range(f.degree + 1) if not f.coeff(n).is_zero()]
@@ -155,11 +162,10 @@ def theorem2_check(f: XPoly, g: TruncSeries, r: int, order: int,
         parts = [_times(a, table[n][j]) for n, a in terms]
         return parts[0] if len(parts) == 1 else sum(parts, _ZERO)
     for label, (lhs, rhs) in (("main form", blocks.main), ("shifted form", blocks.shifted)):
-        for j, gj in enumerate(g.coeffs[:order + 1]):
-            if gj.is_zero():
-                continue
+        for j in js:
             left, right = weighted(lhs, j), weighted(rhs, j)
             if left != right:
+                gj = g.coeffs[j]
                 bad = first_mismatch(_times(gj, left), _times(gj, right),
                                      f"{label}: coefficient of t^{j}")
                 return make_report("thm2", params, bad)

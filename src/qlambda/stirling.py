@@ -49,6 +49,7 @@ R_FAMILY_IDS = (S1R_DEGENERATE, S2R_DEGENERATE, S1R_UNSIGNED_DEGENERATE)
 
 class StirlingFamily(namedtuple("StirlingFamily", "id r")):
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, id: str, r: int = 0):
         if id not in FAMILY_IDS:

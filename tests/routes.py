@@ -9,7 +9,9 @@ of a polynomial one monomial at a time, and both sides of the
 two-series identity from the derivatives of g.  The binomial series
 (1-t)^-(k+1) is multiplied out as a product or a convolution, where the
 package takes running sums, and the numeric r-Fubini sum runs over
-``Fraction``s, where the package sums integers.  They use the kernel's
+``Fraction``s, where the package sums integers.  ``every_index_reports``
+runs thm1, thm2, thm3 and thm8 comparing every index to the order, where
+the package compares the first m + 1.  They use the kernel's
 arithmetic and the named series of ``gfun``, never ``fubini_bell``'s
 sums, and no triangle except through single ``stirling_value`` entries
 (so a faulted ``Tables`` reaches both routes), so agreement with the
@@ -18,17 +20,20 @@ package is a cross-check.
 
 from __future__ import annotations
 
+import json
 import math
+import random
 from fractions import Fraction
 
-from qlambda import stirling
+from qlambda import identities, stirling
 from qlambda.factorials import BasisId, basis_poly, classical_falling, degen_falling, gen_binomial
 from qlambda.fubini_bell import (BELL_DEGENERATE, FUBINI_CLASSICAL, RBELL_DEGENERATE,
                                  PolyFamily)
 from qlambda.gfun import classical_exp, degen_exp, degen_log1p, degen_log_one_minus, inv_one_minus
 from qlambda.harmonic import degen_harmonic
 from qlambda.kernel import QL, QLX, LambdaPoly, TruncSeries, XPoly
-from qlambda.operators import OperatorSpec
+from qlambda.operators import OperatorSpec, theorem2_blocks
+from qlambda.report import Counterexample, first_mismatch, make_report
 
 
 def _lift(series: TruncSeries) -> TruncSeries:
@@ -269,3 +274,85 @@ def rfubini_numbers_by_fractions(m: int, r: int, lam, tol_exponent: int) -> Frac
             return partial
         n += 1
         half_pow /= 2
+
+
+def _thm2_every_index(f: XPoly, g: TruncSeries, order: int, blocks):
+    """Theorem 2's first counterexample for f over every j <= order with g_j != 0."""
+    terms = [(n, f.coeff(n)) for n in range(f.degree + 1) if not f.coeff(n).is_zero()]
+    for label, tables in (("main form", blocks.main), ("shifted form", blocks.shifted)):
+        for j, gj in enumerate(g.coeffs[:order + 1]):
+            left, right = (sum((a * t[n][j] for n, a in terms), LambdaPoly.zero())
+                           for t in tables)
+            if not gj.is_zero() and left != right:
+                return first_mismatch(gj * left, gj * right, f"{label}: coefficient of t^{j}")
+    return None
+
+
+def _thm2_first_failure(fs, label: str, g: TruncSeries, order: int, blocks):
+    for i, f in enumerate(fs):
+        bad = _thm2_every_index(f, g, order, blocks)
+        if bad is not None:
+            return Counterexample(f"{label.format(i)}: {bad.location}", bad.lhs, bad.rhs)
+    return None
+
+
+def every_index_reports(ids, bounds, seed: int) -> list:
+    """The thm1, thm2, thm3 (no numeric sums) and thm8 reports of ``run_suite`` in the current
+    ``Tables``, comparing every index to jmax or the order, sorted as ``run_suite`` sorts.
+
+    thm1 and thm2 read full-width ``theorem2_blocks``; thm3 and thm8 take their series from
+    single triangle values and ``degen_falling``, thm8's terms as series products.
+    """
+    b, out = bounds, []
+    if "thm1" in ids:
+        for r in range(min(b.thm1_mmax, b.thm1_rmax) + 1):
+            blocks = theorem2_blocks(r, b.thm1_jmax, b.thm1_mmax)
+            for m in range(r, b.thm1_mmax + 1):
+                for mode in ("plain", "shifted"):
+                    mix, falling = blocks.main if mode == "plain" else blocks.shifted
+                    shift = r if mode == "plain" else 0
+                    bad = next(filter(None, (
+                        first_mismatch(falling[m][j], mix[m][j],
+                                       f"operand x^{j}: coefficient of x^{j + shift}")
+                        for j in range(b.thm1_jmax + 1))), None)
+                    out.append(make_report("thm1", {"m": m, "r": r, "mode": mode,
+                                                    "jmax": b.thm1_jmax}, bad))
+    if "thm2" in ids:
+        rng = random.Random(seed)
+        polys = [identities._random_poly(rng, b.thm2_degmax) for _ in range(b.thm2_trials)]
+        blocks = [theorem2_blocks(r, b.thm2_order, b.thm2_degmax) for r in range(b.thm2_rmax + 1)]
+        monomials = [XPoly.monomial(1, n) for n in range(b.thm2_degmax + 1)]
+        for name in ("exp", "geometric", "harmonic"):
+            g = identities._named_g(name, b.thm2_order)
+            for r, block in enumerate(blocks):
+                bad = _thm2_first_failure(monomials, "monomial x^{}", g, b.thm2_order, block)
+                if bad is not None:
+                    bad = _thm2_first_failure(polys, "trial {}", g, b.thm2_order, block) or bad
+                out.append(make_report("thm2", {"g": name, "r": r, "order": b.thm2_order,
+                                                "trials": b.thm2_trials, "seed": seed}, bad))
+    if "thm3" in ids:
+        ns = range(b.thm3_order + 1)
+        for m in range(b.thm3_mmax + 1):
+            for r in range(b.thm3_rmax + 1):
+                fam = stirling.StirlingFamily(stirling.S2R_DEGENERATE, r)
+                lhs = TruncSeries(QL, (sum((stirling.stirling_value(fam, m, k) * math.perm(n, k)
+                                            for k in range(min(m, n) + 1)), LambdaPoly.zero())
+                                       for n in ns))
+                rhs = TruncSeries(QL, (degen_falling(n + r, m) for n in ns))
+                out.append(make_report("thm3", {"m": m, "r": r, "order": b.thm3_order},
+                                       first_mismatch(lhs, rhs, "series")))
+    if "thm8" in ids:
+        ns = range(b.thm8_order + 1)
+        terms = harmonic_terms_by_product(b.thm8_order, b.thm8_mmax)
+        for m in range(b.thm8_mmax + 1):
+            for r in range(b.thm8_rmax + 1):
+                fam = stirling.StirlingFamily(stirling.S2R_DEGENERATE, r)
+                lhs = TruncSeries(QL, (degen_harmonic(n) * degen_falling(n + r, m) for n in ns))
+                rhs = TruncSeries.zero(QL, b.thm8_order)
+                for k in range(m + 1):
+                    rhs = rhs + terms[k].scale(stirling.stirling_value(fam, m, k)
+                                               * math.factorial(k))
+                out.append(make_report("thm8", {"m": m, "r": r, "order": b.thm8_order},
+                                       first_mismatch(lhs, rhs, "series")))
+    return sorted(out, key=lambda rep: (rep.check_id, json.dumps(dict(rep.params),
+                                                                 sort_keys=True)))

@@ -126,9 +126,11 @@ def test_thm8_instances():
 def test_thm8_rejects_mismatched_blocks_and_terms():
     blocks, terms = theorem2_blocks(2, 10, 4), identities.harmonic_terms(10, 4)
     assert check_thm8(4, 2, 10, blocks, terms).passed
-    for m, r, order in ((5, 2, 10), (3, 0, 10), (3, 2, 9)):
+    assert check_thm8(3, 2, 9, blocks).passed  # blocks that cover n = 1..m+1 serve any order
+    narrow = theorem2_blocks(2, 3, 4)
+    for m, r, order, block in ((5, 2, 10, blocks), (3, 0, 10, blocks), (3, 2, 9, narrow)):
         with pytest.raises(ValueError, match="blocks or terms were built"):
-            check_thm8(m, r, order, blocks)
+            check_thm8(m, r, order, block)
     for m, r, order in ((5, 2, 10), (3, 2, 9)):
         with pytest.raises(ValueError, match="blocks or terms were built"):
             check_thm8(m, r, order, None, terms)
@@ -165,6 +167,19 @@ def test_bounds_pass_when_the_order_covers_the_grid():
                                 thm6_order=2, thm8_mmax=1, thm8_rmax=0, thm8_order=1),
                         tables=Tables())
     assert len(reports) == 3 + 2 + 2 + 2 and all(rep.passed for rep in reports)
+
+
+def test_cli_overrides_map_each_limit_onto_its_fields():
+    out = SuiteBounds().with_cli_overrides(nmax=101, rmax=102, order=103)
+    changed = {name: value for name, value in out._asdict().items()
+               if value != getattr(SuiteBounds(), name)}
+    assert changed == {
+        **dict.fromkeys(("thm1_mmax", "thm3_mmax", "thm3_numeric_mmax", "thm4_nmax", "thm5_nmax",
+                         "thm6_kmax", "cor7_nmax", "cor7_kmax", "thm8_mmax"), 101),
+        **dict.fromkeys(("thm1_rmax", "thm2_rmax", "thm3_rmax", "thm3_numeric_rmax",
+                         "thm5_rmax", "thm8_rmax"), 102),
+        **dict.fromkeys(("thm2_order", "thm3_order", "thm6_order", "thm8_order"), 103)}
+    assert SuiteBounds().with_cli_overrides() == SuiteBounds()
 
 
 def test_run_suite_selection_and_edges():
@@ -309,6 +324,81 @@ def test_thm2_basis_finds_a_fault_every_trial_misses():
         assert not rep.passed
         assert rep.counterexample.location.startswith(
             "monomial x^5: main form: coefficient of t^2"), rep.counterexample
+
+
+_CERTIFIED = ("thm1", "thm2", "thm3", "thm8")
+_SMALL = SuiteBounds(thm1_jmax=7, thm1_mmax=5, thm1_rmax=2, thm2_trials=8, thm2_degmax=4,
+                     thm2_rmax=2, thm2_order=8, thm3_mmax=5, thm3_rmax=2, thm3_order=8,
+                     thm3_numeric_mmax=-1, thm8_mmax=4, thm8_rmax=2, thm8_order=8)
+_RNG = random.Random(18)
+# (r, n, k) of S2r entries: columns k = 0 and k = n, then two seeded entries per r
+_S2R_SAMPLE = sorted({(0, 0, 0), (1, 3, 0), (2, 5, 0), (1, 4, 4), (0, 5, 5), (2, 2, 2)} |
+                     {(r, n, _RNG.randint(0, n)) for r in range(3)
+                      for n in _RNG.sample(range(1, 6), 2)})
+
+
+def _certified_and_every_index(bounds, faults, seed=5):
+    """(``run_suite`` reports, the every-index oracle's) as JSON, both in ``Tables(faults)``."""
+    reports = run_suite(_CERTIFIED, bounds, seed=seed, tables=Tables(faults))
+    with use(Tables(faults)):
+        expected = routes.every_index_reports(_CERTIFIED, bounds, seed)
+    return [rep.to_json() for rep in reports], [rep.to_json() for rep in expected]
+
+
+def test_clean_run_reports_equal_the_every_index_loops():
+    reports, expected = _certified_and_every_index(
+        SuiteBounds()._replace(thm3_numeric_mmax=-1), {}, seed=102)
+    assert reports == expected and all(rep["passed"] for rep in reports)
+
+
+@pytest.mark.parametrize("fault", _S2R_SAMPLE, ids=str)
+def test_faulted_reports_equal_the_every_index_loops(fault):
+    # a fault at k = n moves a check of m = n only from index n on, the last one it reads
+    reports, expected = _certified_and_every_index(
+        _SMALL, {(st.S2R_DEGENERATE, *fault): LambdaPoly([1, fault[1] - fault[2]])})
+    assert reports == expected
+    assert not all(rep["passed"] for rep in reports)
+
+
+@pytest.mark.parametrize("bounds", [
+    _SMALL._replace(thm3_order=5, thm8_order=4),  # --order = m: every index is read
+    _SMALL._replace(thm1_mmax=7, thm1_jmax=4),    # m > jmax: thm1 reads every j
+], ids=("order-m", "m-above-jmax"))
+@pytest.mark.parametrize("fault", [None, (1, 4, 4), (1, 7, 7), (0, 6, 2)], ids=str)
+def test_edge_reports_equal_the_every_index_loops(bounds, fault):
+    faults = {} if fault is None else {(st.S2R_DEGENERATE, *fault): LambdaPoly.one()}
+    reports, expected = _certified_and_every_index(bounds, faults)
+    assert reports == expected
+
+
+def test_thm8_reads_index_m_plus_one():
+    # row 2 moved by perm(n, 2) - 2 perm(n, 1) + 2 = (n - 1)(n - 2): zero at n = 1, 2 only
+    moved = {(st.S2R_DEGENERATE, 1, 2, k): LambdaPoly.const(delta)
+             for k, delta in enumerate((2, -2, 1))}
+    reports, expected = _certified_and_every_index(_SMALL, moved)
+    assert reports == expected
+    thm8 = {(rep["params"]["m"], rep["params"]["r"]): rep for rep in reports
+            if rep["check"] == "thm8"}
+    assert thm8[2, 1]["counterexample"]["location"] == "series: coefficient of t^3"
+
+
+def test_a_run_builds_one_falling_table_and_one_blocks_per_r(monkeypatch):
+    calls = {"falling": [], "blocks": []}
+    for name, key in (("degen_falling_table", "falling"), ("theorem2_blocks", "blocks")):
+        def counting(*args, _original=getattr(identities, name), _key=key):
+            calls[_key].append(args[:3])
+            return _original(*args)
+        monkeypatch.setattr(identities, name, counting)
+    bounds = SuiteBounds()
+    reports = run_suite(_CERTIFIED, bounds, tables=Tables())
+    assert reports and all(rep.passed for rep in reports)
+    # thm1 reads x^0..x^8 at r <= 4; thm2 and thm8 read up to index 7, thm3 up to 8
+    assert calls["falling"] == [(8 + 4, 8)]
+    assert calls["blocks"] == [(r, 8, 8) for r in range(bounds.thm1_rmax + 1)]
+    for check_id in _CERTIFIED:  # alone, each check's own reach
+        calls["falling"].clear()
+        run_suite({check_id}, bounds, tables=Tables())
+        assert len(calls["falling"]) == 1, check_id
 
 
 _SHARED_BOUNDS = SuiteBounds(thm3_mmax=4, thm3_rmax=2, thm3_order=8, thm3_numeric_mmax=2,

@@ -91,9 +91,11 @@ def test_theorem1_check_agrees_with_the_operator_oracle(faulted):
 def test_theorem1_check_rejects_mismatched_blocks():
     blocks = theorem2_blocks(1, 6, 3)
     assert theorem1_check(3, 1, "shifted", 6, blocks).passed
-    for m, r, jmax in ((4, 1, 6), (2, 0, 6), (2, 1, 5)):
+    assert theorem1_check(2, 1, "plain", 5, blocks).passed  # columns j <= min(m, jmax) suffice
+    narrow = theorem2_blocks(1, 1, 3)
+    for m, r, jmax, block in ((4, 1, 6, blocks), (2, 0, 6, blocks), (2, 1, 5, narrow)):
         with pytest.raises(ValueError):
-            theorem1_check(m, r, "plain", jmax, blocks)
+            theorem1_check(m, r, "plain", jmax, block)
     with pytest.raises(ValueError):
         theorem1_check(1, 2, "shifted", 6)
 
@@ -297,9 +299,10 @@ def test_theorem2_rejects_mismatched_blocks():
         theorem2_check(XPoly.monomial(1, 3), g, 1, 10, blocks)  # degmax below deg f
     with pytest.raises(ValueError):
         theorem2_check(X, g, 0, 10, blocks)
-    with pytest.raises(ValueError):
-        theorem2_check(X, g, 1, 9, blocks)
+    with pytest.raises(ValueError):  # x^1 reads coefficients 0 and 1
+        theorem2_check(X, g, 1, 9, theorem2_blocks(1, 0, 2))
     assert theorem2_check(X, g, 1, 10, blocks).passed
+    assert theorem2_check(X, g, 1, 9, blocks).passed
     # blocks do not depend on g, so any g may use them
     assert theorem2_check(X, _g_for("exp", 14), 1, 10, blocks).passed
 

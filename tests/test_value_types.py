@@ -69,7 +69,31 @@ def test_value_type_contract(cls, kwargs, change, text):
     lambda: BasisId("nope"),
     lambda: BasisId("falling", -1),
     lambda: PolyFamily(RFUBINI_DEGENERATE, -1),
+    lambda: BasisId("falling", 2)._replace(shift=-1),
+    lambda: BasisId("falling")._replace(kind="nope"),
+    lambda: PolyFamily(RFUBINI_DEGENERATE, 2)._replace(r=-1),
+    lambda: PolyFamily(RBELL_DEGENERATE, 1)._replace(id="fubini-classical"),
+    lambda: st.StirlingFamily(st.S2R_DEGENERATE, 2)._replace(r=-1),
+    lambda: st.StirlingFamily(st.S2R_DEGENERATE, 2)._replace(id=st.S2_CLASSICAL),
+    lambda: OperatorSpec(3, 1, "shifted")._replace(m=0),
+    lambda: OperatorSpec(3, 1)._replace(mode="nope"),
 ])
 def test_validating_constructors_reject(make):
+    """Each check runs on construction and on ``_replace``."""
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize("value,change", [
+    (BasisId("falling", 2), dict(shift=1)),
+    (PolyFamily(RFUBINI_DEGENERATE, 2), dict(r=1)),
+    (st.StirlingFamily(st.S2R_DEGENERATE, 2), dict(r=0)),
+    (OperatorSpec(3, 1, "shifted"), dict(m=1)),
+], ids=lambda value: type(value).__name__ if not isinstance(value, dict) else "")
+def test_replace_builds_a_value_of_the_type(value, change):
+    twin = value._replace(**change)
+    assert type(twin) is type(value) and twin == type(value)(**dict(value._asdict(), **change))
+    with pytest.raises(TypeError):
+        type(value)._make((*value, 1))
+    with pytest.raises(ValueError):
+        value._replace(extra=1)

@@ -10,8 +10,8 @@ every subset first and must pass.
 
     python tools/mutants.py
 
-Exits 0 when every mutant is caught, 1 otherwise.  Runs for about a
-minute; it is not part of the tier-1 suite.
+Exits 0 when every mutant is caught, 1 otherwise.  Runs for a few
+minutes; it is not part of the tier-1 suite.
 """
 
 from __future__ import annotations
@@ -27,7 +27,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = ("tests/test_kernel.py", "tests/test_acceptance.py::test_criterion_11_kernel_laws")
 KERNEL = "src/qlambda/kernel.py"
+IDENTITIES = "src/qlambda/identities.py"
+OPERATORS = "src/qlambda/operators.py"
+STIRLING = "src/qlambda/stirling.py"
 VALUES = ("tests/test_value_types.py",)
+# run_suite against checks that compare every index, clean and faulted
+EVERY_INDEX = tuple(f"tests/test_identities.py::test_{name}" for name in (
+    "clean_run_reports_equal_the_every_index_loops",
+    "faulted_reports_equal_the_every_index_loops",
+    "edge_reports_equal_the_every_index_loops", "thm8_reads_index_m_plus_one"))
+_MAKE = "    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too\n"
 
 # name -> (file, old, new[, tests]); ``old`` must occur exactly once in ``file``.
 MUTANTS = {
@@ -75,6 +84,47 @@ MUTANTS = {
         "src/qlambda/operators.py", 'if mode == "shifted" and m < r:', "if False:",
         ("tests/test_operators.py::test_spec_validation",),
     ),
+    "thm1 reads one index fewer": (
+        OPERATORS, "top = min(m, jmax)", "top = min(m - 1, jmax)", EVERY_INDEX,
+    ),
+    "thm2 reads one index fewer": (OPERATORS, "[:f.degree + 1]", "[:f.degree]", EVERY_INDEX),
+    "thm3 reads one index fewer": (
+        IDENTITIES, '"order": order}, range(m + 1)', '"order": order}, range(max(m, 1))',
+        EVERY_INDEX,
+    ),
+    "thm8 reads one index fewer": (
+        IDENTITIES, "top = min(m + 1, order)", "top = min(m, order)", EVERY_INDEX,
+    ),
+    "thm2 compares where g_j = 0": (
+        OPERATORS, " if not gj.is_zero()][", "][",
+        ("tests/test_operators.py::test_theorem2_check_agrees_with_the_derivative_oracle",),
+    ),
+    "thm8 takes the closed form unchecked": (
+        IDENTITIES, "self.closed_form = all(", "self.closed_form = True or all(",
+        ("tests/test_identities.py::"
+         "test_thm8_falls_back_to_the_series_when_the_closed_form_fails",),
+    ),
+    "bracket summed one time fewer": (
+        IDENTITIES, "enumerate(sums[k + 1])", "enumerate(sums[k])",
+        ("tests/test_identities.py::test_thm6_instances",
+         "tests/test_identities.py::test_thm8_instances"),
+    ),
+    "per-run store outlives the run": (
+        IDENTITIES, "_RUN.reset(token)", "pass",
+        ("tests/test_series_routes.py::test_each_run_builds_each_shifted_binomial_once",),
+    ),
+    "fault applied twice": (
+        STIRLING, "rows[n][k] = rows[n][k] + delta", "rows[n][k] = rows[n][k] + delta + delta",
+        ("tests/test_stirling.py::test_fault_injection_changes_exactly_one_entry",),
+    ),
+    "recurrence factor's sign": (
+        STIRLING, "LambdaPoly((a0 * k + b0 * n + family.r, a1 * k + b1 * n))",
+        "LambdaPoly((a0 * k + b0 * n + family.r, -a1 * k - b1 * n))",
+        ("tests/test_acceptance.py::test_criterion_9_three_way_stirling_agreement",),
+    ),
+    **{f"{name} _replace skips its checks": (file, _MAKE, "", VALUES) for name, file in (
+        ("BasisId", "src/qlambda/factorials.py"), ("PolyFamily", "src/qlambda/fubini_bell.py"),
+        ("StirlingFamily", STIRLING), ("OperatorSpec", OPERATORS))},
     "Theorem2Blocks is mutable": (
         "src/qlambda/operators.py",
         "    def __setattr__(self, name, value):\n"
