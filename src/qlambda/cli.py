@@ -203,6 +203,8 @@ def _fault_tables(spec: str) -> Tables:
         r, n, k = int(r_s), int(n_s), int(k_s)
         if not 0 <= k <= n:
             raise ValueError(f"entry ({n}, {k}) is outside every triangle")
+        if max(r, n) > DEFAULT_CAP:
+            raise ValueError(f"R and N must be at most the cap {DEFAULT_CAP}")
         delta = parse_rational(parts[4]) if len(parts) == 5 else Fraction(1)
         family = stirling.StirlingFamily(_STIRLING_FAMILIES[short], r)
     except ValueError as exc:

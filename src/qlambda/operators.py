@@ -21,19 +21,20 @@ entries instead of weighted products:
 Whatever the triangle holds, entry ``[n][j]`` is of degree <= n in j, and
 a nonzero polynomial of degree <= m has at most m roots, so each check
 compares only the first m + 1 indices it would read (all when fewer exist).
-Nothing is memoized, so a triangle fault is always seen by the next check.
+The checks read a suite run's tables (``tables.shared``), else build
+their own; nothing is memoized, so a fault is always seen by the next check.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property
 
 from . import stirling
 from .factorials import degen_falling_table
 from .kernel import LambdaPoly, TruncSeries, XPoly
 from .report import CheckReport, first_mismatch, make_report
+from .tables import shared
 
 Table = tuple[tuple[LambdaPoly, ...], ...]
 _ZERO = LambdaPoly.zero()
@@ -57,7 +58,7 @@ class OperatorSpec(namedtuple("OperatorSpec", "m r mode")):
         return super().__new__(cls, m, r, mode)
 
 
-class Theorem2Blocks(namedtuple("Theorem2Blocks", "r order degmax tri falling")):
+class Theorem2Blocks(namedtuple("Theorem2Blocks", "r order degmax main shifted")):
     """The g-free tables of the two-series identity for one r, to index ``order``.
 
     At f = x^n, coefficient j of each side of each form is g_j times an
@@ -65,49 +66,37 @@ class Theorem2Blocks(namedtuple("Theorem2Blocks", "r order degmax tri falling"))
     j <= ``order``.  ``main``: sum_k {n+r over k+r}_r j(j-1)...(j-k+1)
     against (j+r)_{n,l}.  ``shifted``: sum_{k >= r} {n over k}_r
     j(j-1)...(j-k+1) against (j)_{n-r,l} j(j-1)...(j-r+1), both zero for
-    n < r.  Each form is tabulated from ``tri`` and ``falling`` on its first read and
-    cached in the instance ``__dict__``: the one reason the class has no ``__slots__``.
+    n < r.
     """
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Theorem2Blocks is immutable")
+    __slots__ = ()
 
     def __repr__(self):
         return f"Theorem2Blocks(r={self.r!r}, order={self.order!r}, degmax={self.degmax!r})"
 
-    def _table(self, entry) -> Table:
-        js = range(self.order + 1)
-        return tuple(tuple(entry(n, j) for j in js) for n in range(self.degmax + 1))
 
-    def _mix(self, low: int) -> Table:  # sum_{k >= low} S_r(n - low, k - low) j...(j-k+1)
-        return self._table(lambda n, j: sum((self.tri.entry(n - low, k - low) * math.perm(j, k)
-                                             for k in range(low, min(n, j) + 1)), _ZERO))
-
-    @cached_property
-    def main(self) -> tuple[Table, Table]:
-        return self._mix(0), self._table(lambda n, j: self.falling[j + self.r][n])
-
-    @cached_property
-    def shifted(self) -> tuple[Table, Table]:
-        return self._mix(self.r), self._table(lambda n, j: _ZERO if n < self.r else
-                                              self.falling[j][n - self.r] * math.perm(j, self.r))
-
-
-def theorem2_blocks(r: int, order: int, degmax: int, falling=None) -> Theorem2Blocks:
-    """The tables ``theorem2_check`` reads besides f and g, for every f of degree <= degmax.
-
-    ``falling`` is ``degen_falling_table(>= order + r, >= degmax)``; built when not given.
-    """
+def theorem2_blocks(r: int, order: int, degmax: int) -> Theorem2Blocks:
+    """The tables ``theorem2_check`` reads besides f and g, for every f of degree <= degmax,
+    on the run's falling table inside a run."""
     if r < 0:
         raise ValueError("r must be >= 0")
     if degmax < 0:
         raise ValueError("degmax must be >= 0")
     tri = stirling.triangle(stirling.StirlingFamily(stirling.S2R_DEGENERATE, r), degmax)
-    return Theorem2Blocks(r, order, degmax, tri, falling or degen_falling_table(order + r, degmax))
+    falling = shared("falling", degen_falling_table, order + r, degmax)
+    js, ns = range(order + 1), range(degmax + 1)
+
+    def mix(low: int) -> Table:  # sum_{k >= low} S_r(n - low, k - low) j...(j-k+1)
+        return tuple(tuple(sum((tri.entry(n - low, k - low) * math.perm(j, k)
+                                for k in range(low, min(n, j) + 1)), _ZERO) for j in js)
+                     for n in ns)
+    main = mix(0), tuple(tuple(falling[j + r][n] for j in js) for n in ns)
+    shifted = mix(r), tuple(tuple(_ZERO if n < r else falling[j][n - r] * math.perm(j, r)
+                                  for j in js) for n in ns)
+    return Theorem2Blocks(r, order, degmax, main, shifted)
 
 
-def theorem1_check(m: int, r: int, mode: str, jmax: int = 10,
-                   blocks: Theorem2Blocks | None = None) -> CheckReport:
+def theorem1_check(m: int, r: int, mode: str, jmax: int = 10) -> CheckReport:
     """Operator equality on the monomial basis x^j, j <= jmax, one (m, r, mode).
 
     Plain mode applies the length-m operator to x^r x^j, giving
@@ -115,16 +104,12 @@ def theorem1_check(m: int, r: int, mode: str, jmax: int = 10,
     x^r times the r-th derivative of x^j, giving (j)_{m-r,l} j(j-1)...(j-r+1)
     x^j.  The Stirling-weighted derivative expansion gives the same
     monomial with the table's other entry ``[m][j]``; j <= min(m, jmax)
-    certify every j.  ``blocks`` is ``theorem2_blocks(r, >= min(m, jmax),
-    >= m)``; built when not given.
+    certify every j.
     """
     OperatorSpec(m, r, mode)
     top = min(m, jmax)
-    if blocks is None:
-        blocks = theorem2_blocks(r, top, m)
-    elif blocks.r != r or blocks.order < top or m > blocks.degmax:
-        raise ValueError("blocks were built for a different r, jmax or m")
     params = {"m": m, "r": r, "mode": mode, "jmax": jmax}
+    blocks = shared(("blocks", r), theorem2_blocks, r, top, m)
     mix, falling = blocks.main if mode == "plain" else blocks.shifted
     shift = r if mode == "plain" else 0
     for j in range(top + 1):
@@ -140,21 +125,16 @@ def _times(w: LambdaPoly, v: LambdaPoly) -> LambdaPoly:
     return v if w == 1 else w * v
 
 
-def theorem2_check(f: XPoly, g: TruncSeries, r: int, order: int,
-                   blocks: Theorem2Blocks | None = None) -> CheckReport:
+def theorem2_check(f: XPoly, g: TruncSeries, r: int, order: int) -> CheckReport:
     """Both forms of the two-series identity, coefficientwise to ``order``.
 
     Requires g tracked to at least ``order``.  The first deg f + 1 indices
-    with g_j != 0 certify every j.  ``blocks`` is ``theorem2_blocks(r, >=
-    the last of them, >= deg f)``; built when not given.
+    with g_j != 0 certify every j.
     """
     if g.order < order:
         raise ValueError(f"g must be tracked to >= {order} (got {g.order})")
     js = [j for j, gj in enumerate(g.coeffs[:order + 1]) if not gj.is_zero()][:f.degree + 1]
-    if blocks is None:
-        blocks = theorem2_blocks(r, js[-1] if js else 0, max(f.degree, 0))
-    elif blocks.r != r or f.degree > blocks.degmax or js and js[-1] > blocks.order:
-        raise ValueError("blocks were built for a different r, order or degree")
+    blocks = shared(("blocks", r), theorem2_blocks, r, js[-1] if js else 0, max(f.degree, 0))
     params = {"r": r, "order": order, "deg_f": f.degree}
     terms = [(n, f.coeff(n)) for n in range(f.degree + 1) if not f.coeff(n).is_zero()]
 

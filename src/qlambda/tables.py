@@ -6,7 +6,8 @@ faults never change.  Code finds the instance in force with
 ``current()``: a shared, fault-free default, or whatever a
 ``use(tables)`` block installed for its thread or task.  A faulted
 instance shares no store with the default, so a self-test cannot corrupt
-a concurrent library user.
+a concurrent library user.  A suite run's shared values, built once from
+its plan by ``run``, are read with ``shared``.
 """
 
 from __future__ import annotations
@@ -57,3 +58,28 @@ def use(tables: Tables):
         yield tables
     finally:
         _CURRENT.reset(token)
+
+
+_RUN: ContextVar[dict | None] = ContextVar("qlambda_run", default=None)
+
+
+def shared(key, build, *args):
+    """The run's value under ``key`` in a ``run`` block, whose plan must list it; else
+    ``build(*args)``."""
+    store = _RUN.get()
+    if store is not None and key not in store:
+        raise LookupError(f"{key!r} is not in the run's plan")
+    return build(*args) if store is None else store[key]
+
+
+@contextmanager
+def run(plan):
+    """Build each ``(key, build, *args)`` of ``plan`` in order, for ``shared`` to read in the
+    block; a build reads only the keys before it.  Nothing outlives the block."""
+    token = _RUN.set({})
+    try:
+        for key, build, *args in plan:
+            _RUN.get()[key] = build(*args)
+        yield
+    finally:
+        _RUN.reset(token)

@@ -228,6 +228,10 @@ def test_usage_errors_exit_two():
         assert proc.returncode == 2 and proc.stdout == "", body
         assert proc.stderr == "error: --x needs an x-polynomial on stdin\n"
     assert run_cli("eval", "--x", "2", stdin="[]").returncode == 0
+    for fault in ("stirling2r:0:99999999999:0", "stirling2r:600:1:0"):  # no check reads them
+        proc = run_cli("verify", "--fault", fault)
+        assert proc.returncode == 2 and proc.stdout == "", fault
+        assert proc.stderr == "error: bad --fault value: R and N must be at most the cap 64\n"
 
 
 def test_cap_override_is_bounded():

@@ -4,23 +4,23 @@ import json
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 
-from qlambda import cli, identities, operators
+from qlambda import cli, factorials, fubini_bell, identities, operators
 from qlambda import stirling as st
 from qlambda.factorials import degen_falling
 from qlambda.fubini_bell import FUBINI_DEGENERATE, PolyFamily, family_series, poly_by_sum
-from qlambda.gfun import degen_log_one_minus
-from qlambda.harmonic import degen_harmonic, harmonic_gf, hyperharmonic_row
+from qlambda.harmonic import degen_harmonic, harmonic_gf
 from qlambda.identities import (SuiteBounds, check_cor7, check_thm3, check_thm3_numeric,
                                 check_thm4, check_thm5, check_thm6, check_thm8, run_suite,
                                 suite_json)
 from qlambda.kernel import QL, LambdaPoly, SeriesOrderError, TruncSeries, XPoly
 from qlambda.operators import OperatorSpec, theorem2_blocks, theorem2_check
 from qlambda.report import first_mismatch, make_report
-from qlambda.tables import Tables, current, use
+from qlambda.tables import Tables, current, run, shared, use
 
 import routes
 from routes import poly_by_gf
@@ -78,12 +78,12 @@ def test_cor7_instances():
             assert check_cor7(n, k).passed
 
 
-def test_cor7_reads_a_given_hyperharmonic_number():
-    for k in range(1, 11):
-        row = hyperharmonic_row(10, k + 1)
-        for n in range(1, 11):
-            assert check_cor7(n, k, row[n]).to_json() == check_cor7(n, k).to_json(), (n, k)
-    assert not check_cor7(3, 2, hyperharmonic_row(3, 2)[3]).passed  # order k, not k + 1
+def test_cor7_reads_a_given_hyperharmonic_number(monkeypatch):
+    # outside a run the value comes from degen_hyperharmonic, inside one from the run's rows
+    right = identities.degen_hyperharmonic
+    monkeypatch.setattr(identities, "degen_hyperharmonic", lambda n, r: right(n, r - 1))
+    assert not check_cor7(3, 2).passed  # order k, not k + 1
+    monkeypatch.undo()
     # the runner's prefix-summed rows give the reports of the per-value convolutions
     expected = sorted((check_cor7(n, k) for n in range(1, 11) for k in range(1, 11)),
                       key=lambda rep: json.dumps(dict(rep.params), sort_keys=True))
@@ -91,10 +91,12 @@ def test_cor7_reads_a_given_hyperharmonic_number():
     assert [rep.to_json() for rep in reports] == [rep.to_json() for rep in expected]
 
 
-def test_thm6_needs_g_to_order_plus_k():
+def test_thm6_needs_g_to_order_plus_k(monkeypatch):
+    monkeypatch.setattr(identities, "harmonic_gf", lambda r, order: harmonic_gf(r, order - 1))
     with pytest.raises(SeriesOrderError):
-        check_thm6(3, 8, (harmonic_gf(1, 10), degen_log_one_minus(8)))
-    assert check_thm6(3, 8, (harmonic_gf(1, 11), degen_log_one_minus(8))).passed
+        check_thm6(3, 8)
+    monkeypatch.undo()
+    assert check_thm6(3, 8).passed
 
 
 def test_thm6_names_the_derivative_passes_counterexample(monkeypatch):
@@ -121,19 +123,6 @@ def test_thm8_instances():
     for m in range(4):
         for r in range(3):
             assert check_thm8(m, r, 12).passed
-
-
-def test_thm8_rejects_mismatched_blocks_and_terms():
-    blocks, terms = theorem2_blocks(2, 10, 4), identities.harmonic_terms(10, 4)
-    assert check_thm8(4, 2, 10, blocks, terms).passed
-    assert check_thm8(3, 2, 9, blocks).passed  # blocks that cover n = 1..m+1 serve any order
-    narrow = theorem2_blocks(2, 3, 4)
-    for m, r, order, block in ((5, 2, 10, blocks), (3, 0, 10, blocks), (3, 2, 9, narrow)):
-        with pytest.raises(ValueError, match="blocks or terms were built"):
-            check_thm8(m, r, order, block)
-    for m, r, order in ((5, 2, 10), (3, 2, 9)):
-        with pytest.raises(ValueError, match="blocks or terms were built"):
-            check_thm8(m, r, order, None, terms)
 
 
 _ORDER_COVERS_M = "order must cover m (and be >= 1)"
@@ -498,21 +487,15 @@ def test_thm8_falls_back_to_the_series_when_the_closed_form_fails(monkeypatch):
 
 
 def test_suite_takes_no_reciprocal_and_thm6_no_power(monkeypatch):
-    calls, running = [], [None]  # (TruncSeries method, check id running)
+    calls = []  # the plan's builds included, thm6's harmonic series among them
     for name in ("reciprocal", "pow"):
         def counting(self, *args, _name=name, _original=getattr(TruncSeries, name)):
-            calls.append((_name, running[0]))
+            calls.append(_name)
             return _original(self, *args)
         monkeypatch.setattr(TruncSeries, name, counting)
-    for check_id, runner in list(identities._RUNNERS.items()):
-        def tagged(bounds, seed, _id=check_id, _runner=runner):
-            running[0] = _id
-            return _runner(bounds, seed)
-        monkeypatch.setitem(identities._RUNNERS, check_id, tagged)
     reports = run_suite(identities.CHECK_IDS, SuiteBounds(), tables=Tables())
     assert reports and all(rep.passed for rep in reports)
-    assert [call for call in calls if call[0] == "reciprocal"] == []
-    assert ("pow", "thm6") not in calls
+    assert calls == []
 
 
 def test_runs_read_one_falling_table_and_derive_once_per_step(monkeypatch):
@@ -569,3 +552,74 @@ def test_check_report_invariant():
     payload = rep.to_json()
     assert payload["check"] == "thm4"
     assert payload["counterexample"] is None
+
+
+def _rebind(monkeypatch, original, replacement):
+    """Replace ``original`` by ``replacement`` wherever a qlambda module binds it."""
+    for name, module in list(sys.modules.items()):
+        if name == "qlambda" or name.startswith("qlambda."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+# builder -> the key of what it builds, from its arguments
+_BUILDERS = {
+    (st, "_build_rows"): lambda family, nmax: (family.id, family.r),
+    (factorials, "degen_falling_table"): lambda amax, mmax: (),
+    (operators, "theorem2_blocks"): lambda r, order, degmax: r,
+    (factorials, "gen_binomial"): lambda top, k: k,
+    (identities, "harmonic_terms"): lambda order, kmax: order,
+    (fubini_bell, "poly_by_sum"): lambda family, n: (family, n),
+}
+
+
+def test_a_run_builds_every_shared_value_once_before_any_check(monkeypatch):
+    started, builds = [], []
+    for (module, name), key in _BUILDERS.items():
+        def building(*args, _name=name, _key=key, _original=getattr(module, name)):
+            builds.append((_name, _key(*args), bool(started)))
+            return _original(*args)
+        _rebind(monkeypatch, getattr(module, name), building)
+    for module in (identities, operators):
+        for name in dir(module):
+            if name.startswith("check_") or name.startswith("theorem") and name.endswith("_check"):
+                def checking(*args, _original=getattr(module, name)):
+                    started.append(True)
+                    return _original(*args)
+                _rebind(monkeypatch, getattr(module, name), checking)
+    reports = run_suite(identities.CHECK_IDS, tables=Tables())
+    assert len(reports) == 348 and all(rep.passed for rep in reports) and started
+    assert [build for build in builds if build[2]] == []  # none after the first check
+    keys = [build[:2] for build in builds]
+    assert len(keys) == len(set(keys))
+    assert {name for name, _ in keys} == {name for _, name in _BUILDERS}
+    poly_keys = {key for name, key in keys if name == "poly_by_sum"}
+    assert len(poly_keys) == 9 * 4 + 17  # thm3's r-Fubini m <= 8, r <= 3, thm4's n <= 16
+
+
+def _outside_a_run(check_id, bounds, seed, tables):
+    """The checks of ``check_id``'s grid, called one by one in ``tables`` outside any run."""
+    with use(tables):
+        reports = identities._RUNNERS[check_id](bounds, seed)
+    return sorted(reports, key=lambda rep: json.dumps(dict(rep.params), sort_keys=True))
+
+
+@pytest.mark.parametrize("fault", [None, (1, 3, 2)], ids=("clean", "stirling2r"))
+@pytest.mark.parametrize("check_id", identities.CHECK_IDS)
+def test_run_reports_equal_the_checks_outside_a_run(check_id, fault):
+    faults = {} if fault is None else {(st.S2R_DEGENERATE, *fault): LambdaPoly.one()}
+    bounds = SuiteBounds(thm2_trials=8)
+    reports = run_suite({check_id}, bounds, seed=3, tables=Tables(faults))
+    expected = _outside_a_run(check_id, bounds, 3, Tables(faults))
+    assert [rep.to_json() for rep in reports] == [rep.to_json() for rep in expected]
+    assert all(rep.passed for rep in reports) == (
+        fault is None or check_id not in ("thm1", "thm2", "thm3", "thm8"))
+
+
+def test_a_run_refuses_a_value_its_plan_does_not_list():
+    with run([("planned", int, 7)]):
+        assert shared("planned", int, 0) == 7
+        with pytest.raises(LookupError, match="not in the run's plan"):
+            shared("unplanned", int, 0)
+    assert shared("planned", int, 0) == 0

@@ -10,11 +10,12 @@ import pytest
 from qlambda.factorials import degen_falling
 from qlambda import stirling as st
 from qlambda.gfun import classical_exp, degen_log_one_minus, inv_one_minus
-from qlambda.identities import check_thm8, harmonic_terms
+from qlambda import identities
+from qlambda.identities import SuiteBounds, check_thm8
 from qlambda.kernel import QL, LambdaPoly, TruncSeries, XPoly
 from qlambda.operators import OperatorSpec, theorem1_check, theorem2_blocks, theorem2_check
 from qlambda.report import first_mismatch, make_report
-from qlambda.tables import Tables, use
+from qlambda.tables import Tables, run, use
 
 from routes import (degen_transform, degen_transform_value, euler_apply, rhs_theorem1,
                     theorem2_sides)
@@ -30,6 +31,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         OperatorSpec(1, 0, "sideways")
     OperatorSpec(2, 2, "shifted")
+    with pytest.raises(ValueError):  # the check validates its spec
+        theorem1_check(1, 2, "shifted", 6)
 
 
 def test_euler_apply_examples():
@@ -77,27 +80,13 @@ def test_theorem1_check_agrees_with_the_operator_oracle(faulted):
               for r in range(5) for n, k in ((3, 1), (7, 5))} if faulted else {}
     failed = 0
     with use(Tables(faults)):
-        blocks = [theorem2_blocks(r, jmax, mmax) for r in range(5)]
         for m in range(mmax + 1):
             for r in range(min(m, 4) + 1):
                 for mode in ("plain", "shifted"):
                     expected = _theorem1_oracle(m, r, mode, jmax).to_json()
                     assert theorem1_check(m, r, mode, jmax).to_json() == expected
-                    assert theorem1_check(m, r, mode, jmax, blocks[r]).to_json() == expected
                     failed += not expected["passed"]
     assert (failed > 0) == faulted
-
-
-def test_theorem1_check_rejects_mismatched_blocks():
-    blocks = theorem2_blocks(1, 6, 3)
-    assert theorem1_check(3, 1, "shifted", 6, blocks).passed
-    assert theorem1_check(2, 1, "plain", 5, blocks).passed  # columns j <= min(m, jmax) suffice
-    narrow = theorem2_blocks(1, 1, 3)
-    for m, r, jmax, block in ((4, 1, 6, blocks), (2, 0, 6, blocks), (2, 1, 5, narrow)):
-        with pytest.raises(ValueError):
-            theorem1_check(m, r, "plain", jmax, block)
-    with pytest.raises(ValueError):
-        theorem1_check(1, 2, "shifted", 6)
 
 
 def test_operator_identity_on_series():
@@ -213,25 +202,8 @@ def test_theorem2_insufficient_order_is_error():
     message = r"g must be tracked to >= 10 \(got 9\)"
     with pytest.raises(ValueError, match=message):
         theorem2_check(XPoly.monomial(1, 3), inv_one_minus(9), 0, 10)
-    with pytest.raises(ValueError, match=message):
-        theorem2_check(XPoly.monomial(1, 3), inv_one_minus(9), 0, 10, theorem2_blocks(0, 10, 3))
     # the tables read g_0..g_order only
     assert theorem2_check(XPoly.monomial(1, 3), inv_one_minus(10), 0, 10).passed
-
-
-def test_theorem2_shared_blocks_match_own_blocks():
-    rng = random.Random(5)
-    order, degmax = 10, 5
-    for r in range(3):
-        blocks = theorem2_blocks(r, order, degmax)
-        for name in ("geometric", "exp", "harmonic"):
-            g = _g_for(name, order + degmax)
-            for _ in range(4):
-                f = XPoly([LambdaPoly([Fraction(rng.randint(-6, 6), rng.randint(1, 4))])
-                           for _ in range(rng.randint(1, degmax + 1))])
-                shared = theorem2_check(f, g, r, order, blocks)
-                assert shared.passed, shared.to_json()
-                assert shared == theorem2_check(f, g, r, order)
 
 
 def test_theorem2_blocks_shapes():
@@ -244,7 +216,7 @@ def test_theorem2_blocks_shapes():
     assert blocks.main[1][2][5] == degen_falling(5 + 2, 2)
     assert blocks.shifted[1][3][5] == degen_falling(5, 1) * 20
     assert blocks.main is blocks.main
-    twin = pickle.loads(pickle.dumps(blocks))  # carries the tables read so far
+    twin = pickle.loads(pickle.dumps(blocks))  # carries both forms
     assert twin == blocks and twin.main == blocks.main and twin.shifted == blocks.shifted
 
 
@@ -284,27 +256,12 @@ def test_theorem2_blocks_mix_matches_scaled_derivatives(faulted):
                     assert times_g(shifted[n]) == mix((k, tri.entry(n - r, k - r))
                                                       for k in range(r, n + 1))
                 if faulted:
-                    assert not theorem2_check(XPoly.monomial(1, 5), g, r, order, blocks).passed
+                    assert not theorem2_check(XPoly.monomial(1, 5), g, r, order).passed
             for n in range(degmax + 1):
                 assert main_rhs[n] == tuple(degen_falling(j + r, n) for j in range(order + 1))
                 assert shifted_rhs[n] == tuple(
                     degen_falling(j, n - r) * math.perm(j, r) if n >= r else LambdaPoly.zero()
                     for j in range(order + 1))
-
-
-def test_theorem2_rejects_mismatched_blocks():
-    g = _g_for("geometric", 14)
-    blocks = theorem2_blocks(1, 10, 2)
-    with pytest.raises(ValueError):
-        theorem2_check(XPoly.monomial(1, 3), g, 1, 10, blocks)  # degmax below deg f
-    with pytest.raises(ValueError):
-        theorem2_check(X, g, 0, 10, blocks)
-    with pytest.raises(ValueError):  # x^1 reads coefficients 0 and 1
-        theorem2_check(X, g, 1, 9, theorem2_blocks(1, 0, 2))
-    assert theorem2_check(X, g, 1, 10, blocks).passed
-    assert theorem2_check(X, g, 1, 9, blocks).passed
-    # blocks do not depend on g, so any g may use them
-    assert theorem2_check(X, _g_for("exp", 14), 1, 10, blocks).passed
 
 
 def _random_rational_series(rng, order):
@@ -330,14 +287,12 @@ def test_theorem2_check_agrees_with_the_derivative_oracle(faulted):
     failed = 0
     with use(Tables(faults)):
         for r in range(4):
-            blocks = theorem2_blocks(r, order, degmax)
             for _ in range(6):
                 g = _random_rational_series(rng, order + degmax)
                 f = XPoly([LambdaPoly([Fraction(rng.randint(-6, 6), rng.randint(1, 4))])
                            for _ in range(rng.randint(1, degmax + 1))])
                 expected = _oracle_report(f, g, r, order)
                 assert theorem2_check(f, g, r, order) == expected, (r, f, g)
-                assert theorem2_check(f, g, r, order, blocks) == expected, (r, f, g)
                 failed += not expected.passed
             # g with zero coefficients: the fault changes coefficients j >= 2 only
             f = XPoly.monomial(3, 4) + X
@@ -346,31 +301,28 @@ def test_theorem2_check_agrees_with_the_derivative_oracle(faulted):
                                      if j in support else LambdaPoly.zero()
                                      for j in range(order + degmax + 1)))
                 expected = _oracle_report(f, g, r, order)
-                assert theorem2_check(f, g, r, order, blocks) == expected, (r, support)
+                assert theorem2_check(f, g, r, order) == expected, (r, support)
                 assert expected.passed == (not faulted or len(support) < 3), (r, support)
     assert (failed > 0) == faulted
 
 
 def test_checks_on_prebuilt_blocks_take_no_product(monkeypatch):
-    order, degmax, rmax = 10, 6, 3
-    blocks = [theorem2_blocks(r, order, degmax) for r in range(rmax + 1)]
-    assert all(block.main and block.shifted for block in blocks)  # tabulated before counting
-    terms = harmonic_terms(order, degmax)
-    assert terms.closed_form
-    monomials = [XPoly.monomial(1, n) for n in range(degmax + 1)]
-    gs = [_g_for(name, order) for name in ("geometric", "exp", "harmonic")]
+    bounds = SuiteBounds(thm1_jmax=10, thm1_mmax=6, thm1_rmax=3, thm2_degmax=6, thm2_rmax=3,
+                         thm2_order=10, thm8_mmax=6, thm8_rmax=3, thm8_order=10)
+    monomials = [XPoly.monomial(1, n) for n in range(7)]
+    gs = [_g_for(name, 10) for name in ("geometric", "exp", "harmonic")]
     calls = []
-    for name in ("__mul__", "__rmul__"):
-        def counting(self, other, _original=getattr(LambdaPoly, name)):
-            calls.append(other)
-            return _original(self, other)
-        monkeypatch.setattr(LambdaPoly, name, counting)
-    reports = [theorem1_check(m, r, mode, order, blocks[r]) for m in range(degmax + 1)
-               for r in range(min(m, rmax) + 1) for mode in ("plain", "shifted")]
-    reports += [theorem2_check(f, g, r, order, blocks[r])
-                for f in monomials for g in gs for r in range(rmax + 1)]
-    reports += [check_thm8(m, r, order, blocks[r], terms) for m in range(degmax + 1)
-                for r in range(rmax + 1)]
+    # the run's plan prebuilds the blocks and thm8's terms before any check
+    with use(Tables()), run(identities._plan(("thm1", "thm2", "thm8"), bounds)):
+        for name in ("__mul__", "__rmul__"):  # counted from the first check on
+            def counting(self, other, _original=getattr(LambdaPoly, name)):
+                calls.append(other)
+                return _original(self, other)
+            monkeypatch.setattr(LambdaPoly, name, counting)
+        reports = [theorem1_check(m, r, mode, 10) for m in range(7)
+                   for r in range(min(m, 3) + 1) for mode in ("plain", "shifted")]
+        reports += [theorem2_check(f, g, r, 10) for f in monomials for g in gs for r in range(4)]
+        reports += [check_thm8(m, r, 10) for m in range(7) for r in range(4)]
     assert reports and all(rep.passed for rep in reports)
     assert calls == []
 

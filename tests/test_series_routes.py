@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from qlambda import identities
+from qlambda import identities, tables
 from qlambda.fubini_bell import rfubini_numbers
 from qlambda.gfun import classical_exp, degen_exp, degen_log1p, degen_log_one_minus, inv_one_minus
 from qlambda.harmonic import degen_hyperharmonic, harmonic_gf, hyperharmonic_row, running_sums
@@ -130,7 +130,7 @@ def test_each_run_builds_each_shifted_binomial_once(monkeypatch):
         assert reports and all(rep.passed for rep in reports)
         ks = range(max(bounds.cor7_kmax, bounds.thm6_kmax, bounds.thm8_mmax) + 1)
         assert sorted(calls) == list(ks)  # thm8 reads k = 0 too
-    assert identities._RUN.get(None) is None
+    assert tables._RUN.get() is None
     calls.clear()
     check_thm6(2, 6)
     check_thm6(2, 6)

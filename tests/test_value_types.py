@@ -41,7 +41,7 @@ CASES = [
      "StirlingFamily(id='S2r-degenerate', r=2)"),
     (OperatorSpec, dict(m=3, r=1, mode="shifted"), ("m", 2),
      "OperatorSpec(m=3, r=1, mode='shifted')"),
-    (Theorem2Blocks, dict(r=1, order=4, degmax=1, tri=st.Triangle(**_TRI_ARGS), falling=((1,),)),
+    (Theorem2Blocks, dict(r=1, order=4, degmax=1, main=(((1,),), ((1,),)), shifted=((), ())),
      ("order", 5), "Theorem2Blocks(r=1, order=4, degmax=1)"),
 ]
 

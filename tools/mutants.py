@@ -11,7 +11,8 @@ every subset first and must pass.
     python tools/mutants.py
 
 Exits 0 when every mutant is caught, 1 otherwise.  Runs for a few
-minutes; it is not part of the tier-1 suite.
+minutes; it is not part of the tier-1 suite, but ``tests/test_mutants.py``
+checks there that each ``old`` still occurs exactly once.
 """
 
 from __future__ import annotations
@@ -30,12 +31,16 @@ KERNEL = "src/qlambda/kernel.py"
 IDENTITIES = "src/qlambda/identities.py"
 OPERATORS = "src/qlambda/operators.py"
 STIRLING = "src/qlambda/stirling.py"
+TABLES = "src/qlambda/tables.py"
 VALUES = ("tests/test_value_types.py",)
 # run_suite against checks that compare every index, clean and faulted
 EVERY_INDEX = tuple(f"tests/test_identities.py::test_{name}" for name in (
     "clean_run_reports_equal_the_every_index_loops",
     "faulted_reports_equal_the_every_index_loops",
     "edge_reports_equal_the_every_index_loops", "thm8_reads_index_m_plus_one"))
+# a default run builds every shared value once, before its first check
+PLANNED = ("tests/test_identities.py::"
+           "test_a_run_builds_every_shared_value_once_before_any_check",)
 _MAKE = "    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too\n"
 
 # name -> (file, old, new[, tests]); ``old`` must occur exactly once in ``file``.
@@ -105,12 +110,12 @@ MUTANTS = {
          "test_thm8_falls_back_to_the_series_when_the_closed_form_fails",),
     ),
     "bracket summed one time fewer": (
-        IDENTITIES, "enumerate(sums[k + 1])", "enumerate(sums[k])",
+        IDENTITIES, "order, k + 1)[k + 1]", "order, k + 1)[k]",
         ("tests/test_identities.py::test_thm6_instances",
          "tests/test_identities.py::test_thm8_instances"),
     ),
     "per-run store outlives the run": (
-        IDENTITIES, "_RUN.reset(token)", "pass",
+        TABLES, "_RUN.reset(token)", "pass",
         ("tests/test_series_routes.py::test_each_run_builds_each_shifted_binomial_once",),
     ),
     "fault applied twice": (
@@ -125,11 +130,26 @@ MUTANTS = {
     **{f"{name} _replace skips its checks": (file, _MAKE, "", VALUES) for name, file in (
         ("BasisId", "src/qlambda/factorials.py"), ("PolyFamily", "src/qlambda/fubini_bell.py"),
         ("StirlingFamily", STIRLING), ("OperatorSpec", OPERATORS))},
-    "Theorem2Blocks is mutable": (
-        "src/qlambda/operators.py",
-        "    def __setattr__(self, name, value):\n"
-        '        raise AttributeError("Theorem2Blocks is immutable")\n\n',
-        "", VALUES,
+    "Theorem2Blocks has an instance __dict__": (
+        OPERATORS, '    n < r.\n    """\n\n    __slots__ = ()\n', '    n < r.\n    """\n', VALUES,
+    ),
+    "the plan drops thm5's triangle read": (
+        IDENTITIES,
+        "read(stirling.S1R_UNSIGNED_DEGENERATE, range(1, b.thm5_rmax + 1), b.thm5_nmax)",
+        "pass", PLANNED,
+    ),
+    "the plan sizes the g-free tables one index short": (
+        IDENTITIES, "theorem2_blocks, r, index, degmax)", "theorem2_blocks, r, index - 1, degmax)",
+        PLANNED,
+    ),
+    "a check builds its own blocks inside a run": (
+        OPERATORS, "blocks = shared((\"blocks\", r), theorem2_blocks, r, top, m)",
+        "blocks = theorem2_blocks(r, top, m)", PLANNED,
+    ),
+    "a run builds a value its plan does not list": (
+        TABLES, "raise LookupError(f\"{key!r} is not in the run's plan\")",
+        "return store.setdefault(key, build(*args))",
+        ("tests/test_identities.py::test_a_run_refuses_a_value_its_plan_does_not_list",),
     ),
 }
 
