@@ -10,9 +10,10 @@ are drawn only to name a counterexample.  thm1, thm2 and thm8 compare
 entries of its g-free tables (``operators.theorem2_blocks``), thm8 where
 its series has Theorem 6's closed form; they and thm3 compare m + 1
 indices, which certify the rest by degree.  A product by 1/(1-x)^(k+1)
-is k + 1 running sums.  A run checks every bound, then builds each value
-its checks share once, before the first check (``_plan``, ``tables.run``);
-outside a run each check builds its own.  Nothing outlives a run.
+is k + 1 running sums; C(k - l, k) on k running sums is (k - l)/k per sum.
+A run checks every bound and fault, then builds each value its checks
+share once, before the first check (``_plan``, ``tables.run``); outside a
+run each check builds its own.  Nothing outlives a run.
 
 Check ids: thm1 thm2 thm3 thm4 thm5 thm6 cor7 thm8.
 """
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import stirling
-from .factorials import degen_falling, degen_falling_table, gen_binomial
+from .factorials import degen_falling, degen_falling_table
 from .fubini_bell import (FUBINI_DEGENERATE, RFUBINI_DEGENERATE, PolyFamily, poly_by_sum,
                           rfubini_numbers)
 from .gfun import classical_exp, degen_log_one_minus, inv_one_minus
@@ -46,32 +47,28 @@ def _poly(family: PolyFamily, n: int) -> XPoly:
     return shared(("poly", family, n), poly_by_sum, family, n)
 
 
-def _shifted_binomial(k: int) -> LambdaPoly:
-    """C(k - l, k)."""
-    return gen_binomial(LambdaPoly([k, -1]), k)
-
-
-def _log_sums(order: int, times: int) -> list:
-    """[i]: the coefficients of log_l(1-x) to ``order``, summed i times, i <= ``times``."""
-    sums = [degen_log_one_minus(order).coeffs]
-    while len(sums) <= times:
-        sums.append(running_sums(sums[-1], 1))
+def _binomial_sums(base, kmax: int) -> list:
+    """[k]: C(k - l, k) times ``base`` summed k times, k <= kmax.  C(k - l, k) is
+    C(k - 1 - l, k - 1) (k - l)/k, so each is (k - l)/k times one running sum of the last."""
+    sums = [list(base)]
+    for k in range(1, kmax + 1):
+        ratio = LambdaPoly((k, -1)) / k
+        sums.append([c * ratio for c in running_sums(sums[-1], 1)])
     return sums
 
 
-def _summed_bracket(k: int, order: int) -> tuple[LambdaPoly, ...]:
-    """bracket_k = H_k - C(k - l, k) log_l(1-x) summed k + 1 times, to ``order``:
+def _summed_brackets(order: int, kmax: int) -> list:
+    """[k]: bracket_k = H_k - C(k - l, k) log_l(1-x) summed k + 1 times, to ``order``, k <= kmax:
     H_k C(n + k, k) - C(k - l, k) [log summed k + 1 times]_n."""
-    sums = shared(("log sums", order), _log_sums, order, k + 1)[k + 1]
-    harmonic, binom = degen_harmonic(k), shared(("binomial", k), _shifted_binomial, k)
-    return tuple(harmonic * math.comb(n + k, k) - binom * c for n, c in enumerate(sums))
+    sums = _binomial_sums(running_sums(degen_log_one_minus(order).coeffs, 1), kmax)
+    harmonic = [degen_harmonic(k) for k in range(kmax + 1)]
+    return [tuple(harmonic[k] * math.comb(n + k, k) - c for n, c in enumerate(row))
+            for k, row in enumerate(sums)]
 
 
-def _hyperharmonic_row(nmax: int, q: int) -> list:
-    """H^(q)_0..H^(q)_nmax: the harmonic row for q = 1, else the row of order q - 1 summed once."""
-    if q == 1:
-        return [degen_harmonic(n) for n in range(nmax + 1)]
-    return running_sums(shared(("hyperharmonic", q - 1), _hyperharmonic_row, nmax, q - 1), 1)
+def _harmonic_sums(nmax: int, kmax: int) -> list:
+    """[k][n]: C(k - l, k) H^(k+1)_n, the harmonic row summed k times, n <= nmax, k <= kmax."""
+    return _binomial_sums([degen_harmonic(n) for n in range(nmax + 1)], kmax)
 
 
 class HarmonicTerms:
@@ -88,7 +85,7 @@ def harmonic_terms(order: int, kmax: int) -> HarmonicTerms:
     times, to order - k, and shifted by k.  thm8's rhs is sum_k w_k T_k."""
     if kmax > order:
         raise ValueError(_ORDER_COVERS_K)
-    brackets = (shared(("bracket", k, order), _summed_bracket, k, order) for k in range(kmax + 1))
+    brackets = shared(("brackets", order), _summed_brackets, order, kmax)[:kmax + 1]
     return HarmonicTerms(order, (TruncSeries(QL, (QL.zero,) * k + bracket[:order - k + 1])
                                  for k, bracket in enumerate(brackets)))
 
@@ -130,8 +127,9 @@ def check_thm4(n: int) -> CheckReport:
     params = {"n": n}
     fam = PolyFamily(FUBINI_DEGENERATE)
     fn = _poly(fam, n)
-    x = XPoly.x()
-    lhs = x * fn.derivative() + x * (x * fn).derivative() - fn * (LambdaPoly.param() * n)
+    # coefficient i of x f' + x (x f)' - l n f
+    lhs = XPoly(fn.coeff(i) * LambdaPoly((i, -n)) + fn.coeff(i - 1) * i
+                for i in range(fn.degree + 2))
     return make_report("thm4", params, first_mismatch(lhs, _poly(fam, n + 1), "polynomials"))
 
 
@@ -163,7 +161,7 @@ def check_thm6(k: int, order: int) -> CheckReport:
     g = shared(("harmonic gf", order), harmonic_gf, 1, order + k)
     g = g.truncate(order + k).coeffs  # [x^n] g^(k) = g_{n+k} (n+k)!/n!
     derived = TruncSeries(QL, (g[n + k] * math.perm(n + k, k) for n in range(order + 1)))
-    bracket = shared(("bracket", k, order), _summed_bracket, k, order)
+    bracket = shared(("brackets", order), _summed_brackets, order, k)[k]
     closed = TruncSeries(QL, bracket).scale(math.factorial(k))  # k! bracket_k / (1-x)^(k+1)
     bad = first_mismatch(derived, closed, "derivative series")
     if bad is not None:
@@ -178,9 +176,7 @@ def check_cor7(n: int, k: int) -> CheckReport:
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
     params = {"n": n, "k": k}
-    # H^(k+1)_n: the run's row of order k + 1, else this one value
-    hyper = shared(("hyperharmonic", k + 1), lambda: {n: degen_hyperharmonic(n, k + 1)})[n]
-    lhs = shared(("binomial", k), _shifted_binomial, k) * hyper
+    lhs = shared("harmonic sums", _harmonic_sums, n, k)[k][n]  # C(k - l, k) H^(k+1)_n
     rhs = (degen_harmonic(n + k) - degen_harmonic(k)) * math.comb(n + k, k)
     return make_report("cor7", params, first_mismatch(lhs, rhs, "values"))
 
@@ -258,8 +254,7 @@ def _plan(ids, bounds: SuiteBounds) -> list:
     largest r, m (or deg f) and index any of them reads: min(m, jmax), m, min(m + 1, order),
     and min(degmax + 1, order) for thm2, whose named g are nonzero at j >= 1.
     """
-    b, tops, polys, reach, block_rs, binomials, brackets, later = (
-        bounds, {}, [], [], set(), set(), {}, [])
+    b, tops, polys, reach, block_rs, brackets, later = bounds, {}, [], [], set(), {}, []
 
     def read(family_id, rs, top):  # rows 0..top of the triangle of each r in rs
         for r in rs if top >= 0 else ():
@@ -289,7 +284,7 @@ def _plan(ids, bounds: SuiteBounds) -> list:
                     rfubini(mmax, rmax)
                 else:
                     block_rs.update(range(rmax + 1))
-                    brackets.setdefault(order, set()).update(range(mmax + 1))
+                    brackets[order] = max(mmax, brackets.get(order, mmax))
                     later.append((("terms", order), harmonic_terms, order, mmax))
             if check_id == "thm3":
                 rfubini(b.thm3_numeric_mmax, b.thm3_numeric_rmax)
@@ -303,12 +298,10 @@ def _plan(ids, bounds: SuiteBounds) -> list:
             order, kmax = b.thm6_order, b.thm6_kmax
             if kmax > order:
                 raise ValueError(_ORDER_COVERS_K)
-            brackets.setdefault(order, set()).update(range(1, kmax + 1))
+            brackets[order] = max(kmax, brackets.get(order, kmax))
             later.append((("harmonic gf", order), harmonic_gf, 1, order + kmax))
         elif check_id == "cor7" and min(b.cor7_nmax, b.cor7_kmax) >= 1:
-            binomials.update(range(1, b.cor7_kmax + 1))
-            later += [(("hyperharmonic", q), _hyperharmonic_row, b.cor7_nmax, q)
-                      for q in range(1, b.cor7_kmax + 2)]
+            later.append(("harmonic sums", _harmonic_sums, b.cor7_nmax, b.cor7_kmax))
     if reach:
         rmax, degmax, index = map(max, zip(*reach))
         read(stirling.S2R_DEGENERATE, block_rs, degmax)
@@ -318,11 +311,8 @@ def _plan(ids, bounds: SuiteBounds) -> list:
     if reach:
         plan.append(("falling", degen_falling_table, index + rmax, degmax))
         plan += [(("blocks", r), theorem2_blocks, r, index, degmax) for r in sorted(block_rs)]
-    plan += [(("binomial", k), _shifted_binomial, k)
-             for k in sorted(binomials.union(*brackets.values()))]
-    for order, ks in brackets.items():
-        plan.append((("log sums", order), _log_sums, order, max(ks) + 1))
-        plan += [(("bracket", k, order), _summed_bracket, k, order) for k in sorted(ks)]
+    plan += [(("brackets", order), _summed_brackets, order, kmax)
+             for order, kmax in brackets.items()]
     return plan + later
 
 
@@ -400,7 +390,8 @@ def run_suite(selection, bounds: SuiteBounds | None = None, seed: int = 0,
 
     Reports come back sorted by check id and then by parameters regardless
     of execution order.  Unknown ids raise with the list of valid ones;
-    bounds a selected check rejects raise before any check runs.  The run
+    bounds a selected check rejects, and a triangle fault in a row no
+    selected check reads, raise before any check runs.  The run
     builds every value its plan lists, then runs the checks, all in
     ``tables`` when given, else the current ones.
     """
@@ -409,8 +400,13 @@ def run_suite(selection, bounds: SuiteBounds | None = None, seed: int = 0,
         if check_id not in _RUNNERS:
             raise ValueError(f"unknown check id {check_id!r}; valid ids: {', '.join(CHECK_IDS)}")
     bounds = bounds or SuiteBounds()
-    plan = _plan(ids, bounds)  # raises before any arithmetic
-    with use(tables or current()), run(plan):
+    tables, plan = tables or current(), _plan(ids, bounds)  # raises before any arithmetic
+    tops = {key[1:]: args[-1] for key, _, *args in plan if key[0] == "triangle"}
+    for family_id, r, n, _ in tables.faults:
+        if n > tops.get((family_id, r), -1):
+            raise ValueError(f"no selected check reads row {n} of {family_id} at r = {r}, "
+                             "where the fault is")
+    with use(tables), run(plan):
         reports = [rep for check_id in ids for rep in _RUNNERS[check_id](bounds, seed)]
     reports.sort(key=lambda rep: (rep.check_id,
                                   json.dumps(dict(rep.params), sort_keys=True, default=str)))

@@ -155,8 +155,12 @@ class _DensePoly:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, self._scalars):
-            return type(self)(tuple(c * other for c in self.coeffs))
+        if isinstance(other, self._scalars):  # Q[l] has no zero divisors: nothing to strip
+            if not other:
+                return self._zero
+            out = object.__new__(type(self))
+            object.__setattr__(out, "coeffs", tuple(c * other for c in self.coeffs))
+            return out
         if not isinstance(other, type(self)):
             return NotImplemented
         if not self.coeffs or not other.coeffs:

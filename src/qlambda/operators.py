@@ -66,7 +66,8 @@ class Theorem2Blocks(namedtuple("Theorem2Blocks", "r order degmax main shifted")
     j <= ``order``.  ``main``: sum_k {n+r over k+r}_r j(j-1)...(j-k+1)
     against (j+r)_{n,l}.  ``shifted``: sum_{k >= r} {n over k}_r
     j(j-1)...(j-k+1) against (j)_{n-r,l} j(j-1)...(j-r+1), both zero for
-    n < r.
+    n < r or j < r.  Since (j)_k = (j)_r (j-r)_{k-r}, each shifted entry is
+    j(j-1)...(j-r+1) times the main entry ``[n-r][j-r]``.
     """
 
     __slots__ = ()
@@ -85,15 +86,14 @@ def theorem2_blocks(r: int, order: int, degmax: int) -> Theorem2Blocks:
     tri = stirling.triangle(stirling.StirlingFamily(stirling.S2R_DEGENERATE, r), degmax)
     falling = shared("falling", degen_falling_table, order + r, degmax)
     js, ns = range(order + 1), range(degmax + 1)
+    main = (tuple(tuple(sum((tri.entry(n, k) * math.perm(j, k) for k in range(min(n, j) + 1)),
+                            _ZERO) for j in js) for n in ns),
+            tuple(tuple(falling[j + r][n] for j in js) for n in ns))
 
-    def mix(low: int) -> Table:  # sum_{k >= low} S_r(n - low, k - low) j...(j-k+1)
-        return tuple(tuple(sum((tri.entry(n - low, k - low) * math.perm(j, k)
-                                for k in range(low, min(n, j) + 1)), _ZERO) for j in js)
-                     for n in ns)
-    main = mix(0), tuple(tuple(falling[j + r][n] for j in js) for n in ns)
-    shifted = mix(r), tuple(tuple(_ZERO if n < r else falling[j][n - r] * math.perm(j, r)
-                                  for j in js) for n in ns)
-    return Theorem2Blocks(r, order, degmax, main, shifted)
+    def shift(table: Table) -> Table:  # j(j-1)...(j-r+1) times main entry [n - r][j - r]
+        return tuple(tuple(_ZERO if n < r or j < r else table[n - r][j - r] * math.perm(j, r)
+                           for j in js) for n in ns)
+    return Theorem2Blocks(r, order, degmax, main, tuple(map(shift, main)))
 
 
 def theorem1_check(m: int, r: int, mode: str, jmax: int = 10) -> CheckReport:

@@ -8,8 +8,12 @@ from its coefficients in a factorial basis, and the degenerate transform
 of a polynomial one monomial at a time, and both sides of the
 two-series identity from the derivatives of g.  The binomial series
 (1-t)^-(k+1) is multiplied out as a product or a convolution, where the
-package takes running sums, and the numeric r-Fubini sum runs over
-``Fraction``s, where the package sums integers.  ``every_index_reports``
+package takes running sums; the weight C(k - l, k) multiplies each
+summed value, where the package takes one factor (k - l)/k per sum; the
+shifted two-series tables are summed term by term, where the package
+scales the main ones; thm4's left side is taken by ``XPoly`` products and
+derivatives, where the package writes its coefficients; and the numeric
+r-Fubini sum runs over ``Fraction``s, where the package sums integers.  ``every_index_reports``
 runs thm1, thm2, thm3 and thm8 comparing every index to the order, where
 the package compares the first m + 1.  They use the kernel's
 arithmetic and the named series of ``gfun``, never ``fubini_bell``'s
@@ -30,7 +34,7 @@ from qlambda.factorials import BasisId, basis_poly, classical_falling, degen_fal
 from qlambda.fubini_bell import (BELL_DEGENERATE, FUBINI_CLASSICAL, RBELL_DEGENERATE,
                                  PolyFamily)
 from qlambda.gfun import classical_exp, degen_exp, degen_log1p, degen_log_one_minus, inv_one_minus
-from qlambda.harmonic import degen_harmonic
+from qlambda.harmonic import degen_harmonic, degen_hyperharmonic, harmonic_gf
 from qlambda.kernel import QL, QLX, LambdaPoly, TruncSeries, XPoly
 from qlambda.operators import OperatorSpec, theorem2_blocks
 from qlambda.report import Counterexample, first_mismatch, make_report
@@ -179,6 +183,19 @@ def theorem2_sides(f: XPoly, g: TruncSeries, r: int, order: int):
     return (lhs, rhs), (lhs2, rhs2)
 
 
+def shifted_tables_by_sums(r: int, order: int, degmax: int):
+    """``theorem2_blocks(r, order, degmax).shifted`` entry by entry: [n][j] is
+    sum_{k >= r} S_r(n - r, k - r) j(j-1)...(j-k+1) on the left and (j)_{n-r,l}
+    j(j-1)...(j-r+1) on the right, both zero for n < r."""
+    fam = stirling.StirlingFamily(stirling.S2R_DEGENERATE, r)
+    js, ns, zero = range(order + 1), range(degmax + 1), LambdaPoly.zero()
+    lhs = tuple(tuple(sum((stirling.stirling_value(fam, n - r, k - r) * math.perm(j, k)
+                           for k in range(r, min(n, j) + 1)), zero) for j in js) for n in ns)
+    rhs = tuple(tuple(zero if n < r else degen_falling(j, n - r) * math.perm(j, r) for j in js)
+                for n in ns)
+    return lhs, rhs
+
+
 def euler_apply(spec: OperatorSpec, f):
     """The degenerate Euler operator on f (polynomial, or series in x over Q[l]).
 
@@ -234,10 +251,36 @@ def harmonic_gf_by_product(r: int, order: int) -> TruncSeries:
     return (-degen_log_one_minus(order)) * inv_one_minus(order, r)
 
 
+def shifted_binomial(k: int) -> LambdaPoly:
+    """C(k - l, k), as a generalized binomial."""
+    return gen_binomial(LambdaPoly([k, -1]), k)
+
+
 def _bracket(k: int, log: TruncSeries) -> TruncSeries:
     """H_k - C(k - l, k) log_l(1-t), at the order of ``log``."""
-    binom = gen_binomial(LambdaPoly([k, -1]), k)
-    return TruncSeries.const(QL, degen_harmonic(k), log.order) - log.scale(binom)
+    return TruncSeries.const(QL, degen_harmonic(k), log.order) - log.scale(shifted_binomial(k))
+
+
+def summed_brackets_by_product(order: int, kmax: int) -> list:
+    """thm6's and thm8's summed brackets H_k C(n + k, k) - C(k - l, k) L_{k+1}(n), k <= kmax,
+    to ``order``: L_{k+1} is log_l(1-t) summed k + 1 times, -``harmonic_gf(k + 1, order)``,
+    and C(k - l, k) multiplies each of its coefficients."""
+    return [tuple(degen_harmonic(k) * math.comb(n + k, k) + shifted_binomial(k) * c
+                  for n, c in enumerate(harmonic_gf(k + 1, order).coeffs))
+            for k in range(kmax + 1)]
+
+
+def harmonic_sums_by_product(nmax: int, kmax: int) -> list:
+    """cor7's left sides: [k][n] = C(k - l, k) H^(k+1)_n, n <= nmax, k <= kmax, each the
+    binomial times one hyperharmonic number."""
+    return [[shifted_binomial(k) * degen_hyperharmonic(n, k + 1) for n in range(nmax + 1)]
+            for k in range(kmax + 1)]
+
+
+def thm4_lhs_by_derivatives(f: XPoly, n: int) -> XPoly:
+    """thm4's left side x f' + x (x f)' - l n f, by ``XPoly`` products and derivatives."""
+    x = XPoly.x()
+    return x * f.derivative() + x * (x * f).derivative() - f * (LambdaPoly.param() * n)
 
 
 def harmonic_terms_by_product(order: int, kmax: int) -> list[TruncSeries]:

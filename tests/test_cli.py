@@ -156,6 +156,28 @@ def test_verify_fault_injection_exits_one():
         assert proc.returncode == 2 and "outside every triangle" in proc.stderr
 
 
+def test_verify_rejects_a_fault_no_selected_check_reads():
+    # a fault in a family no selected check reads, or in a row above every row it reads
+    for suite, fault, where in (
+            ("all", "stirling1c:0:3:1", "row 3 of S1-classical at r = 0"),
+            ("all", "stirling1d:0:4:2", "row 4 of S1-degenerate at r = 0"),
+            ("all", "stirling2c:0:5:2", "row 5 of S2-classical at r = 0"),
+            ("all", "stirling1r:2:5:1", "row 5 of S1r-degenerate at r = 2"),
+            ("all", "stirling2d:0:20:3", "row 20 of S2-degenerate at r = 0"),
+            ("all", "stirling2r:1:12:2", "row 12 of S2r-degenerate at r = 1"),
+            ("all", "stirling2r:5:3:2", "row 3 of S2r-degenerate at r = 5"),
+            ("thm4", "stirling2r:1:3:2", "row 3 of S2r-degenerate at r = 1"),
+            ("thm5", "stirling1du:0:14:2", "row 14 of S1-unsigned-degenerate at r = 0")):
+        code, out, err = run_in_process(["verify", "--suite", suite, "--fault", fault])
+        assert (code, out) == (2, ""), fault
+        assert err == f"error: no selected check reads {where}, where the fault is\n", fault
+    # the deepest rows each suite reads: thm4 rows n + 1 <= 16, thm5 rows n + 1 <= 13
+    for suite, fault in (("thm4", "stirling2d:0:16:3"), ("thm5", "stirling1du:0:13:2"),
+                         ("all", "stirling2r:4:8:8"), ("all", "stirling1ru:4:12:1")):
+        code, out, _ = run_in_process(["verify", "--suite", suite, "--fault", fault])
+        assert code == 1 and out, fault
+
+
 def test_verify_rejects_bounds_before_any_check_runs():
     # the runners go in id order: cor7, thm1 and thm2 used to run in full before thm3 raised
     for args in (["verify", "--nmax", "64"], ["verify", "--suite", "all", "--nmax", "64",

@@ -78,17 +78,24 @@ def test_cor7_instances():
             assert check_cor7(n, k).passed
 
 
-def test_cor7_reads_a_given_hyperharmonic_number(monkeypatch):
-    # outside a run the value comes from degen_hyperharmonic, inside one from the run's rows
-    right = identities.degen_hyperharmonic
-    monkeypatch.setattr(identities, "degen_hyperharmonic", lambda n, r: right(n, r - 1))
-    assert not check_cor7(3, 2).passed  # order k, not k + 1
-    monkeypatch.undo()
-    # the runner's prefix-summed rows give the reports of the per-value convolutions
+def _cor7_outside_and_in_a_run():
+    """cor7's default grid, checked one by one outside a run and by ``run_suite``, as JSON."""
     expected = sorted((check_cor7(n, k) for n in range(1, 11) for k in range(1, 11)),
                       key=lambda rep: json.dumps(dict(rep.params), sort_keys=True))
     reports = run_suite({"cor7"}, tables=Tables())
-    assert [rep.to_json() for rep in reports] == [rep.to_json() for rep in expected]
+    return [rep.to_json() for rep in expected], [rep.to_json() for rep in reports]
+
+
+def test_cor7_reads_a_given_hyperharmonic_number(monkeypatch):
+    # C(k - l, k) H^(k+1)_n is the harmonic row summed k times, in a run or outside one; with
+    # the row left unsummed the left side is C(k - l, k) H_n, right only where H^(k+1)_1 = H_1
+    monkeypatch.setattr(identities, "running_sums", lambda values, times: list(values))
+    expected, reports = _cor7_outside_and_in_a_run()
+    assert reports == expected
+    assert [rep["passed"] for rep in reports] == [rep["params"]["n"] == 1 for rep in reports]
+    monkeypatch.undo()
+    expected, reports = _cor7_outside_and_in_a_run()
+    assert reports == expected and all(rep["passed"] for rep in reports)
 
 
 def test_thm6_needs_g_to_order_plus_k(monkeypatch):
@@ -356,6 +363,11 @@ def test_faulted_reports_equal_the_every_index_loops(fault):
 @pytest.mark.parametrize("fault", [None, (1, 4, 4), (1, 7, 7), (0, 6, 2)], ids=str)
 def test_edge_reports_equal_the_every_index_loops(bounds, fault):
     faults = {} if fault is None else {(st.S2R_DEGENERATE, *fault): LambdaPoly.one()}
+    top = max(bounds.thm1_mmax, bounds.thm2_degmax, bounds.thm3_mmax, bounds.thm8_mmax)
+    if fault is not None and fault[1] > top:  # a row no check reads: the run refuses the fault
+        with pytest.raises(ValueError, match=f"row {fault[1]} of {st.S2R_DEGENERATE} at r = "):
+            run_suite(_CERTIFIED, bounds, tables=Tables(faults))
+        return
     reports, expected = _certified_and_every_index(bounds, faults)
     assert reports == expected
 
@@ -568,7 +580,7 @@ _BUILDERS = {
     (st, "_build_rows"): lambda family, nmax: (family.id, family.r),
     (factorials, "degen_falling_table"): lambda amax, mmax: (),
     (operators, "theorem2_blocks"): lambda r, order, degmax: r,
-    (factorials, "gen_binomial"): lambda top, k: k,
+    (identities, "_binomial_sums"): lambda base, kmax: len(base),
     (identities, "harmonic_terms"): lambda order, kmax: order,
     (fubini_bell, "poly_by_sum"): lambda family, n: (family, n),
 }
@@ -610,11 +622,17 @@ def _outside_a_run(check_id, bounds, seed, tables):
 def test_run_reports_equal_the_checks_outside_a_run(check_id, fault):
     faults = {} if fault is None else {(st.S2R_DEGENERATE, *fault): LambdaPoly.one()}
     bounds = SuiteBounds(thm2_trials=8)
-    reports = run_suite({check_id}, bounds, seed=3, tables=Tables(faults))
     expected = _outside_a_run(check_id, bounds, 3, Tables(faults))
+    if fault is not None and check_id not in ("thm1", "thm2", "thm3", "thm8"):
+        # no check of this id reads an S2r triangle: the run refuses the fault, which its
+        # checks, called outside a run, never see
+        with pytest.raises(ValueError, match=f"row 3 of {st.S2R_DEGENERATE} at r = 1,"):
+            run_suite({check_id}, bounds, seed=3, tables=Tables(faults))
+        assert all(rep.passed for rep in expected)
+        return
+    reports = run_suite({check_id}, bounds, seed=3, tables=Tables(faults))
     assert [rep.to_json() for rep in reports] == [rep.to_json() for rep in expected]
-    assert all(rep.passed for rep in reports) == (
-        fault is None or check_id not in ("thm1", "thm2", "thm3", "thm8"))
+    assert all(rep.passed for rep in reports) == (fault is None)
 
 
 def test_a_run_refuses_a_value_its_plan_does_not_list():

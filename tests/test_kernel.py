@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from qlambda.kernel import QL, QLX, QQ, LambdaPoly, SeriesOrderError, TruncSeries, XPoly
 from qlambda.gfun import degen_exp, degen_log1p, inv_one_minus
@@ -290,3 +292,34 @@ def test_xpoly_is_immutable():
     with pytest.raises(AttributeError):
         p.other = 1
     assert p.coeffs == (LambdaPoly.one(), LambdaPoly.param())
+
+
+def test_products_by_a_zero_scalar_are_the_zero_polynomial():
+    for zero in (0, Fraction(0), LambdaPoly.zero()):
+        for p in (LambdaPoly([1, 2]), XPoly([1, LambdaPoly([0, 1])])):
+            for prod in (p * zero, zero * p):
+                assert type(prod) is type(p)
+                assert prod.coeffs == () and hash(prod) == hash(type(p).zero())
+
+
+_FRACTIONS = hst.fractions(min_value=-20, max_value=20, max_denominator=12)
+_SCALARS = hst.one_of(hst.integers(-20, 20), _FRACTIONS)
+_LAMBDA_POLYS = hst.lists(_FRACTIONS, max_size=5).map(LambdaPoly)
+_X_POLYS = hst.lists(_LAMBDA_POLYS, max_size=4).map(XPoly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=_LAMBDA_POLYS, scalar=_SCALARS)
+def test_lambda_poly_scalar_product_is_the_constant_product(p, scalar):
+    expected = p * LambdaPoly.const(scalar)
+    for prod in (p * scalar, scalar * p):
+        assert prod.coeffs == expected.coeffs and hash(prod) == hash(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=_X_POLYS, scalar=hst.one_of(_SCALARS, _LAMBDA_POLYS))
+def test_xpoly_scalar_product_is_the_constant_product(p, scalar):
+    expected = p * XPoly.const(scalar)
+    for prod in (p * scalar, scalar * p):
+        assert type(prod) is XPoly
+        assert prod.coeffs == expected.coeffs and hash(prod) == hash(expected)

@@ -18,7 +18,7 @@ from qlambda.report import first_mismatch, make_report
 from qlambda.tables import Tables, run, use
 
 from routes import (degen_transform, degen_transform_value, euler_apply, rhs_theorem1,
-                    theorem2_sides)
+                    shifted_tables_by_sums, theorem2_sides)
 
 X = XPoly.x()
 
@@ -218,6 +218,18 @@ def test_theorem2_blocks_shapes():
     assert blocks.main is blocks.main
     twin = pickle.loads(pickle.dumps(blocks))  # carries both forms
     assert twin == blocks and twin.main == blocks.main and twin.shifted == blocks.shifted
+
+
+@pytest.mark.parametrize("fault", [None, (1, 3, 2), (2, 6, 4), (4, 8, 0), (0, 10, 10)], ids=str)
+def test_shifted_tables_equal_the_term_by_term_sums(fault):
+    # each shifted entry is j(j-1)...(j-r+1) times a main one; the route sums its terms
+    faults = {} if fault is None else {(st.S2R_DEGENERATE, *fault): LambdaPoly([1, 1])}
+    with use(Tables(faults)):
+        for r in range(5):
+            for order, degmax in ((20, 10), (r - 1, 10), (20, r)):
+                if order >= 0:
+                    expected = shifted_tables_by_sums(r, order, degmax)
+                    assert theorem2_blocks(r, order, degmax).shifted == expected, (r, order)
 
 
 def _x_derivs(g, kmax, order):

@@ -1,24 +1,29 @@
 """The verify path's running sums and integer sums against the routes they replaced.
 
-A product by (1-t)^-(k+1) is taken as k + 1 running sums, and the numeric
-r-Fubini sum runs in integers; ``routes`` keeps the series products, the
-convolution and the ``Fraction`` loop they replaced, and each must agree
-exactly.
+A product by (1-t)^-(k+1) is taken as k + 1 running sums, a weight
+C(k - l, k) on them as one factor (k - l)/k per sum, thm4's left side from
+its coefficients, and the numeric r-Fubini sum runs in integers;
+``routes`` keeps the series products, the convolution, the binomial
+products, the ``XPoly`` derivatives and the ``Fraction`` loop they
+replaced, and each must agree exactly.
 """
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from qlambda import identities, tables
-from qlambda.fubini_bell import rfubini_numbers
+from qlambda import identities, stirling, tables
+from qlambda.fubini_bell import FUBINI_DEGENERATE, PolyFamily, poly_by_sum, rfubini_numbers
 from qlambda.gfun import classical_exp, degen_exp, degen_log1p, degen_log_one_minus, inv_one_minus
 from qlambda.harmonic import degen_hyperharmonic, harmonic_gf, hyperharmonic_row, running_sums
-from qlambda.identities import CHECK_IDS, SuiteBounds, check_thm6, harmonic_terms, run_suite
-from qlambda.kernel import QL, SeriesOrderError, TruncSeries
-from qlambda.tables import Tables
+from qlambda.identities import (CHECK_IDS, SuiteBounds, check_cor7, check_thm4, check_thm6,
+                                harmonic_terms, run_suite)
+from qlambda.kernel import QL, LambdaPoly, SeriesOrderError, TruncSeries, XPoly
+from qlambda.report import first_mismatch, make_report
+from qlambda.tables import Tables, use
 
 import routes
 
@@ -115,23 +120,70 @@ def test_verify_all_takes_no_series_product(monkeypatch):
 
 
 def test_each_run_builds_each_shifted_binomial_once(monkeypatch):
+    # the weights C(k - l, k) come with the binomial sums: one for the log, one for cor7
     calls = []
-    gen_binomial = identities.gen_binomial
+    binomial_sums = identities._binomial_sums
 
-    def counting(top, k):
-        calls.append(k)
-        return gen_binomial(top, k)
+    def counting(base, kmax):
+        calls.append((len(base), kmax))
+        return binomial_sums(base, kmax)
 
-    monkeypatch.setattr(identities, "gen_binomial", counting)
+    monkeypatch.setattr(identities, "_binomial_sums", counting)
     bounds = SuiteBounds()
     for _ in range(2):  # nothing a run builds outlives it
         calls.clear()
         reports = run_suite({"cor7", "thm6", "thm8"}, bounds, tables=Tables())
         assert reports and all(rep.passed for rep in reports)
-        ks = range(max(bounds.cor7_kmax, bounds.thm6_kmax, bounds.thm8_mmax) + 1)
-        assert sorted(calls) == list(ks)  # thm8 reads k = 0 too
+        assert sorted(calls) == [(bounds.cor7_nmax + 1, bounds.cor7_kmax),
+                                 (bounds.thm6_order + 1, max(bounds.thm6_kmax, bounds.thm8_mmax))]
     assert tables._RUN.get() is None
     calls.clear()
     check_thm6(2, 6)
     check_thm6(2, 6)
-    assert calls == [2, 2]  # outside a run nothing is kept
+    check_cor7(3, 2)
+    assert calls == [(7, 2), (7, 2), (4, 2)]  # outside a run nothing is kept
+
+
+def test_summed_brackets_equal_the_binomial_products():
+    for order in (0, 1, 2, 3, 8, 16, 20):
+        products = routes.summed_brackets_by_product(order, 10)
+        assert identities._summed_brackets(order, 10) == products, order
+        for kmax in (0, 1, order // 2):
+            assert identities._summed_brackets(order, kmax) == products[:kmax + 1], (order, kmax)
+
+
+def test_harmonic_sums_equal_the_binomial_products():
+    products = routes.harmonic_sums_by_product(20, 10)
+    assert identities._harmonic_sums(20, 10) == products
+    for nmax, kmax in ((0, 0), (0, 10), (1, 3), (7, 10), (20, 0)):
+        assert identities._harmonic_sums(nmax, kmax) == [row[:nmax + 1]
+                                                          for row in products[:kmax + 1]]
+
+
+def _random_lambda_xpoly(rng: random.Random, degmax: int) -> XPoly:
+    return XPoly([LambdaPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                              for _ in range(rng.randint(0, 3))])
+                  for _ in range(rng.randint(0, degmax) + 1)])
+
+
+def test_thm4_lhs_equals_the_derivative_route(monkeypatch):
+    # with f_{n+1} set to the route's x f' + x (x f)' - l n f, thm4 passes exactly when they agree
+    rng = random.Random(20)
+    for n in range(21):
+        for _ in range(3):
+            f = _random_lambda_xpoly(rng, 10)
+            polys = {n: f, n + 1: routes.thm4_lhs_by_derivatives(f, n)}
+            monkeypatch.setattr(identities, "_poly", lambda family, i, _polys=polys: _polys[i])
+            assert check_thm4(n).passed, (n, f)
+
+
+@pytest.mark.parametrize("fault", [None, (0, 4, 2), (0, 9, 9), (0, 15, 0)], ids=str)
+def test_thm4_reports_equal_the_derivative_route(fault):
+    faults = {} if fault is None else {(stirling.S2_DEGENERATE, *fault): LambdaPoly([1, 1])}
+    fam = PolyFamily(FUBINI_DEGENERATE)
+    with use(Tables(faults)):
+        for n in range(21):
+            lhs = routes.thm4_lhs_by_derivatives(poly_by_sum(fam, n), n)
+            bad = first_mismatch(lhs, poly_by_sum(fam, n + 1), "polynomials")
+            assert check_thm4(n).to_json() == make_report("thm4", {"n": n}, bad).to_json(), n
+            assert bad is None or fault[1] in (n, n + 1)

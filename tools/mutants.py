@@ -110,7 +110,8 @@ MUTANTS = {
          "test_thm8_falls_back_to_the_series_when_the_closed_form_fails",),
     ),
     "bracket summed one time fewer": (
-        IDENTITIES, "order, k + 1)[k + 1]", "order, k + 1)[k]",
+        IDENTITIES, "degen_log_one_minus(order).coeffs, 1)",
+        "degen_log_one_minus(order).coeffs, 0)",
         ("tests/test_identities.py::test_thm6_instances",
          "tests/test_identities.py::test_thm8_instances"),
     ),
@@ -131,7 +132,8 @@ MUTANTS = {
         ("BasisId", "src/qlambda/factorials.py"), ("PolyFamily", "src/qlambda/fubini_bell.py"),
         ("StirlingFamily", STIRLING), ("OperatorSpec", OPERATORS))},
     "Theorem2Blocks has an instance __dict__": (
-        OPERATORS, '    n < r.\n    """\n\n    __slots__ = ()\n', '    n < r.\n    """\n', VALUES,
+        OPERATORS, "    __slots__ = ()\n\n    def __repr__(self):\n        return f\"Theorem2",
+        "    def __repr__(self):\n        return f\"Theorem2", VALUES,
     ),
     "the plan drops thm5's triangle read": (
         IDENTITIES,
@@ -145,6 +147,23 @@ MUTANTS = {
     "a check builds its own blocks inside a run": (
         OPERATORS, "blocks = shared((\"blocks\", r), theorem2_blocks, r, top, m)",
         "blocks = theorem2_blocks(r, top, m)", PLANNED,
+    ),
+    "the ratio step k + l": (
+        IDENTITIES, "ratio = LambdaPoly((k, -1)) / k", "ratio = LambdaPoly((k, 1)) / k",
+        ("tests/test_identities.py::test_thm6_instances",
+         "tests/test_identities.py::test_cor7_instances"),
+    ),
+    "the shifted index n - r + 1": (
+        OPERATORS, "table[n - r][j - r]", "table[n - r + 1][j - r]",
+        ("tests/test_operators.py::test_shifted_tables_equal_the_term_by_term_sums",),
+    ),
+    "thm4's coefficient i + 1": (
+        IDENTITIES, "fn.coeff(i - 1) * i\n", "fn.coeff(i - 1) * (i + 1)\n",
+        ("tests/test_identities.py::test_thm4_instances",),
+    ),
+    "a zero scalar that keeps its coefficients": (
+        KERNEL, "if not other:\n                return self._zero",
+        "if False:\n                return self._zero",
     ),
     "a run builds a value its plan does not list": (
         TABLES, "raise LookupError(f\"{key!r} is not in the run's plan\")",
