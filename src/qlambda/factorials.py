@@ -63,13 +63,14 @@ def degen_falling(x: PolyArg, n: int):
     return _factorial_product(x, n, LambdaPoly.param(), -1)
 
 
-def degen_falling_table(amax: int, mmax: int) -> tuple[tuple[LambdaPoly, ...], ...]:
-    """Entry [a][m] is (a)_{m,l} for 0 <= a <= amax, 0 <= m <= mmax; one product each."""
+def degen_falling_table(amax: int, mmax: int, at=None) -> tuple[tuple, ...]:
+    """Entry [a][m] is (a)_{m,l} for 0 <= a <= amax, 0 <= m <= mmax; one product each.
+    At a number ``at`` for l, entry [a][m] is its value there."""
     rows = []
     for a in range(amax + 1):
-        row = [LambdaPoly.one()]
+        row = [LambdaPoly.one() if at is None else 1]
         for m in range(mmax):
-            row.append(row[-1] * LambdaPoly((a, -m)))
+            row.append(row[-1] * (LambdaPoly((a, -m)) if at is None else a - m * at))
         rows.append(tuple(row))
     return tuple(rows)
 

@@ -1,16 +1,20 @@
 """Executable identity checks and the verification suite runner.
 
 Each ``check_*`` operation instantiates one identity at concrete indices
-and reports equality coefficient-by-coefficient in Q[l] (so a pass
-certifies the identity for every value of the degeneracy parameter).
+and reports whether it holds in Q[l], for every value of the degeneracy
+parameter; a counterexample names the first divergent coefficient.
 ``run_suite`` drives bounded parameter grids over the registered checks
 and aggregates deterministic, machine-readable reports.  The two-series
 identity is certified on the monomial basis; its seeded random instances
-are drawn only to name a counterexample.  thm1, thm2 and thm8 compare
-entries of its g-free tables (``operators.theorem2_blocks``), thm8 where
-its series has Theorem 6's closed form; they and thm3 compare m + 1
-indices, which certify the rest by degree.  A product by 1/(1-x)^(k+1)
-is k + 1 running sums; C(k - l, k) on k running sums is (k - l)/k per sum.
+are drawn only to name a counterexample.  thm1, thm2, thm3 and thm8
+compare entries of its g-free tables (``operators.theorem2_blocks``),
+thm8 where its series has Theorem 6's closed form; they compare m + 1
+indices, which certify the rest by degree in j, and decide at D + 1
+integer values of l, which certify every l by degree in l
+(``operators.l_points``); only a failing check is redone in Q[l].  The
+others compare coefficient by coefficient in Q[l].  A product by
+1/(1-x)^(k+1) is k + 1 running sums; C(k - l, k) on k running sums is
+(k - l)/k per sum.
 A run checks every bound and fault, then builds each value its checks
 share once, before the first check (``_plan``, ``tables.run``); outside a
 run each check builds its own.  Nothing outlives a run.
@@ -33,7 +37,8 @@ from .fubini_bell import (FUBINI_DEGENERATE, RFUBINI_DEGENERATE, PolyFamily, pol
 from .gfun import classical_exp, degen_log_one_minus, inv_one_minus
 from .harmonic import degen_harmonic, degen_hyperharmonic, harmonic_gf, running_sums
 from .kernel import QL, LambdaPoly, TruncSeries, XPoly
-from .operators import theorem1_check, theorem2_blocks, theorem2_check
+from .operators import (entries_agree, l_points, ql_blocks, theorem1_check, theorem2_blocks,
+                        theorem2_check)
 from .report import CheckReport, Counterexample, first_mismatch, make_report
 from .tables import Tables, current, run, shared, use
 
@@ -94,26 +99,31 @@ def check_thm3(m: int, r: int, order: int) -> CheckReport:
     """Rational generating function of the r-Fubini polynomial at x/(1-x).
 
     Both sides are of degree <= m in n, so n <= m certify every n <= order.
+    Coefficient n of each side is main entry [m][n] of r's g-free tables.
     """
     if order < max(m, 1):
         raise ValueError(_ORDER_COVERS_M)
     params, ns = {"m": m, "r": r, "order": order}, range(m + 1)
-    fpoly = _poly(PolyFamily(RFUBINI_DEGENERATE, r), m)
+    if entries_agree(r, m, m, ns):
+        return make_report("thm3", params, None)
+    # in Q[l], for this check alone, to name the first divergent coefficient
+    fpoly = poly_by_sum(PolyFamily(RFUBINI_DEGENERATE, r), m)
+    falling = degen_falling_table(m + r, m)
     terms = [(k, c) for k, c in enumerate(fpoly.coeffs) if not c.is_zero()]
     # (x/(1-x))^k / (1-x) has the coefficients C(n, k)
     lhs = TruncSeries(QL, (sum((c * math.comb(n, k) for k, c in terms if k <= n), QL.zero)
                            for n in ns))
-    falling = shared("falling", degen_falling_table, m + r, m)
     rhs = TruncSeries(QL, (falling[n + r][m] for n in ns))
     return make_report("thm3", params, first_mismatch(lhs, rhs, "series"))
 
 
 def check_thm3_numeric(m: int, r: int, lam: Fraction, tol_exponent: int) -> CheckReport:
-    """Geometric-weighted sum against the polynomial value at x = 1."""
+    """Geometric-weighted sum against the polynomial value at x = 1, sum_k k! S_r(m, k) at lam."""
     params = {"kind": "numeric", "m": m, "r": r, "lambda": str(Fraction(lam)),
               "tol_exponent": tol_exponent}
     total = rfubini_numbers(m, r, lam, tol_exponent)
-    exact = _poly(PolyFamily(RFUBINI_DEGENERATE, r), m).eval_x(1).subs(lam)
+    row = stirling.s2r_rows(r, m, Fraction(lam))[m]
+    exact = sum(c * math.factorial(k) for k, c in enumerate(row))
     if abs(total - exact) <= Fraction(1, 10 ** tol_exponent):
         return make_report("thm3", params, None)
     bad = Counterexample("partial sum vs polynomial value", str(total), str(exact))
@@ -196,9 +206,9 @@ def check_thm8(m: int, r: int, order: int) -> CheckReport:
     terms = shared(("terms", order), harmonic_terms, order, m)
     ns = range((top if terms.closed_form else order) + 1)
     if terms.closed_form:
-        mix, falling = shared(("blocks", r), theorem2_blocks, r, top, m).main
-        if all(mix[m][n] == falling[m][n] for n in ns[1:]):
+        if entries_agree(r, top, m, ns[1:]):
             return make_report("thm8", params, None)
+        mix, falling = ql_blocks(r, top, m).main
         lhs, rhs = (TruncSeries(QL, (degen_harmonic(n) * t[m][n] for n in ns))
                     for t in (falling, mix))
     else:
@@ -246,24 +256,23 @@ class SuiteBounds(NamedTuple):
 
 
 def _plan(ids, bounds: SuiteBounds) -> list:
-    """Raise the first bound error the runners of ``ids`` would raise, before any arithmetic;
-    else every value their checks share, as ``(key, build, *args)``, each after those it reads.
+    """Raise the first bound error the runners of ``ids`` would raise, then the first fault of
+    the current ``Tables`` in a row no check of theirs reads, before any arithmetic; else every
+    value their checks share, as ``(key, build, *args)``, each after those it reads.
 
     Each triangle is built once, to the top row any check reads.  thm1, thm2, thm3 and thm8
-    share one falling table, and thm1, thm2 and thm8 the g-free tables of each r, sized by the
-    largest r, m (or deg f) and index any of them reads: min(m, jmax), m, min(m + 1, order),
-    and min(degmax + 1, order) for thm2, whose named g are nonzero at j >= 1.
+    decide at the points ``operators.l_points(degmax)`` of l, on one falling table and the
+    g-free tables of each r per point, sized by the largest r, m (or deg f) and index any of
+    them reads: min(m, jmax), m, min(m + 1, order), and min(degmax + 1, order) for thm2, whose
+    named g are nonzero at j >= 1.  Their S2r triangles in Q[l] are built only to name a
+    counterexample, so the plan lists the rows they read but builds none of them.
     """
     b, tops, polys, reach, block_rs, brackets, later = bounds, {}, [], [], set(), {}, []
+    s2r, thm3_rs = stirling.S2R_DEGENERATE, set()
 
     def read(family_id, rs, top):  # rows 0..top of the triangle of each r in rs
         for r in rs if top >= 0 else ():
             tops[family_id, r] = max(top, tops.get((family_id, r), top))
-
-    def rfubini(mmax, rmax):  # the r-Fubini polynomials of m <= mmax, r <= rmax
-        read(stirling.S2R_DEGENERATE, range(rmax + 1), mmax)
-        polys.extend((PolyFamily(RFUBINI_DEGENERATE, r), m)
-                     for m in range(mmax + 1) for r in range(rmax + 1))
 
     for check_id in ids:
         if check_id == "thm1" and min(b.thm1_mmax, b.thm1_rmax) >= 0:
@@ -281,13 +290,14 @@ def _plan(ids, bounds: SuiteBounds) -> list:
                     raise ValueError(_ORDER_COVERS_M)
                 reach.append((rmax, mmax, min(mmax + (check_id == "thm8"), order)))
                 if check_id == "thm3":
-                    rfubini(mmax, rmax)
+                    read(s2r, range(rmax + 1), mmax)
+                    thm3_rs.update(range(rmax + 1))
                 else:
                     block_rs.update(range(rmax + 1))
                     brackets[order] = max(mmax, brackets.get(order, mmax))
                     later.append((("terms", order), harmonic_terms, order, mmax))
-            if check_id == "thm3":
-                rfubini(b.thm3_numeric_mmax, b.thm3_numeric_rmax)
+            if check_id == "thm3":  # the numeric sums, at their own values of l
+                read(s2r, range(b.thm3_numeric_rmax + 1), b.thm3_numeric_mmax)
         elif check_id == "thm4" and b.thm4_nmax >= 0:
             read(stirling.S2_DEGENERATE, (0,), b.thm4_nmax + 1)  # check n reads rows n, n + 1
             polys.extend((PolyFamily(FUBINI_DEGENERATE), n) for n in range(b.thm4_nmax + 2))
@@ -304,13 +314,19 @@ def _plan(ids, bounds: SuiteBounds) -> list:
             later.append(("harmonic sums", _harmonic_sums, b.cor7_nmax, b.cor7_kmax))
     if reach:
         rmax, degmax, index = map(max, zip(*reach))
-        read(stirling.S2R_DEGENERATE, block_rs, degmax)
+        read(s2r, block_rs, degmax)
+    for family_id, r, n, _ in current().faults:
+        if n > tops.get((family_id, r), -1):
+            raise ValueError(f"no selected check reads row {n} of {family_id} at r = {r}, "
+                             "where the fault is")
     plan = [(("triangle", *key), stirling.triangle, stirling.StirlingFamily(*key), top)
-            for key, top in tops.items()]
+            for key, top in tops.items() if key[0] != s2r]
     plan += [(("poly", *key), poly_by_sum, *key) for key in dict.fromkeys(polys)]
     if reach:
-        plan.append(("falling", degen_falling_table, index + rmax, degmax))
-        plan += [(("blocks", r), theorem2_blocks, r, index, degmax) for r in sorted(block_rs)]
+        points = l_points(degmax)
+        plan += [(("falling", at), degen_falling_table, index + rmax, degmax, at) for at in points]
+        plan += [(("blocks", r, at), theorem2_blocks, r, index, degmax, at)
+                 for r in sorted(block_rs | thm3_rs) for at in points]
     plan += [(("brackets", order), _summed_brackets, order, kmax)
              for order, kmax in brackets.items()]
     return plan + later
@@ -400,13 +416,7 @@ def run_suite(selection, bounds: SuiteBounds | None = None, seed: int = 0,
         if check_id not in _RUNNERS:
             raise ValueError(f"unknown check id {check_id!r}; valid ids: {', '.join(CHECK_IDS)}")
     bounds = bounds or SuiteBounds()
-    tables, plan = tables or current(), _plan(ids, bounds)  # raises before any arithmetic
-    tops = {key[1:]: args[-1] for key, _, *args in plan if key[0] == "triangle"}
-    for family_id, r, n, _ in tables.faults:
-        if n > tops.get((family_id, r), -1):
-            raise ValueError(f"no selected check reads row {n} of {family_id} at r = {r}, "
-                             "where the fault is")
-    with use(tables), run(plan):
+    with use(tables or current()), run(_plan(ids, bounds)):  # raises before any arithmetic
         reports = [rep for check_id in ids for rep in _RUNNERS[check_id](bounds, seed)]
     reports.sort(key=lambda rep: (rep.check_id,
                                   json.dumps(dict(rep.params), sort_keys=True, default=str)))

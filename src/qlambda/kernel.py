@@ -11,8 +11,7 @@ plus ``TruncSeries``, a truncated formal power series over any of them.
 ``LambdaPoly`` and ``XPoly`` share one dense-polynomial implementation;
 each names only its coefficient ring and the scalars it accepts.
 A series carries its truncation order explicitly: combining series of
-different orders raises instead of silently truncating, and taking a
-derivative lowers the order by exactly one.
+different orders raises instead of silently truncating.
 
 Every value is immutable and hashable, so results may be shared freely
 between threads; there is no floating point anywhere in this module.
@@ -292,10 +291,6 @@ class XPoly(_DensePoly):
         """coeff * x^k."""
         return XPoly((QL.zero,) * k + (coeff,))
 
-    def derivative(self) -> "XPoly":
-        """Formal d/dx."""
-        return XPoly(tuple(self.coeffs[k] * k for k in range(1, len(self.coeffs))))
-
     def eval_x(self, value) -> LambdaPoly:
         """Evaluate at x = value (int, Fraction or LambdaPoly), by Horner."""
         v = QL.coerce(value)
@@ -334,8 +329,7 @@ class TruncSeries:
 
     ``coeffs`` always has exactly ``order + 1`` entries from the attached
     coefficient ring.  Binary operations require both operands to carry the
-    same ring and the same order; use :meth:`truncate` / :meth:`shift` to
-    line orders up explicitly.
+    same ring and the same order; use :meth:`truncate` to line orders up explicitly.
     """
 
     __slots__ = ("ring", "coeffs")
@@ -439,20 +433,6 @@ class TruncSeries:
         if not 0 <= order <= self.order:
             raise SeriesOrderError(f"cannot truncate order {self.order} to {order}")
         return TruncSeries(self.ring, self.coeffs[: order + 1])
-
-    def shift(self, k: int) -> "TruncSeries":
-        """Multiply by t^k; this raises the tracked order by k."""
-        if k < 0:
-            raise SeriesOrderError("negative shift")
-        if k == 0:
-            return self
-        return TruncSeries(self.ring, (self.ring.zero,) * k + self.coeffs)
-
-    def derive(self) -> "TruncSeries":
-        """Termwise derivative; the order drops by exactly one."""
-        if self.order < 1:
-            raise SeriesOrderError("cannot differentiate an order-0 series")
-        return TruncSeries(self.ring, tuple(self.coeffs[n] * n for n in range(1, self.order + 1)))
 
     def reciprocal(self) -> "TruncSeries":
         """Multiplicative inverse up to the tracked order.

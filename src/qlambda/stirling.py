@@ -13,7 +13,9 @@ polynomials.
 ``tables.Tables``; completed triangles are immutable, so concurrent
 readers share one object.  A ``Tables`` built with faults adds each fault
 to its own triangles only, so the identity suite can prove it notices a
-corrupted table without touching anyone else's.
+corrupted table without touching anyone else's.  ``s2r_rows`` takes the
+S2r recurrence at a number for l, faults included, for the checks that
+decide at points of l.
 """
 
 from __future__ import annotations
@@ -138,6 +140,28 @@ def _build_rows(family: StirlingFamily, nmax: int) -> tuple[tuple[LambdaPoly, ..
     return tuple(_row_by_basis(family, n) for n in range(nmax + 1))
 
 
+def _faulted(rows, key, at=None) -> tuple:
+    """``rows`` of triangle ``key`` with each fault of the current ``Tables`` in them added,
+    at the number ``at`` for l when given."""
+    rows = [list(row) for row in rows]
+    for (fid, fr, n, k), delta in current().faults.items():
+        if (fid, fr) == key and n < len(rows) and 0 <= k <= n:
+            rows[n][k] = rows[n][k] + (delta if at is None else delta.subs(at))
+    return tuple(map(tuple, rows))
+
+
+def s2r_rows(r: int, nmax: int, at) -> tuple:
+    """Rows 0..nmax of the S2r triangle at the number ``at`` for l, by Carlitz's recurrence
+    S(n+1, k) = S(n, k-1) + (k - l n + r) S(n, k); faults are added once every row is built,
+    as ``triangle`` adds them, so none is carried into later rows."""
+    rows = [(1,)]
+    for n in range(nmax):
+        prev = rows[n]
+        scaled = [(k - at * n + r) * s for k, s in enumerate(prev)]
+        rows.append((scaled[0], *(prev[k - 1] + scaled[k] for k in range(1, n + 1)), prev[n]))
+    return _faulted(rows, (S2R_DEGENERATE, r), at)
+
+
 def triangle(family: StirlingFamily, nmax: int) -> Triangle:
     """All entries 0 <= k <= n <= nmax by the family's cheapest route (memoized)."""
     if nmax < 0:
@@ -147,11 +171,7 @@ def triangle(family: StirlingFamily, nmax: int) -> Triangle:
     with tables.lock:
         cached = tables.triangles.get(key)
         if cached is None or cached.nmax < nmax:
-            rows = [list(row) for row in _build_rows(family, nmax)]
-            for (fid, fr, n, k), delta in tables.faults.items():
-                if (fid, fr) == key and n <= nmax and 0 <= k <= n:
-                    rows[n][k] = rows[n][k] + delta
-            built = Triangle(family, nmax, tuple(map(tuple, rows)))
+            built = Triangle(family, nmax, _faulted(_build_rows(family, nmax), key))
             cached = tables.remember(key, built)
     if cached.nmax == nmax:
         return cached

@@ -19,7 +19,9 @@ the package compares the first m + 1.  They use the kernel's
 arithmetic and the named series of ``gfun``, never ``fubini_bell``'s
 sums, and no triangle except through single ``stirling_value`` entries
 (so a faulted ``Tables`` reaches both routes), so agreement with the
-package is a cross-check.
+package is a cross-check.  No command shifts or differentiates a series
+or a polynomial, so ``shift``, ``derive`` and ``derivative``, which the
+oracles take, are plain functions here rather than kernel methods.
 """
 
 from __future__ import annotations
@@ -35,9 +37,28 @@ from qlambda.fubini_bell import (BELL_DEGENERATE, FUBINI_CLASSICAL, RBELL_DEGENE
                                  PolyFamily)
 from qlambda.gfun import classical_exp, degen_exp, degen_log1p, degen_log_one_minus, inv_one_minus
 from qlambda.harmonic import degen_harmonic, degen_hyperharmonic, harmonic_gf
-from qlambda.kernel import QL, QLX, LambdaPoly, TruncSeries, XPoly
+from qlambda.kernel import QL, QLX, LambdaPoly, SeriesOrderError, TruncSeries, XPoly
 from qlambda.operators import OperatorSpec, theorem2_blocks
 from qlambda.report import Counterexample, first_mismatch, make_report
+
+
+def shift(series: TruncSeries, k: int) -> TruncSeries:
+    """``series`` times t^k; the tracked order rises by k."""
+    if k < 0:
+        raise SeriesOrderError("negative shift")
+    return TruncSeries(series.ring, (series.ring.zero,) * k + series.coeffs)
+
+
+def derive(series: TruncSeries) -> TruncSeries:
+    """Termwise derivative; the tracked order drops by exactly one."""
+    if series.order < 1:
+        raise SeriesOrderError("cannot differentiate an order-0 series")
+    return TruncSeries(series.ring, (series.coeffs[n] * n for n in range(1, series.order + 1)))
+
+
+def derivative(f: XPoly) -> XPoly:
+    """Formal d/dx."""
+    return XPoly(f.coeffs[k] * k for k in range(1, len(f.coeffs)))
 
 
 def _lift(series: TruncSeries) -> TruncSeries:
@@ -161,8 +182,8 @@ def theorem2_sides(f: XPoly, g: TruncSeries, r: int, order: int):
     d, xg = g, []  # xg[k] is x^k g^(k)
     for k in range(f.degree + 1):
         if k:
-            d = d.derive()
-        xg.append(d.shift(k).truncate(order))
+            d = derive(d)
+        xg.append(shift(d, k).truncate(order))
     terms = [(n, f.coeff(n)) for n in range(f.degree + 1) if not f.coeff(n).is_zero()]
     lhs, lhs2 = zero, zero
     for n, a in terms:
@@ -178,8 +199,8 @@ def theorem2_sides(f: XPoly, g: TruncSeries, r: int, order: int):
                                                 if n >= r), LambdaPoly.zero())
                              for j in range(order + r + 1)))
         for _ in range(r):
-            h = h.derive()
-        rhs2 = h.shift(r).truncate(order)
+            h = derive(h)
+        rhs2 = shift(h, r).truncate(order)
     return (lhs, rhs), (lhs2, rhs2)
 
 
@@ -207,7 +228,7 @@ def euler_apply(spec: OperatorSpec, f):
     poly, g, length = isinstance(f, XPoly), f, spec.m
     if spec.mode == "shifted":
         for _ in range(spec.r):
-            g = g.derivative() if poly else g.derive()
+            g = derivative(g) if poly else derive(g)
         length = spec.m - spec.r
     coeffs = [QL.zero] * spec.r + [c if c.is_zero() else c * degen_falling(k + spec.r, length)
                                    for k, c in enumerate(g.coeffs)]
@@ -226,15 +247,15 @@ def rhs_theorem1(spec: OperatorSpec, f):
     d = f
     for l in range(spec.m + 1):
         if l:
-            d = d.derivative() if poly else d.derive()
+            d = derivative(d) if poly else derive(d)
         if spec.mode == "plain":
-            weight, shift = stirling.stirling_value(fam, spec.m, l), l + spec.r
+            weight, shift_by = stirling.stirling_value(fam, spec.m, l), l + spec.r
         elif l >= spec.r:
-            weight, shift = stirling.stirling_value(fam, spec.m - spec.r, l - spec.r), l
+            weight, shift_by = stirling.stirling_value(fam, spec.m - spec.r, l - spec.r), l
         else:
             continue
-        out = out + (XPoly((QL.zero,) * shift + (d * weight).coeffs) if poly
-                     else d.scale(weight).shift(shift))
+        out = out + (XPoly((QL.zero,) * shift_by + (d * weight).coeffs) if poly
+                     else shift(d.scale(weight), shift_by))
     return out
 
 
@@ -280,13 +301,13 @@ def harmonic_sums_by_product(nmax: int, kmax: int) -> list:
 def thm4_lhs_by_derivatives(f: XPoly, n: int) -> XPoly:
     """thm4's left side x f' + x (x f)' - l n f, by ``XPoly`` products and derivatives."""
     x = XPoly.x()
-    return x * f.derivative() + x * (x * f).derivative() - f * (LambdaPoly.param() * n)
+    return x * derivative(f) + x * derivative(x * f) - f * (LambdaPoly.param() * n)
 
 
 def harmonic_terms_by_product(order: int, kmax: int) -> list[TruncSeries]:
     """thm8's T_k = t^k (1-t)^-(k+1) bracket_k, k = 0..kmax, each as one series product."""
     log = degen_log_one_minus(order)
-    return [inv_one_minus(order - k, k + 1).shift(k) * _bracket(k, log)
+    return [shift(inv_one_minus(order - k, k + 1), k) * _bracket(k, log)
             for k in range(kmax + 1)]
 
 

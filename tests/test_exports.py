@@ -4,6 +4,7 @@ import importlib
 import pkgutil
 
 import qlambda
+from qlambda.kernel import TruncSeries, XPoly
 from qlambda.tables import Tables
 
 # Second routes kept in tests/routes.py (or deleted), never in the package.
@@ -27,3 +28,9 @@ def test_oracle_routes_are_not_in_the_package():
         for module in modules:
             assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(Tables(), "series")
+
+
+def test_series_shift_and_derivatives_are_oracle_only():
+    # only tests/routes.py's oracles take them, as plain functions
+    for cls, name in ((TruncSeries, "shift"), (TruncSeries, "derive"), (XPoly, "derivative")):
+        assert not hasattr(cls, name), name

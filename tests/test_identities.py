@@ -11,15 +11,16 @@ import pytest
 
 from qlambda import cli, factorials, fubini_bell, identities, operators
 from qlambda import stirling as st
-from qlambda.factorials import degen_falling
-from qlambda.fubini_bell import FUBINI_DEGENERATE, PolyFamily, family_series, poly_by_sum
+from qlambda.factorials import classical_falling, degen_falling
+from qlambda.fubini_bell import (FUBINI_DEGENERATE, RFUBINI_DEGENERATE, PolyFamily,
+                                 family_series, poly_by_sum, rfubini_numbers)
 from qlambda.harmonic import degen_harmonic, harmonic_gf
 from qlambda.identities import (SuiteBounds, check_cor7, check_thm3, check_thm3_numeric,
                                 check_thm4, check_thm5, check_thm6, check_thm8, run_suite,
                                 suite_json)
 from qlambda.kernel import QL, LambdaPoly, SeriesOrderError, TruncSeries, XPoly
 from qlambda.operators import OperatorSpec, theorem2_blocks, theorem2_check
-from qlambda.report import first_mismatch, make_report
+from qlambda.report import Counterexample, first_mismatch, make_report
 from qlambda.tables import Tables, current, run, shared, use
 
 import routes
@@ -116,7 +117,7 @@ def test_thm6_names_the_derivative_passes_counterexample(monkeypatch):
     for k in range(1, 8):
         derived = moved(1, order + k)
         for _ in range(k):  # the oracle: k termwise derivatives
-            derived = derived.derive()
+            derived = routes.derive(derived)
         closed = routes.thm6_closed_by_convolution(k, order)
         expected = first_mismatch(derived, closed, "derivative series")
         assert expected.location == f"derivative series: coefficient of t^{7 - k}"
@@ -299,15 +300,19 @@ def test_verify_thm2_builds_its_blocks_once_per_r(monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[0])
+        calls.append((args[0], args[3]))
         return theorem2_blocks(*args, **kwargs)
 
     monkeypatch.setattr(identities, "theorem2_blocks", counting)
+    bounds = SuiteBounds()
+    # one block per r and l = 0..degmax, for every g; none in Q[l] on a clean run
+    expected = [(r, at) for r in range(bounds.thm2_rmax + 1)
+                for at in range(bounds.thm2_degmax + 1)]
     assert cli.main(["verify", "--suite", "thm2"]) == 0
-    assert calls == list(range(SuiteBounds().thm2_rmax + 1))  # one block per r, for every g
+    assert calls == expected
     calls.clear()  # thm8 reads the blocks thm2 built in the same run
     assert cli.main(["verify", "--suite", "thm2,thm8"]) == 0
-    assert calls == list(range(SuiteBounds().thm2_rmax + 1))
+    assert calls == expected
 
 
 def test_thm2_basis_finds_a_fault_every_trial_misses():
@@ -372,6 +377,59 @@ def test_edge_reports_equal_the_every_index_loops(bounds, fault):
     assert reports == expected
 
 
+def test_a_fault_that_vanishes_at_all_but_the_last_point_is_seen():
+    # l(l-1)...(l-7) is zero at l = 0..7: the checks it reaches take l = 0..8 and fail at l = 8
+    delta = classical_falling(LambdaPoly.param(), 8)
+    reports, expected = _certified_and_every_index(_SMALL, {(st.S2R_DEGENERATE, 1, 3, 2): delta})
+    assert reports == expected
+    failed = {rep["check"] for rep in reports if not rep["passed"]}
+    assert failed == set(_CERTIFIED)
+    assert any(rep["params"] == {"m": 3, "r": 1, "mode": "plain", "jmax": 7}
+               for rep in reports if rep["check"] == "thm1" and not rep["passed"])
+
+
+def _numeric_by_polynomials(bounds):
+    """thm3's numeric reports, each exact value the r-Fubini polynomial in Q[l] at x = 1, lam."""
+    tol, out = bounds.thm3_tol_exponent, []
+    for lam in identities._LAMBDAS:
+        for m in range(bounds.thm3_numeric_mmax + 1):
+            for r in range(bounds.thm3_numeric_rmax + 1):
+                total = rfubini_numbers(m, r, lam, tol)
+                exact = poly_by_sum(PolyFamily(RFUBINI_DEGENERATE, r), m).eval_x(1).subs(lam)
+                bad = None if abs(total - exact) <= Fraction(1, 10 ** tol) else Counterexample(
+                    "partial sum vs polynomial value", str(total), str(exact))
+                params = {"kind": "numeric", "m": m, "r": r, "lambda": str(lam),
+                          "tol_exponent": tol}
+                out.append(make_report("thm3", params, bad))
+    return out
+
+
+# the faults whose verify-all output stays byte-identical, one with a rational delta
+_VERIFY_FAULTS = ("stirling2r:1:3:2", "stirling2r:3:6:5", "stirling2d:0:4:2",
+                  "stirling1ru:1:2:1", "stirling2d:0:4:2:1/3")
+
+
+@pytest.mark.parametrize("fault", (None,) + _VERIFY_FAULTS, ids=str)
+def test_verify_all_reports_equal_the_every_index_loops(fault, capsys):
+    # thm1, thm2, thm3 and thm8 by every index in Q[l], thm3's numeric sums from the
+    # polynomials, the other ids one check at a time outside a run
+    code = cli.main(["verify", "--suite", "all"] + ([] if fault is None else ["--fault", fault]))
+    reports = json.loads(capsys.readouterr().out)
+    bounds, faults = SuiteBounds(), cli._fault_tables(fault).faults if fault else {}
+    with use(Tables(faults)):
+        expected = routes.every_index_reports(_CERTIFIED, bounds, 0) + _numeric_by_polynomials(
+            bounds)
+        for check_id in ("thm4", "thm5", "thm6", "cor7"):
+            expected += identities._RUNNERS[check_id](bounds, 0)
+    expected.sort(key=lambda rep: (rep.check_id, json.dumps(dict(rep.params), sort_keys=True,
+                                                            default=str)))
+    assert reports == [rep.to_json() for rep in expected]
+    failed = sum(not rep["passed"] for rep in reports)
+    assert len(reports) == 348 and code == (1 if failed else 0) and bool(failed) == bool(fault)
+    if fault == "stirling2r:1:3:2":
+        assert failed == 9  # perfbench's self-test fault
+
+
 def test_thm8_reads_index_m_plus_one():
     # row 2 moved by perm(n, 2) - 2 perm(n, 1) + 2 = (n - 1)(n - 2): zero at n = 1, 2 only
     moved = {(st.S2R_DEGENERATE, 1, 2, k): LambdaPoly.const(delta)
@@ -387,19 +445,27 @@ def test_a_run_builds_one_falling_table_and_one_blocks_per_r(monkeypatch):
     calls = {"falling": [], "blocks": []}
     for name, key in (("degen_falling_table", "falling"), ("theorem2_blocks", "blocks")):
         def counting(*args, _original=getattr(identities, name), _key=key):
-            calls[_key].append(args[:3])
+            calls[_key].append(args)
             return _original(*args)
         monkeypatch.setattr(identities, name, counting)
     bounds = SuiteBounds()
     reports = run_suite(_CERTIFIED, bounds, tables=Tables())
     assert reports and all(rep.passed for rep in reports)
-    # thm1 reads x^0..x^8 at r <= 4; thm2 and thm8 read up to index 7, thm3 up to 8
-    assert calls["falling"] == [(8 + 4, 8)]
-    assert calls["blocks"] == [(r, 8, 8) for r in range(bounds.thm1_rmax + 1)]
-    for check_id in _CERTIFIED:  # alone, each check's own reach
+    # thm1 reads x^0..x^8 at r <= 4; thm2 and thm8 read up to index 7, thm3 up to 8; every
+    # entry is of degree <= 8 in l, so l = 0..8 decide
+    assert calls["falling"] == [(8 + 4, 8, at) for at in range(9)]
+    assert calls["blocks"] == [(r, 8, 8, at) for r in range(bounds.thm1_rmax + 1)
+                               for at in range(9)]
+    for check_id in _CERTIFIED:  # alone, each check's own reach, at its own points
         calls["falling"].clear()
         run_suite({check_id}, bounds, tables=Tables())
-        assert len(calls["falling"]) == 1, check_id
+        degmax = {"thm2": bounds.thm2_degmax, "thm8": bounds.thm8_mmax}.get(check_id, 8)
+        assert [args[2] for args in calls["falling"]] == list(range(degmax + 1)), check_id
+    # a fault of degree 10 in l takes l = 0..10
+    calls["falling"].clear()
+    faulted = Tables({(st.S2R_DEGENERATE, 1, 3, 2): LambdaPoly([0] * 10 + [1])})
+    assert not all(rep.passed for rep in run_suite({"thm1"}, bounds, tables=faulted))
+    assert [args[2] for args in calls["falling"]] == list(range(11))
 
 
 _SHARED_BOUNDS = SuiteBounds(thm3_mmax=4, thm3_rmax=2, thm3_order=8, thm3_numeric_mmax=2,
@@ -444,12 +510,17 @@ def test_each_grid_builds_each_triangle_once(monkeypatch):
     assert all(rep.passed for rep in run_suite({"thm5"}, bounds, tables=Tables()))
     assert len(builds) == len(set(builds)) == bounds.thm5_rmax + 1
     builds.clear()
-    assert all(rep.passed for rep in run_suite({"thm1"}, bounds, tables=Tables()))
-    assert len(builds) == len(set(builds)) == min(bounds.thm1_mmax, bounds.thm1_rmax) + 1
-    for check_id in ("thm3", "thm4", "thm8"):
+    assert all(rep.passed for rep in run_suite({"thm4"}, bounds, tables=Tables()))
+    assert builds == [(st.S2_DEGENERATE, 0)]
+    for check_id in ("thm1", "thm2", "thm3", "thm8"):  # decided at points of l: no triangle
         builds.clear()
         assert all(rep.passed for rep in run_suite({check_id}, bounds, tables=Tables()))
-        assert builds and len(builds) == len(set(builds)), check_id
+        assert builds == [], check_id
+    # a counterexample is named in Q[l], on the faulted triangle only
+    builds.clear()
+    faulted = Tables({(st.S2R_DEGENERATE, 1, 3, 2): LambdaPoly.one()})
+    assert not all(rep.passed for rep in run_suite({"thm1"}, bounds, tables=faulted))
+    assert set(builds) == {(st.S2R_DEGENERATE, 1)}
 
 
 def test_thm8_builds_its_series_once_per_run(monkeypatch):
@@ -512,21 +583,21 @@ def test_suite_takes_no_reciprocal_and_thm6_no_power(monkeypatch):
 
 def test_runs_read_one_falling_table_and_derive_once_per_step(monkeypatch):
     calls = {"derivative": 0}
-    derivative = XPoly.derivative
+    derivative = routes.derivative
 
     def no_falling(*args):
         raise AssertionError(f"degen_falling{args} called during a run")
 
-    def counting_derivative(self):
+    def counting_derivative(f):
         calls["derivative"] += 1
-        return derivative(self)
+        return derivative(f)
 
     for module in (operators, identities):  # a name no longer imported is set, never called
         monkeypatch.setattr(module, "degen_falling", no_falling, raising=False)
     reports = run_suite({"thm1", "thm2", "thm3", "thm8"}, SuiteBounds(), tables=Tables())
     assert reports and all(rep.passed for rep in reports)
     # the suite reads thm1 off tables; its oracle takes each derivative from the previous one
-    monkeypatch.setattr(XPoly, "derivative", counting_derivative)
+    monkeypatch.setattr(routes, "derivative", counting_derivative)
     f = XPoly([LambdaPoly([k, 1]) for k in range(9)])
     for m in range(9):
         for r in range(min(m, 4) + 1):
@@ -552,7 +623,7 @@ def test_run_suite_with_own_tables_leaves_the_default_alone():
         family_series(PolyFamily(FUBINI_DEGENERATE), 5)
     assert current() is default
     assert _stores(default) == before
-    assert (st.S2R_DEGENERATE, 2) in own.triangles
+    assert (st.S2R_DEGENERATE, 2) not in own.triangles  # thm1 decides at points of l
     assert (st.S1R_UNSIGNED_DEGENERATE, 3) in own.triangles
     assert len(own.harmonic) > 5
     assert own.triangles[(st.S2_DEGENERATE, 0)].nmax == 5
@@ -578,8 +649,8 @@ def _rebind(monkeypatch, original, replacement):
 # builder -> the key of what it builds, from its arguments
 _BUILDERS = {
     (st, "_build_rows"): lambda family, nmax: (family.id, family.r),
-    (factorials, "degen_falling_table"): lambda amax, mmax: (),
-    (operators, "theorem2_blocks"): lambda r, order, degmax: r,
+    (factorials, "degen_falling_table"): lambda amax, mmax, at=None: at,
+    (operators, "theorem2_blocks"): lambda r, order, degmax, at=None: (r, at),
     (identities, "_binomial_sums"): lambda base, kmax: len(base),
     (identities, "harmonic_terms"): lambda order, kmax: order,
     (fubini_bell, "poly_by_sum"): lambda family, n: (family, n),
@@ -607,7 +678,8 @@ def test_a_run_builds_every_shared_value_once_before_any_check(monkeypatch):
     assert len(keys) == len(set(keys))
     assert {name for name, _ in keys} == {name for _, name in _BUILDERS}
     poly_keys = {key for name, key in keys if name == "poly_by_sum"}
-    assert len(poly_keys) == 9 * 4 + 17  # thm3's r-Fubini m <= 8, r <= 3, thm4's n <= 16
+    assert len(poly_keys) == 17  # thm4's n <= 16; thm3 decides at points of l
+    assert all(key[1] is not None for name, key in keys if name == "theorem2_blocks")
 
 
 def _outside_a_run(check_id, bounds, seed, tables):

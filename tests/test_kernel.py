@@ -99,7 +99,7 @@ def test_series_compose_examples():
     inner = TruncSeries(QQ, [0, 0, 1, 0])  # t^2
     assert outer.compose(inner).coeffs == (1, 0, 1, 0)
     # 1/(1-t) at t/(1-t) gives (1-t)/(1-2t)
-    comp = inv_one_minus(4, 1, QQ).compose(inv_one_minus(3, 1, QQ).shift(1))
+    comp = inv_one_minus(4, 1, QQ).compose(TruncSeries(QQ, [0, 1, 1, 1, 1]))  # t/(1-t)
     assert comp.coeffs == (1, 1, 2, 4, 8)
 
 
@@ -141,15 +141,6 @@ def test_reciprocal_mul_is_identity_randomized():
         coeffs = [LambdaPoly.const(rng.randint(1, 5))] + [_random_lp(rng, 3) for _ in range(5)]
         s = TruncSeries(QL, coeffs)
         assert s * s.reciprocal() == TruncSeries.one(QL, 5)
-
-
-def test_series_derive_examples():
-    s = TruncSeries(QQ, [1, 1, 1])
-    assert s.derive().coeffs == (1, 2)
-    assert TruncSeries(QQ, [1, 0]).derive().coeffs == (0,)
-    assert inv_one_minus(5, 1, QQ).derive().coeffs == (1, 2, 3, 4, 5)
-    with pytest.raises(SeriesOrderError):
-        TruncSeries(QQ, [1]).derive()
 
 
 def test_degenerate_exp_log_inverse_order_16():
@@ -205,10 +196,8 @@ def test_values_pickle_and_copy(ring):
     assert copy.deepcopy(series) * series == series * series
 
 
-def test_series_shift_and_truncate_track_order():
+def test_series_truncate_tracks_order():
     s = TruncSeries(QQ, [1, 2, 3])
-    assert s.shift(2).order == 4
-    assert s.shift(2).coeffs == (0, 0, 1, 2, 3)
     assert s.truncate(1).coeffs == (1, 2)
     with pytest.raises(SeriesOrderError):
         s.truncate(5)

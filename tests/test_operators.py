@@ -6,8 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from qlambda.factorials import degen_falling
+from qlambda.factorials import degen_falling, degen_falling_table
+from qlambda.fubini_bell import RFUBINI_DEGENERATE, PolyFamily, poly_by_sum
 from qlambda import stirling as st
 from qlambda.gfun import classical_exp, degen_log_one_minus, inv_one_minus
 from qlambda import identities
@@ -17,8 +20,8 @@ from qlambda.operators import OperatorSpec, theorem1_check, theorem2_blocks, the
 from qlambda.report import first_mismatch, make_report
 from qlambda.tables import Tables, run, use
 
-from routes import (degen_transform, degen_transform_value, euler_apply, rhs_theorem1,
-                    shifted_tables_by_sums, theorem2_sides)
+from routes import (degen_transform, degen_transform_value, derivative, derive, euler_apply,
+                    rhs_theorem1, shift, shifted_tables_by_sums, theorem2_sides)
 
 X = XPoly.x()
 
@@ -49,7 +52,7 @@ def test_rhs_examples():
     for _ in range(20):
         f = XPoly([Fraction(rng.randint(-5, 5), rng.randint(1, 5))
                    for _ in range(rng.randint(1, 6))])
-        assert rhs_theorem1(OperatorSpec(1, 0), f) == X * f.derivative()
+        assert rhs_theorem1(OperatorSpec(1, 0), f) == X * derivative(f)
         assert rhs_theorem1(OperatorSpec(3, 0), XPoly.const(5)) == XPoly.zero()
 
 
@@ -153,11 +156,11 @@ def _rhs_rederiving(spec, f):
     poly = isinstance(f, XPoly)
     out = XPoly.zero() if poly else TruncSeries.zero(
         QL, f.order + (spec.r if spec.mode == "plain" else 0))
-    for weight, l, shift in terms:
+    for weight, l, at in terms:
         d = f
         for _ in range(l):
-            d = d.derivative() if poly else d.derive()
-        out = out + (XPoly.monomial(weight, shift) * d if poly else d.scale(weight).shift(shift))
+            d = derivative(d) if poly else derive(d)
+        out = out + (XPoly.monomial(weight, at) * d if poly else shift(d.scale(weight), at))
     return out
 
 
@@ -232,12 +235,42 @@ def test_shifted_tables_equal_the_term_by_term_sums(fault):
                     assert theorem2_blocks(r, order, degmax).shifted == expected, (r, order)
 
 
+def _at(table, at):
+    """A table of ``LambdaPoly`` entries with the number ``at`` substituted for l."""
+    return tuple(tuple(entry.subs(at) for entry in row) for row in table)
+
+
+_DELTAS = hst.lists(hst.fractions(min_value=-3, max_value=3, max_denominator=3), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=hst.integers(0, 4), n=hst.integers(0, 8), at=hst.integers(-3, 10),
+       fault=hst.tuples(hst.integers(0, 8), hst.integers(0, 8), _DELTAS))
+def test_point_tables_equal_the_q_l_tables_there(r, n, at, fault):
+    # each table at a number for l is the Q[l] table of the basis route, faults included,
+    # with that number substituted
+    row, k, coeffs = fault
+    order = n + 2
+    with use(Tables({(st.S2R_DEGENERATE, r, row, k): LambdaPoly(coeffs)})):
+        basis = st.triangle(st.StirlingFamily(st.S2R_DEGENERATE, r), n).rows
+        assert st.s2r_rows(r, n, at) == _at(basis, at)
+        assert degen_falling_table(order + r, n, at) == _at(degen_falling_table(order + r, n), at)
+        points, blocks = theorem2_blocks(r, order, n, at), theorem2_blocks(r, order, n)
+        for form in ("main", "shifted"):
+            assert getattr(points, form) == tuple(_at(t, at) for t in getattr(blocks, form))
+        # thm3's coefficient j, sum_k c_k C(j, k) from the r-Fubini polynomial, is entry [n][j]
+        fpoly = poly_by_sum(PolyFamily(RFUBINI_DEGENERATE, r), n)
+        assert points.main[0][n] == tuple(
+            sum((c * math.comb(j, i) for i, c in enumerate(fpoly.coeffs)), LambdaPoly.zero())
+            .subs(at) for j in range(order + 1))
+
+
 def _x_derivs(g, kmax, order):
     """x^k g^(k) for k <= kmax, each from the previous derivative, tracked to ``order``."""
     out, d = [], g
     for k in range(kmax + 1):
-        out.append(d.shift(k).truncate(order))
-        d = d.derive()
+        out.append(shift(d, k).truncate(order))
+        d = derive(d)
     return out
 
 

@@ -5,7 +5,8 @@ C(k - l, k) on them as one factor (k - l)/k per sum, thm4's left side from
 its coefficients, and the numeric r-Fubini sum runs in integers;
 ``routes`` keeps the series products, the convolution, the binomial
 products, the ``XPoly`` derivatives and the ``Fraction`` loop they
-replaced, and each must agree exactly.
+replaced, and each must agree exactly.  The series shift and derivatives
+the routes take are plain functions there, tested here.
 """
 
 import itertools
@@ -21,11 +22,31 @@ from qlambda.gfun import classical_exp, degen_exp, degen_log1p, degen_log_one_mi
 from qlambda.harmonic import degen_hyperharmonic, harmonic_gf, hyperharmonic_row, running_sums
 from qlambda.identities import (CHECK_IDS, SuiteBounds, check_cor7, check_thm4, check_thm6,
                                 harmonic_terms, run_suite)
-from qlambda.kernel import QL, LambdaPoly, SeriesOrderError, TruncSeries, XPoly
+from qlambda.kernel import QL, QQ, LambdaPoly, SeriesOrderError, TruncSeries, XPoly
 from qlambda.report import first_mismatch, make_report
 from qlambda.tables import Tables, use
 
 import routes
+
+def test_series_derive_examples():
+    s = TruncSeries(QQ, [1, 1, 1])
+    assert routes.derive(s).coeffs == (1, 2)
+    assert routes.derive(TruncSeries(QQ, [1, 0])).coeffs == (0,)
+    assert routes.derive(inv_one_minus(5, 1, QQ)).coeffs == (1, 2, 3, 4, 5)
+    with pytest.raises(SeriesOrderError):
+        routes.derive(TruncSeries(QQ, [1]))
+
+
+def test_series_shift_tracks_order():
+    s = TruncSeries(QQ, [1, 2, 3])
+    assert routes.shift(s, 2).order == 4
+    assert routes.shift(s, 2).coeffs == (0, 0, 1, 2, 3)
+    assert routes.shift(s, 0) == s
+    with pytest.raises(SeriesOrderError):
+        routes.shift(s, -1)
+    assert routes.derivative(XPoly([1, 2, 3])) == XPoly([2, 6])
+    assert routes.derivative(XPoly.const(4)) == XPoly.zero()
+
 
 _LAMBDAS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(-2, 5), Fraction(3), Fraction(-1))
 
@@ -63,7 +84,7 @@ def test_thm6_closed_form_equals_the_convolution():
         for k in range(1, order + 1):
             derived = g.truncate(order + k)
             for _ in range(k):
-                derived = derived.derive()
+                derived = routes.derive(derived)
             assert routes.thm6_closed_by_convolution(k, order) == derived, (k, order)
             assert check_thm6(k, order).passed, (k, order)
 

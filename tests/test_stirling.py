@@ -112,7 +112,10 @@ def test_verify_all_expands_no_recurrence_family_in_a_basis(monkeypatch):
     monkeypatch.setattr(st, "_row_by_basis", recording)
     reports = run_suite(CHECK_IDS, tables=Tables())
     assert reports and all(rep.passed for rep in reports)
-    assert seen and not seen & set(st._RECURRENCES)
+    assert not seen  # thm1, thm2, thm3 and thm8 decide at points of l, the rest on recurrences
+    faulted = Tables({(st.S2R_DEGENERATE, 1, 3, 2): LambdaPoly.one()})
+    assert not all(rep.passed for rep in run_suite(CHECK_IDS, tables=faulted))
+    assert seen == {st.S2R_DEGENERATE}  # in Q[l], only to name the counterexamples
 
 
 def test_matrix_inversion_of_the_two_kinds():

@@ -41,6 +41,8 @@ EVERY_INDEX = tuple(f"tests/test_identities.py::test_{name}" for name in (
 # a default run builds every shared value once, before its first check
 PLANNED = ("tests/test_identities.py::"
            "test_a_run_builds_every_shared_value_once_before_any_check",)
+# each table at a number for l equals the Q[l] table there, faults included
+POINTS = ("tests/test_operators.py::test_point_tables_equal_the_q_l_tables_there",)
 _MAKE = "    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too\n"
 
 # name -> (file, old, new[, tests]); ``old`` must occur exactly once in ``file``.
@@ -120,7 +122,7 @@ MUTANTS = {
         ("tests/test_series_routes.py::test_each_run_builds_each_shifted_binomial_once",),
     ),
     "fault applied twice": (
-        STIRLING, "rows[n][k] = rows[n][k] + delta", "rows[n][k] = rows[n][k] + delta + delta",
+        STIRLING, "(delta if at is None", "(delta + delta if at is None",
         ("tests/test_stirling.py::test_fault_injection_changes_exactly_one_entry",),
     ),
     "recurrence factor's sign": (
@@ -141,12 +143,12 @@ MUTANTS = {
         "pass", PLANNED,
     ),
     "the plan sizes the g-free tables one index short": (
-        IDENTITIES, "theorem2_blocks, r, index, degmax)", "theorem2_blocks, r, index - 1, degmax)",
-        PLANNED,
+        IDENTITIES, "theorem2_blocks, r, index, degmax, at)",
+        "theorem2_blocks, r, index - 1, degmax, at)", PLANNED,
     ),
     "a check builds its own blocks inside a run": (
-        OPERATORS, "blocks = shared((\"blocks\", r), theorem2_blocks, r, top, m)",
-        "blocks = theorem2_blocks(r, top, m)", PLANNED,
+        OPERATORS, "shared((\"blocks\", r, at), theorem2_blocks, r, order, degmax, at)",
+        "theorem2_blocks(r, order, degmax, at)", PLANNED,
     ),
     "the ratio step k + l": (
         IDENTITIES, "ratio = LambdaPoly((k, -1)) / k", "ratio = LambdaPoly((k, 1)) / k",
@@ -170,6 +172,14 @@ MUTANTS = {
         "return store.setdefault(key, build(*args))",
         ("tests/test_identities.py::test_a_run_refuses_a_value_its_plan_does_not_list",),
     ),
+    "one point fewer": (
+        OPERATORS, ") + extra + 1)", ") + extra)",
+        ("tests/test_identities.py::test_a_fault_that_vanishes_at_all_but_the_last_point_is_seen",),
+    ),
+    "recurrence factor uses n for k": (
+        STIRLING, "(k - at * n + r) * s", "(n - at * n + r) * s", POINTS,
+    ),
+    "fault delta skipped at points": (STIRLING, "else delta.subs(at))", "else 0)", POINTS),
 }
 
 
