@@ -6,7 +6,7 @@ certifies it for all parameter values at once.
 """
 
 from .factorials import (BasisId, classical_falling, classical_rising, degen_falling,
-                         degen_rising, gen_binomial, to_basis)
+                         degen_rising, to_basis)
 from .fubini_bell import PolyFamily, family_series, poly_by_sum, rfubini_numbers
 from .harmonic import degen_harmonic, degen_hyperharmonic, harmonic_gf
 from .identities import CHECK_IDS, SuiteBounds, run_suite, suite_json
@@ -23,8 +23,8 @@ __all__ = [
     "BasisId", "CHECK_IDS", "CheckReport", "Counterexample", "LambdaPoly", "OperatorSpec",
     "PolyFamily", "QL", "QLX", "QQ", "SeriesOrderError", "StirlingFamily", "SuiteBounds", "Tables",
     "Triangle", "TruncSeries", "XPoly", "classical_falling", "classical_rising", "degen_falling",
-    "degen_harmonic", "degen_hyperharmonic", "degen_rising", "family_series", "gen_binomial",
-    "harmonic_gf", "poly_by_sum", "rfubini_numbers", "run_suite", "stirling_by_basis",
-    "stirling_value", "suite_json", "theorem1_check", "theorem2_blocks", "theorem2_check",
-    "to_basis", "triangle", "unsigned_first_kind",
+    "degen_harmonic", "degen_hyperharmonic", "degen_rising", "family_series", "harmonic_gf",
+    "poly_by_sum", "rfubini_numbers", "run_suite", "stirling_by_basis", "stirling_value",
+    "suite_json", "theorem1_check", "theorem2_blocks", "theorem2_check", "to_basis", "triangle",
+    "unsigned_first_kind",
 ]

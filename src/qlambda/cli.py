@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -255,6 +256,10 @@ _COMMANDS = {"table": cmd_table, "series": cmd_series, "verify": cmd_verify, "ev
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse takes "-1/3" for an option, "=-1/3" not
+        if argv[i - 1] in ("--lambda", "--x") and re.match(r"-\d", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     try:
         _check_sizes(args)

@@ -1,15 +1,13 @@
 """Factorial-type building blocks and basis conversion for Q[l][x].
 
-Falling/rising factorials in their classical and degenerate forms, the
-generalized binomial coefficient with a polynomial top, and conversion of
-an ``XPoly`` from the monomial basis into any of the (monic) factorial
+Falling/rising factorials in their classical and degenerate forms, and
+conversion of an ``XPoly`` from the monomial basis into any of the (monic) factorial
 bases.  Shifted bases like (x+r)_n are obtained by substituting x -> x+r
 before expanding, so one conversion engine serves every family.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -78,13 +76,6 @@ def degen_falling_table(amax: int, mmax: int, at=None) -> tuple[tuple, ...]:
 def degen_rising(x: PolyArg, n: int):
     """x(x+l)(x+2l)...(x+(n-1)l)."""
     return _factorial_product(x, n, LambdaPoly.param(), +1)
-
-
-def gen_binomial(top: Union[int, Fraction, LambdaPoly], k: int) -> LambdaPoly:
-    """Binomial coefficient with a polynomial top: top(top-1)...(top-k+1)/k!."""
-    if k < 0:
-        raise ValueError("binomial lower index must be >= 0")
-    return classical_falling(top, k) / math.factorial(k)
 
 
 @lru_cache(maxsize=4096)

@@ -7,7 +7,8 @@ parameter ever happens and the classical value is a plain substitution
 at 0.  Hyperharmonic numbers are the iterated partial sums, read off the
 stored harmonic row: one value as one binomial convolution, a row of
 them as r - 1 prefix sums.  Their generating function, -log_l(1-t)
-summed r times, is the independent cross-check.
+summed r times, is the independent cross-check.  At an integer l the
+same summands, scaled by lcm(1..n), give the row in ints.
 """
 
 from __future__ import annotations
@@ -22,16 +23,23 @@ from .tables import current
 
 def degen_harmonic(n: int) -> LambdaPoly:
     """Degenerate harmonic number; 0 at n = 0."""
-    if n < 0:
+    return harmonic_row(n)[n]
+
+
+def harmonic_row(nmax: int, at=None) -> list:
+    """H_0..H_nmax, summand k of H_n being summand k - 1 times (k - 1 - l)/k: in Q[l], as
+    stored in the current ``Tables``; at the number ``at`` for l, each times lcm(1..nmax), in
+    ints, where each step is an exact ``//``."""
+    if nmax < 0:
         raise ValueError("harmonic index must be >= 0")
     tables = current()
+    row = tables.harmonic if at is None else [0, math.lcm(*range(1, nmax + 1))]
     with tables.lock:
-        row = tables.harmonic
-        while len(row) <= n:  # summand k is summand k - 1 times (k - 1 - l) / k
-            k = len(row)
-            summand = (row[k - 1] - row[k - 2]) * LambdaPoly((k - 1, -1)) / k if k > 1 else 1
-            row.append(row[k - 1] + summand)
-        return row[n]
+        while len(row) <= nmax:
+            k, summand = len(row), row[-1] - row[-2]
+            row.append(row[-1] + (summand * LambdaPoly((k - 1, -1)) / k if at is None
+                                  else summand * (k - 1 - at) // k))
+        return row[:nmax + 1]
 
 
 def degen_hyperharmonic(n: int, r: int) -> LambdaPoly:
@@ -44,10 +52,9 @@ def degen_hyperharmonic(n: int, r: int) -> LambdaPoly:
         raise ValueError("index must be >= 0")
     if r < 1:
         raise ValueError("order must be >= 1")
-    top = degen_harmonic(n)  # extends the stored row to index n
+    row = harmonic_row(n)
     if r == 1:
-        return top
-    row = current().harmonic
+        return row[n]
     return sum((row[j] * math.comb(n - j + r - 2, r - 2) for j in range(1, n + 1)),
                LambdaPoly.zero())
 
@@ -64,10 +71,10 @@ def hyperharmonic_row(nmax: int, r: int) -> list[LambdaPoly]:
     r - 1 times, or one convolution per value where 2r > nmax makes that faster."""
     if r < 1:
         raise ValueError("order must be >= 1")
-    degen_harmonic(nmax)  # raises for nmax < 0; extends the stored row to index nmax
+    row = harmonic_row(nmax)  # raises for nmax < 0
     if 2 * r > nmax:
         return [degen_hyperharmonic(n, r) for n in range(nmax + 1)]
-    return running_sums(current().harmonic[:nmax + 1], r - 1)
+    return running_sums(row, r - 1)
 
 
 def harmonic_gf(r: int, order: int) -> TruncSeries:

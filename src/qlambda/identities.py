@@ -9,12 +9,13 @@ identity is certified on the monomial basis; its seeded random instances
 are drawn only to name a counterexample.  thm1, thm2, thm3 and thm8
 compare entries of its g-free tables (``operators.theorem2_blocks``),
 thm8 where its series has Theorem 6's closed form; they compare m + 1
-indices, which certify the rest by degree in j, and decide at D + 1
-integer values of l, which certify every l by degree in l
-(``operators.l_points``); only a failing check is redone in Q[l].  The
-others compare coefficient by coefficient in Q[l].  A product by
-1/(1-x)^(k+1) is k + 1 running sums; C(k - l, k) on k running sums is
-(k - l)/k per sum.
+indices, which certify the rest by degree in j.  These four, thm6 and
+cor7 decide at D + 1 integer values of l, which certify every l by degree
+in l (``operators.l_points``); only a failing check is redone in Q[l].
+thm4 and thm5 compare coefficient by coefficient in Q[l].  At a number
+for l the harmonic values a check compares come from one scaled row,
+``harmonic_row(N, at)``, N the check's top index outside a run and the
+plan's inside one.
 A run checks every bound and fault, then builds each value its checks
 share once, before the first check (``_plan``, ``tables.run``); outside a
 run each check builds its own.  Nothing outlives a run.
@@ -28,14 +29,15 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 from . import stirling
 from .factorials import degen_falling, degen_falling_table
-from .fubini_bell import (FUBINI_DEGENERATE, RFUBINI_DEGENERATE, PolyFamily, poly_by_sum,
-                          rfubini_numbers)
-from .gfun import classical_exp, degen_log_one_minus, inv_one_minus
-from .harmonic import degen_harmonic, degen_hyperharmonic, harmonic_gf, running_sums
+from .fubini_bell import FUBINI_DEGENERATE, PolyFamily, poly_by_sum, rfubini_numbers
+from .gfun import classical_exp, inv_one_minus
+from .harmonic import (degen_harmonic, degen_hyperharmonic, harmonic_gf, harmonic_row,
+                       running_sums)
 from .kernel import QL, LambdaPoly, TruncSeries, XPoly
 from .operators import (entries_agree, l_points, ql_blocks, theorem1_check, theorem2_blocks,
                         theorem2_check)
@@ -52,47 +54,59 @@ def _poly(family: PolyFamily, n: int) -> XPoly:
     return shared(("poly", family, n), poly_by_sum, family, n)
 
 
-def _binomial_sums(base, kmax: int) -> list:
-    """[k]: C(k - l, k) times ``base`` summed k times, k <= kmax.  C(k - l, k) is
-    C(k - 1 - l, k - 1) (k - l)/k, so each is (k - l)/k times one running sum of the last."""
+def _binomial_sums(base, kmax: int, at=None) -> list:
+    """[k]: C(k - l, k) times ``base`` summed k times, k <= kmax, at l = ``at`` when given:
+    (k - l)/k times one running sum of the last, an exact ``//`` on ints at a number."""
     sums = [list(base)]
     for k in range(1, kmax + 1):
-        ratio = LambdaPoly((k, -1)) / k
-        sums.append([c * ratio for c in running_sums(sums[-1], 1)])
+        ratio = LambdaPoly((k, -1)) / k if at is None else k - at
+        sums.append([c * ratio if at is None else c * ratio // k
+                     for c in running_sums(sums[-1], 1)])
     return sums
 
 
-def _summed_brackets(order: int, kmax: int) -> list:
-    """[k]: bracket_k = H_k - C(k - l, k) log_l(1-x) summed k + 1 times, to ``order``, k <= kmax:
-    H_k C(n + k, k) - C(k - l, k) [log summed k + 1 times]_n."""
-    sums = _binomial_sums(running_sums(degen_log_one_minus(order).coeffs, 1), kmax)
-    harmonic = [degen_harmonic(k) for k in range(kmax + 1)]
-    return [tuple(harmonic[k] * math.comb(n + k, k) - c for n, c in enumerate(row))
-            for k, row in enumerate(sums)]
-
-
-def _harmonic_sums(nmax: int, kmax: int) -> list:
+def _harmonic_sums(nmax: int, kmax: int, at=None) -> list:
     """[k][n]: C(k - l, k) H^(k+1)_n, the harmonic row summed k times, n <= nmax, k <= kmax."""
-    return _binomial_sums([degen_harmonic(n) for n in range(nmax + 1)], kmax)
+    row = shared(("harmonic", at), harmonic_row, nmax + kmax, at)
+    return _binomial_sums(row[:nmax + 1], kmax, at)
 
 
-class HarmonicTerms:
-    """thm8's T_0..T_kmax to ``order``, and if all have the closed form [t^n] T_k = C(n, k) H_n."""
+def _summed_brackets(order: int, kmax: int, at=None) -> list:
+    """[k]: bracket_k = H_k - C(k - l, k) log_l(1-x) summed k + 1 times, to ``order``, k <= kmax.
+    The log summed once is -H, so coefficient n is H_k C(n + k, k) + C(k - l, k) H^(k+1)_n."""
+    row = shared(("harmonic", at), harmonic_row, order + kmax, at)
+    return [tuple(row[k] * math.comb(n + k, k) + c for n, c in enumerate(sums))
+            for k, sums in enumerate(_harmonic_sums(order, kmax, at))]
 
-    def __init__(self, order: int, series):
-        self.order, self.series = order, tuple(series)
-        self.closed_form = all(term.coeffs[n] == degen_harmonic(n) * math.comb(n, k)
-                               for k, term in enumerate(self.series) for n in range(order + 1))
 
-
-def harmonic_terms(order: int, kmax: int) -> HarmonicTerms:
-    """T_k = x^k/(1-x)^(k+1) * bracket_k, k = 0..kmax <= order: bracket_k summed k + 1
-    times, to order - k, and shifted by k.  thm8's rhs is sum_k w_k T_k."""
+def harmonic_terms(order: int, kmax: int, at=None) -> list:
+    """[k][n]: [x^n] T_k, k = 0..kmax <= order, T_k = x^k/(1-x)^(k+1) * bracket_k: bracket_k
+    summed k + 1 times, to order - k, shifted by k.  thm8's rhs is sum_k w_k T_k."""
     if kmax > order:
         raise ValueError(_ORDER_COVERS_K)
-    brackets = shared(("brackets", order), _summed_brackets, order, kmax)[:kmax + 1]
-    return HarmonicTerms(order, (TruncSeries(QL, (QL.zero,) * k + bracket[:order - k + 1])
-                                 for k, bracket in enumerate(brackets)))
+    brackets = shared(("brackets", order, at), _summed_brackets, order, kmax, at)[:kmax + 1]
+    return [(QL.zero if at is None else 0,) * k + b[:order - k + 1] for k, b in enumerate(brackets)]
+
+
+def _disagreeing_sides(sides, degree: int, nmax: int, key, build, *args):
+    """None if ``sides(at)`` agree at every l of ``l_points(degree)``, else ``sides(None)``, in
+    a run nested in the current one that builds the harmonic row to ``nmax`` and ``key``."""
+    if all(lhs == rhs for lhs, rhs in map(sides, l_points(degree))):
+        return None
+    with run([(("harmonic", None), harmonic_row, nmax, None), (key, build, *args)]):
+        return sides(None)
+
+
+def _open_terms(order: int, kmax: int):
+    """None if thm8's terms have Theorem 6's closed form [x^n] T_k = C(n, k) H_n, k <= kmax,
+    both sides of degree <= n - 1 in l; else the terms in Q[l]."""
+    def sides(at):
+        row = shared(("harmonic", at), harmonic_row, order + kmax, at)
+        return harmonic_terms(order, kmax, at), [
+            tuple(row[n] * math.comb(n, k) for n in range(order + 1)) for k in range(kmax + 1)]
+    found = _disagreeing_sides(sides, order - 1, order + kmax, ("brackets", order, None),
+                               _summed_brackets, order, kmax, None)
+    return found and found[0]
 
 
 def check_thm3(m: int, r: int, order: int) -> CheckReport:
@@ -106,14 +120,8 @@ def check_thm3(m: int, r: int, order: int) -> CheckReport:
     params, ns = {"m": m, "r": r, "order": order}, range(m + 1)
     if entries_agree(r, m, m, ns):
         return make_report("thm3", params, None)
-    # in Q[l], for this check alone, to name the first divergent coefficient
-    fpoly = poly_by_sum(PolyFamily(RFUBINI_DEGENERATE, r), m)
-    falling = degen_falling_table(m + r, m)
-    terms = [(k, c) for k, c in enumerate(fpoly.coeffs) if not c.is_zero()]
-    # (x/(1-x))^k / (1-x) has the coefficients C(n, k)
-    lhs = TruncSeries(QL, (sum((c * math.comb(n, k) for k, c in terms if k <= n), QL.zero)
-                           for n in ns))
-    rhs = TruncSeries(QL, (falling[n + r][m] for n in ns))
+    mix, falling = ql_blocks(r, m, m).main  # in Q[l], to name the first divergent coefficient
+    lhs, rhs = (TruncSeries(QL, (t[m][n] for n in ns)) for t in (mix, falling))
     return make_report("thm3", params, first_mismatch(lhs, rhs, "series"))
 
 
@@ -161,51 +169,61 @@ def check_thm5(n: int, r: int) -> CheckReport:
     return make_report("thm5", {"n": n, "r": r}, bad)
 
 
+def _thm6_sides(k: int, order: int, at=None) -> tuple:
+    """Coefficients n <= order of the k-th derivative of sum_n H_n x^n, H_{n+k} (n+k)!/n!, and
+    of its closed form k! bracket_k / (1-x)^(k+1), at l = ``at`` when given."""
+    row = shared(("harmonic", at), harmonic_row, order + k, at)
+    bracket = shared(("brackets", order, at), _summed_brackets, order, k, at)[k]
+    return ([row[n + k] * math.perm(n + k, k) for n in range(order + 1)],
+            [c * math.factorial(k) for c in bracket])
+
+
 def check_thm6(k: int, order: int) -> CheckReport:
-    """Closed form of the k-th derivative of the harmonic generating series."""
+    """Closed form of the k-th derivative of the harmonic generating series (k! H_k at 0).
+    Both sides are of degree <= order + k - 1 in l."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if order < k:
         raise ValueError(_ORDER_COVERS_K)
-    params = {"k": k, "order": order}
-    g = shared(("harmonic gf", order), harmonic_gf, 1, order + k)
-    g = g.truncate(order + k).coeffs  # [x^n] g^(k) = g_{n+k} (n+k)!/n!
-    derived = TruncSeries(QL, (g[n + k] * math.perm(n + k, k) for n in range(order + 1)))
-    bracket = shared(("brackets", order), _summed_brackets, order, k)[k]
-    closed = TruncSeries(QL, bracket).scale(math.factorial(k))  # k! bracket_k / (1-x)^(k+1)
-    bad = first_mismatch(derived, closed, "derivative series")
-    if bad is not None:
-        return make_report("thm6", params, bad)
-    constant = degen_harmonic(k) * math.factorial(k)
-    bad = first_mismatch(derived.coeff(0), constant, "value at 0")
-    return make_report("thm6", params, bad)
+    sides = _disagreeing_sides(partial(_thm6_sides, k, order), order + k - 1, order + k,
+                               ("brackets", order, None), _summed_brackets, order, k, None)
+    bad = sides and first_mismatch(*(TruncSeries(QL, s) for s in sides), "derivative series")
+    return make_report("thm6", {"k": k, "order": order}, bad)
+
+
+def _cor7_sides(n: int, k: int, at=None) -> tuple:
+    """C(k - l, k) H^(k+1)_n and (H_{n+k} - H_k) C(n + k, k), at l = ``at`` when given."""
+    row = shared(("harmonic", at), harmonic_row, n + k, at)
+    lhs = shared(("harmonic sums", at), _harmonic_sums, n, k, at)[k][n]
+    return lhs, (row[n + k] - row[k]) * math.comb(n + k, k)
 
 
 def check_cor7(n: int, k: int) -> CheckReport:
-    """Hyperharmonic/harmonic relation through the shifted binomial."""
+    """Hyperharmonic/harmonic relation through the shifted binomial; both sides are of degree
+    <= n + k - 1 in l."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
-    params = {"n": n, "k": k}
-    lhs = shared("harmonic sums", _harmonic_sums, n, k)[k][n]  # C(k - l, k) H^(k+1)_n
-    rhs = (degen_harmonic(n + k) - degen_harmonic(k)) * math.comb(n + k, k)
-    return make_report("cor7", params, first_mismatch(lhs, rhs, "values"))
+    sides = _disagreeing_sides(partial(_cor7_sides, n, k), n + k - 1, n + k,
+                               ("harmonic sums", None), _harmonic_sums, n, k, None)
+    return make_report("cor7", {"n": n, "k": k}, sides and first_mismatch(*sides, "values"))
 
 
 def check_thm8(m: int, r: int, order: int) -> CheckReport:
     """Harmonic-weighted power series against its Stirling expansion.
 
     Coefficient n of the lhs is H_n (n+r)_{m,l}, of the rhs sum_k S_r(m, k)
-    k! [t^n] T_k (``harmonic_terms``).  Where their closed form holds, both
-    are H_n times entries [m][n] of the g-free main tables (H_0 = 0), of
-    degree <= m in n, so n = 1..m+1 decide; else the full series do.
+    k! [t^n] T_k (``harmonic_terms``).  Where their closed form holds
+    (``_open_terms``, at points of l), both are H_n times entries [m][n] of
+    the g-free main tables (H_0 = 0), of degree <= m in n, so n = 1..m+1
+    decide; else the full series do, in Q[l].
     """
     if order < max(m, 1):
         raise ValueError(_ORDER_COVERS_M)
     top = min(m + 1, order)
     params = {"m": m, "r": r, "order": order}
-    terms = shared(("terms", order), harmonic_terms, order, m)
-    ns = range((top if terms.closed_form else order) + 1)
-    if terms.closed_form:
+    terms = shared(("terms", order), _open_terms, order, m)
+    ns = range((order if terms else top) + 1)
+    if not terms:
         if entries_agree(r, top, m, ns[1:]):
             return make_report("thm8", params, None)
         mix, falling = ql_blocks(r, top, m).main
@@ -215,8 +233,8 @@ def check_thm8(m: int, r: int, order: int) -> CheckReport:
         lhs = TruncSeries(QL, (degen_harmonic(n) * degen_falling(n + r, m) for n in ns))
         fam = stirling.StirlingFamily(stirling.S2R_DEGENERATE, r)
         weights = (stirling.stirling_value(fam, m, k) * math.factorial(k) for k in range(m + 1))
-        rhs = sum((term.scale(w) for term, w in zip(terms.series, weights) if not w.is_zero()),
-                  TruncSeries.zero(QL, order))
+        rhs = sum((TruncSeries(QL, term).scale(w) for term, w in zip(terms, weights)
+                   if not w.is_zero()), TruncSeries.zero(QL, order))
     return make_report("thm8", params, first_mismatch(lhs, rhs, "series"))
 
 
@@ -265,10 +283,12 @@ def _plan(ids, bounds: SuiteBounds) -> list:
     g-free tables of each r per point, sized by the largest r, m (or deg f) and index any of
     them reads: min(m, jmax), m, min(m + 1, order), and min(degmax + 1, order) for thm2, whose
     named g are nonzero at j >= 1.  Their S2r triangles in Q[l] are built only to name a
-    counterexample, so the plan lists the rows they read but builds none of them.
+    counterexample, so the plan lists the rows they read but builds none of them.  thm6,
+    cor7 and thm8's terms read one harmonic row per point, to the largest index read, and the
+    brackets and harmonic sums at the points their degree in l needs.
     """
     b, tops, polys, reach, block_rs, brackets, later = bounds, {}, [], [], set(), {}, []
-    s2r, thm3_rs = stirling.S2R_DEGENERATE, set()
+    s2r, thm3_rs, sums = stirling.S2R_DEGENERATE, set(), ()
 
     def read(family_id, rs, top):  # rows 0..top of the triangle of each r in rs
         for r in rs if top >= 0 else ():
@@ -295,7 +315,7 @@ def _plan(ids, bounds: SuiteBounds) -> list:
                 else:
                     block_rs.update(range(rmax + 1))
                     brackets[order] = max(mmax, brackets.get(order, mmax))
-                    later.append((("terms", order), harmonic_terms, order, mmax))
+                    later.append((("terms", order), _open_terms, order, mmax))
             if check_id == "thm3":  # the numeric sums, at their own values of l
                 read(s2r, range(b.thm3_numeric_rmax + 1), b.thm3_numeric_mmax)
         elif check_id == "thm4" and b.thm4_nmax >= 0:
@@ -309,9 +329,8 @@ def _plan(ids, bounds: SuiteBounds) -> list:
             if kmax > order:
                 raise ValueError(_ORDER_COVERS_K)
             brackets[order] = max(kmax, brackets.get(order, kmax))
-            later.append((("harmonic gf", order), harmonic_gf, 1, order + kmax))
         elif check_id == "cor7" and min(b.cor7_nmax, b.cor7_kmax) >= 1:
-            later.append(("harmonic sums", _harmonic_sums, b.cor7_nmax, b.cor7_kmax))
+            sums = (b.cor7_nmax, b.cor7_kmax)
     if reach:
         rmax, degmax, index = map(max, zip(*reach))
         read(s2r, block_rs, degmax)
@@ -327,8 +346,14 @@ def _plan(ids, bounds: SuiteBounds) -> list:
         plan += [(("falling", at), degen_falling_table, index + rmax, degmax, at) for at in points]
         plan += [(("blocks", r, at), theorem2_blocks, r, index, degmax, at)
                  for r in sorted(block_rs | thm3_rs) for at in points]
-    plan += [(("brackets", order), _summed_brackets, order, kmax)
-             for order, kmax in brackets.items()]
+    nmax = max([order + kmax for order, kmax in brackets.items()] + [sum(sums)])
+    if nmax:  # H_n is of degree n - 1 in l
+        plan += [(("harmonic", at), harmonic_row, nmax, at) for at in l_points(nmax - 1)]
+    plan += [(("brackets", order, at), _summed_brackets, order, kmax, at)
+             for order, kmax in brackets.items() for at in l_points(order + kmax - 1)]
+    if sums:
+        plan += [(("harmonic sums", at), _harmonic_sums, *sums, at)
+                 for at in l_points(sum(sums) - 1)]
     return plan + later
 
 

@@ -108,13 +108,15 @@ def _row_by_basis(family: StirlingFamily, n: int) -> tuple[LambdaPoly, ...]:
     return tuple(row)
 
 
-def _rows_by_recurrence(family: StirlingFamily, nmax: int) -> tuple[tuple[LambdaPoly, ...], ...]:
-    """Rows 0..nmax from S(n+1, k) = S(n, k-1) + (a k + b n + r) S(n, k), S(0, 0) = 1."""
-    (a0, a1), (b0, b1) = _RECURRENCES[family.id]
-    rows: list[tuple[LambdaPoly, ...]] = [(LambdaPoly.one(),)]
+def _rows_by_recurrence(family_id: str, r: int, nmax: int, at=None) -> tuple:
+    """Rows 0..nmax from S(n+1, k) = S(n, k-1) + (a k + b n + r) S(n, k), S(0, 0) = 1, in Q[l]
+    or at the number ``at`` for l."""
+    (a0, a1), (b0, b1) = _RECURRENCES[family_id]
+    rows = [(LambdaPoly.one() if at is None else 1,)]
     for n in range(nmax):
         prev = rows[n]
-        scaled = [LambdaPoly((a0 * k + b0 * n + family.r, a1 * k + b1 * n)) * s
+        scaled = [(LambdaPoly((a0 * k + b0 * n + r, a1 * k + b1 * n)) if at is None
+                   else a0 * k + b0 * n + r + (a1 * k + b1 * n) * at) * s
                   for k, s in enumerate(prev)]
         rows.append((scaled[0], *(prev[k - 1] + scaled[k] for k in range(1, n + 1)), prev[n]))
     return tuple(rows)
@@ -136,7 +138,7 @@ def unsigned_first_kind(n: int, k: int) -> LambdaPoly:
 
 def _build_rows(family: StirlingFamily, nmax: int) -> tuple[tuple[LambdaPoly, ...], ...]:
     if family.id in _RECURRENCES:
-        return _rows_by_recurrence(family, nmax)
+        return _rows_by_recurrence(family.id, family.r, nmax)
     return tuple(_row_by_basis(family, n) for n in range(nmax + 1))
 
 
@@ -152,14 +154,9 @@ def _faulted(rows, key, at=None) -> tuple:
 
 def s2r_rows(r: int, nmax: int, at) -> tuple:
     """Rows 0..nmax of the S2r triangle at the number ``at`` for l, by Carlitz's recurrence
-    S(n+1, k) = S(n, k-1) + (k - l n + r) S(n, k); faults are added once every row is built,
-    as ``triangle`` adds them, so none is carried into later rows."""
-    rows = [(1,)]
-    for n in range(nmax):
-        prev = rows[n]
-        scaled = [(k - at * n + r) * s for k, s in enumerate(prev)]
-        rows.append((scaled[0], *(prev[k - 1] + scaled[k] for k in range(1, n + 1)), prev[n]))
-    return _faulted(rows, (S2R_DEGENERATE, r), at)
+    S(n+1, k) = S(n, k-1) + (k - l n + r) S(n, k), S2-degenerate's with r; faults are added
+    once every row is built, as ``triangle`` adds them, so none is carried into later rows."""
+    return _faulted(_rows_by_recurrence(S2_DEGENERATE, r, nmax, at), (S2R_DEGENERATE, r), at)
 
 
 def triangle(family: StirlingFamily, nmax: int) -> Triangle:

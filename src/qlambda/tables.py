@@ -29,7 +29,7 @@ class Tables:
         self.faults = dict(faults or {})  # (family id, r, n, k) -> LambdaPoly added there
         self.lock = threading.RLock()
         self.triangles = {}  # (family id, r) -> stirling.Triangle
-        self.harmonic = [LambdaPoly.zero()]  # H_0, H_1, ... as far as read
+        self.harmonic = [LambdaPoly.zero(), LambdaPoly.one()]  # H_0, H_1, ... as far as read
 
     def remember(self, key, triangle):
         """Store ``triangle`` under ``key``, evicting the oldest key when full."""

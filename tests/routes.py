@@ -32,7 +32,7 @@ import random
 from fractions import Fraction
 
 from qlambda import identities, stirling
-from qlambda.factorials import BasisId, basis_poly, classical_falling, degen_falling, gen_binomial
+from qlambda.factorials import BasisId, basis_poly, classical_falling, degen_falling
 from qlambda.fubini_bell import (BELL_DEGENERATE, FUBINI_CLASSICAL, RBELL_DEGENERATE,
                                  PolyFamily)
 from qlambda.gfun import classical_exp, degen_exp, degen_log1p, degen_log_one_minus, inv_one_minus
@@ -270,6 +270,13 @@ def degen_log1p_by_falling(order: int) -> TruncSeries:
 def harmonic_gf_by_product(r: int, order: int) -> TruncSeries:
     """-log_l(1-t) times the series of (1-t)^-r, as one series product."""
     return (-degen_log_one_minus(order)) * inv_one_minus(order, r)
+
+
+def gen_binomial(top, k: int) -> LambdaPoly:
+    """Binomial coefficient with a polynomial top: top(top-1)...(top-k+1)/k!."""
+    if k < 0:
+        raise ValueError("binomial lower index must be >= 0")
+    return classical_falling(top, k) / math.factorial(k)
 
 
 def shifted_binomial(k: int) -> LambdaPoly:

@@ -318,6 +318,25 @@ def test_negative_lambda_equals_form():
     assert rows[2] == ["0", "9/7", "1"]  # 1 - l at l = -2/7
 
 
+def test_a_negative_rational_after_its_flag_equals_the_equals_form():
+    xpoly = '[["1", "2"], ["0", "1/2"], ["-1/3"]]'
+    for argv, stdin in ((["table", "stirling2d", "--nmax", "3"], ""),
+                        (["table", "fubini-d", "--nmax", "3", "--format", "csv"], ""),
+                        (["series", "harmonic-gf", "--order", "4"], ""),
+                        (["eval"], '["1", "-1/2", "1/3"]'), (["eval", "--x", "-1/2"], xpoly)):
+        spaced = run_in_process(argv + ["--lambda", "-1/3"], stdin)
+        joined = run_in_process(argv + ["--lambda=-1/3"], stdin)
+        assert spaced == joined and spaced[0] == 0 and spaced[1], argv
+    spaced = run_in_process(["eval", "--x", "-1/2", "--lambda", "-5"], xpoly)
+    assert spaced == run_in_process(["eval", "--x=-1/2", "--lambda=-5"], xpoly)
+    # (1 + 2l) + (l/2) x - x^2/3 at x = -1/2, l = -5: -9 + 5/4 - 1/12
+    assert spaced[0] == 0 and json.loads(spaced[1]) == "-47/6"
+    for argv in (["table", "stirling2d", "--lambda", "abc"], ["table", "harmonic", "--lambda"],
+                 ["eval", "--lambda", "--x", "-1/2"], ["table", "stirling2d", "--lambda", "-x"]):
+        code, out, _ = run_in_process(argv, xpoly)
+        assert code == 2 and out == "", argv
+
+
 def test_every_size_argument_is_capped():
     for args in (("verify", "--suite", "thm4", "--nmax", "65"),
                  ("verify", "--suite", "thm2", "--order", "65"),

@@ -10,7 +10,8 @@ from qlambda.tables import Tables
 # Second routes kept in tests/routes.py (or deleted), never in the package.
 ORACLE_ONLY = ("series_by_gf", "poly_by_gf", "triangle_by_gf", "_gf_parts", "classical_log1p",
                "degen_transform", "degen_transform_value", "from_basis", "classical_harmonic",
-               "lift_to_xpoly", "euler_apply", "rhs_theorem1", "stirling2_by_recurrence")
+               "lift_to_xpoly", "euler_apply", "rhs_theorem1", "stirling2_by_recurrence",
+               "gen_binomial")
 
 
 def test_every_exported_name_resolves():

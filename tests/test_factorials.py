@@ -7,11 +7,10 @@ from fractions import Fraction
 import pytest
 
 from qlambda.factorials import (BasisId, basis_poly, classical_falling, classical_rising,
-                                degen_falling, degen_falling_table, degen_rising, gen_binomial,
-                                to_basis)
+                                degen_falling, degen_falling_table, degen_rising, to_basis)
 from qlambda.kernel import LambdaPoly, XPoly
 
-from routes import from_basis
+from routes import from_basis, gen_binomial
 
 LAM = LambdaPoly.param()
 X = XPoly.x()

@@ -14,11 +14,11 @@ from qlambda import stirling as st
 from qlambda.factorials import classical_falling, degen_falling
 from qlambda.fubini_bell import (FUBINI_DEGENERATE, RFUBINI_DEGENERATE, PolyFamily,
                                  family_series, poly_by_sum, rfubini_numbers)
-from qlambda.harmonic import degen_harmonic, harmonic_gf
+from qlambda.harmonic import degen_harmonic, harmonic_row
 from qlambda.identities import (SuiteBounds, check_cor7, check_thm3, check_thm3_numeric,
                                 check_thm4, check_thm5, check_thm6, check_thm8, run_suite,
                                 suite_json)
-from qlambda.kernel import QL, LambdaPoly, SeriesOrderError, TruncSeries, XPoly
+from qlambda.kernel import QL, LambdaPoly, TruncSeries, XPoly
 from qlambda.operators import OperatorSpec, theorem2_blocks, theorem2_check
 from qlambda.report import Counterexample, first_mismatch, make_report
 from qlambda.tables import Tables, current, run, shared, use
@@ -99,30 +99,81 @@ def test_cor7_reads_a_given_hyperharmonic_number(monkeypatch):
     assert reports == expected and all(rep["passed"] for rep in reports)
 
 
+def _scale(nmax, at):
+    """The scale lcm(1..N) of the harmonic row the checks read at the number ``at`` for l, N
+    its top index: ``nmax`` outside a run, the plan's inside one."""
+    return math.lcm(*range(1, len(shared(("harmonic", at), identities.harmonic_row, nmax, at))))
+
+
+def _moved_row(index, delta):
+    """``harmonic_row`` with H_index moved by ``delta``, at a number for l by its value there
+    times the row's scale."""
+    def moved(nmax, at=None):
+        step = delta if at is None else int(delta.subs(at) * math.lcm(*range(1, nmax + 1)))
+        return [c + step if n == index else c for n, c in enumerate(harmonic_row(nmax, at))]
+    return moved
+
+
 def test_thm6_needs_g_to_order_plus_k(monkeypatch):
-    monkeypatch.setattr(identities, "harmonic_gf", lambda r, order: harmonic_gf(r, order - 1))
-    with pytest.raises(SeriesOrderError):
+    # coefficient n <= order of the k-th derivative of sum H_n x^n reads H_{n+k}
+    def short(nmax, at=None):
+        return harmonic_row(nmax - 1, at)
+
+    monkeypatch.setattr(identities, "harmonic_row", short)
+    with pytest.raises(IndexError):
         check_thm6(3, 8)
     monkeypatch.undo()
     assert check_thm6(3, 8).passed
 
 
 def test_thm6_names_the_derivative_passes_counterexample(monkeypatch):
-    def moved(r, order):  # coefficient 7 of g moved by l
-        return TruncSeries(QL, (c + LambdaPoly([0, 1]) if n == 7 else c
-                                for n, c in enumerate(harmonic_gf(r, order).coeffs)))
-
-    monkeypatch.setattr(identities, "harmonic_gf", moved)
+    # H_11 moved by l: the closed form reads H_0..H_10 only, the derivative H_11 at t^(11 - k)
+    moved = _moved_row(11, LambdaPoly([0, 1]))
+    monkeypatch.setattr(identities, "harmonic_row", moved)
     order = 10
     for k in range(1, 8):
-        derived = moved(1, order + k)
+        derived = TruncSeries(QL, moved(order + k))
         for _ in range(k):  # the oracle: k termwise derivatives
             derived = routes.derive(derived)
         closed = routes.thm6_closed_by_convolution(k, order)
         expected = first_mismatch(derived, closed, "derivative series")
-        assert expected.location == f"derivative series: coefficient of t^{7 - k}"
+        assert expected.location == f"derivative series: coefficient of t^{11 - k}"
         rep = check_thm6(k, order)
         assert rep.counterexample.to_json() == expected.to_json(), k
+
+
+def test_a_harmonic_error_that_vanishes_at_all_but_the_last_point_is_seen(monkeypatch):
+    # each error is l(l-1)...(l-D+1), D the degree in l of the values it reaches, so it is zero
+    # at l = 0..D-1 and the check sees it only at l = D, its last point
+    def vanishing(degree):
+        return classical_falling(LambdaPoly.param(), degree)
+
+    k, order = 3, 8  # thm6: H_11 is read only by the derivative, at t^8; D = order + k - 1
+    monkeypatch.setattr(identities, "harmonic_row", _moved_row(order + k, vanishing(order + k - 1)))
+    derived = TruncSeries(QL, identities.harmonic_row(order + k))
+    for _ in range(k):
+        derived = routes.derive(derived)
+    expected = first_mismatch(derived, routes.thm6_closed_by_convolution(k, order),
+                              "derivative series")
+    assert expected.location == "derivative series: coefficient of t^8"
+    assert check_thm6(k, order).counterexample == expected
+    n, k = 4, 3  # cor7: H_7 is read only by the right side; D = n + k - 1
+    monkeypatch.setattr(identities, "harmonic_row", _moved_row(n + k, vanishing(n + k - 1)))
+    rhs = (degen_harmonic(n + k) + vanishing(n + k - 1) - degen_harmonic(k)) * math.comb(n + k, k)
+    lhs = routes.harmonic_sums_by_product(n, k)[k][n]
+    assert check_cor7(n, k).counterexample == first_mismatch(lhs, rhs, "values") is not None
+    # thm8: H_8 moves T_0 at t^8 away from Theorem 6's closed form C(8, k) H_8, k >= 1, whose
+    # sides are of degree <= 7 in l; the full series then decide
+    bounds = _SMALL
+    order = bounds.thm8_order
+    monkeypatch.setattr(identities, "harmonic_row", _moved_row(order, vanishing(order - 1)))
+    terms = routes.harmonic_terms_by_product(order, bounds.thm8_mmax)
+    terms[0] = TruncSeries(QL, terms[0].coeffs[:order] + (terms[0].coeffs[order]
+                                                          + vanishing(order - 1),))
+    reports = run_suite({"thm8"}, bounds, tables=Tables())
+    expected = _thm8_full_series_reports(bounds, terms)
+    assert [rep.to_json() for rep in reports] == [rep.to_json() for rep in expected]
+    assert not all(rep.passed for rep in reports)
 
 
 def test_thm8_instances():
@@ -525,13 +576,13 @@ def test_each_grid_builds_each_triangle_once(monkeypatch):
 
 def test_thm8_builds_its_series_once_per_run(monkeypatch):
     calls = []
-    log_one_minus = identities.degen_log_one_minus
+    summed_brackets = identities._summed_brackets
 
-    def counting(order):
-        calls.append(order)
-        return log_one_minus(order)
+    def counting(order, kmax, at=None):
+        calls.append(at)
+        return summed_brackets(order, kmax, at)
 
-    monkeypatch.setattr(identities, "degen_log_one_minus", counting)
+    monkeypatch.setattr(identities, "_summed_brackets", counting)
     default = SuiteBounds()
     doubled = default._replace(thm8_mmax=2 * default.thm8_mmax, thm8_rmax=2 * default.thm8_rmax)
     for bounds in (default, doubled):
@@ -539,18 +590,12 @@ def test_thm8_builds_its_series_once_per_run(monkeypatch):
         reports = run_suite({"thm8"}, bounds, tables=Tables())
         assert len(reports) == (bounds.thm8_mmax + 1) * (bounds.thm8_rmax + 1)
         assert all(rep.passed for rep in reports)
-        assert calls == [bounds.thm8_order]
+        # once per point of l, to their degree order + mmax - 1 in l; never in Q[l]
+        assert calls == list(range(bounds.thm8_order + bounds.thm8_mmax))
 
 
-def test_thm8_falls_back_to_the_series_when_the_closed_form_fails(monkeypatch):
-    bounds = SuiteBounds()._replace(thm8_mmax=4, thm8_rmax=2, thm8_order=8)
-    good = identities.harmonic_terms(bounds.thm8_order, bounds.thm8_mmax)
-    broken = list(good.series)
-    broken[2] = TruncSeries(QL, (c + LambdaPoly([0, 1]) if n == 5 else c
-                                 for n, c in enumerate(broken[2].coeffs)))
-    terms = identities.HarmonicTerms(bounds.thm8_order, broken)
-    assert good.closed_form and not terms.closed_form
-    monkeypatch.setattr(identities, "harmonic_terms", lambda order, kmax: terms)
+def _thm8_full_series_reports(bounds, terms):
+    """thm8's reports from the full series, with T_k = ``terms[k]``, sorted as run_suite sorts."""
     expected = []
     for m in range(bounds.thm8_mmax + 1):
         for r in range(bounds.thm8_rmax + 1):  # the full series, from single values
@@ -559,14 +604,46 @@ def test_thm8_falls_back_to_the_series_when_the_closed_form_fails(monkeypatch):
                                    for n in range(bounds.thm8_order + 1)))
             rhs = TruncSeries.zero(QL, bounds.thm8_order)
             for k in range(m + 1):
-                rhs = rhs + broken[k].scale(st.stirling_value(fam, m, k) * math.factorial(k))
+                rhs = rhs + terms[k].scale(st.stirling_value(fam, m, k) * math.factorial(k))
             params = {"m": m, "r": r, "order": bounds.thm8_order}
             expected.append(make_report("thm8", params, first_mismatch(lhs, rhs, "series")))
+    return sorted(expected, key=lambda rep: json.dumps(dict(rep.params), sort_keys=True))
+
+
+def test_thm8_falls_back_to_the_series_when_the_closed_form_fails(monkeypatch):
+    bounds = SuiteBounds()._replace(thm8_mmax=4, thm8_rmax=2, thm8_order=8)
+    order, mmax = bounds.thm8_order, bounds.thm8_mmax
+    terms = identities.harmonic_terms
+
+    def broken(order, kmax, at=None):  # T_2 moved by l at t^5, at a number by l times the scale
+        step = LambdaPoly([0, 1]) if at is None else at * _scale(order + kmax, at)
+        return [tuple(c + step if (k, n) == (2, 5) else c for n, c in enumerate(term))
+                for k, term in enumerate(terms(order, kmax, at))]
+
+    assert identities._open_terms(order, mmax) is None  # the closed form holds
+    monkeypatch.setattr(identities, "harmonic_terms", broken)
+    assert identities._open_terms(order, mmax) == broken(order, mmax)
     reports = run_suite({"thm8"}, bounds, tables=Tables())
-    assert [rep.to_json() for rep in reports] == [rep.to_json() for rep in sorted(
-        expected, key=lambda rep: json.dumps(dict(rep.params), sort_keys=True))]
+    expected = _thm8_full_series_reports(bounds, [TruncSeries(QL, t) for t in broken(order, mmax)])
+    assert [rep.to_json() for rep in reports] == [rep.to_json() for rep in expected]
     # the broken T_2 reaches every m >= 2 whose S_r(m, 2) is nonzero
-    assert sum(not rep.passed for rep in reports) == (bounds.thm8_mmax - 1) * (bounds.thm8_rmax + 1)
+    assert sum(not rep.passed for rep in reports) == (mmax - 1) * (bounds.thm8_rmax + 1)
+
+
+def test_a_clean_harmonic_run_takes_no_lambda_poly_product(monkeypatch):
+    # thm6, cor7 and thm8's terms decide at points of l, thm8's closed form on the g-free
+    # tables there: none builds a value in Q[l]
+    calls = []
+
+    def counting(self, other, _original=LambdaPoly.__mul__):
+        calls.append(other)
+        return _original(self, other)
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(LambdaPoly, name, counting)
+    reports = run_suite(["thm6", "cor7", "thm8"], tables=Tables())
+    assert len(reports) == 136 and all(rep.passed for rep in reports)
+    assert calls == []
 
 
 def test_suite_takes_no_reciprocal_and_thm6_no_power(monkeypatch):
@@ -651,8 +728,8 @@ _BUILDERS = {
     (st, "_build_rows"): lambda family, nmax: (family.id, family.r),
     (factorials, "degen_falling_table"): lambda amax, mmax, at=None: at,
     (operators, "theorem2_blocks"): lambda r, order, degmax, at=None: (r, at),
-    (identities, "_binomial_sums"): lambda base, kmax: len(base),
-    (identities, "harmonic_terms"): lambda order, kmax: order,
+    (identities, "_binomial_sums"): lambda base, kmax, at=None: (len(base), at),
+    (identities, "harmonic_terms"): lambda order, kmax, at=None: (order, at),
     (fubini_bell, "poly_by_sum"): lambda family, n: (family, n),
 }
 

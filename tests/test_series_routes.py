@@ -5,8 +5,10 @@ C(k - l, k) on them as one factor (k - l)/k per sum, thm4's left side from
 its coefficients, and the numeric r-Fubini sum runs in integers;
 ``routes`` keeps the series products, the convolution, the binomial
 products, the ``XPoly`` derivatives and the ``Fraction`` loop they
-replaced, and each must agree exactly.  The series shift and derivatives
-the routes take are plain functions there, tested here.
+replaced, and each must agree exactly.  The harmonic values thm6, cor7
+and thm8 decide with are also taken at integer l, scaled to ints; each must
+equal its Q[l] value there times the scale.  The series shift and
+derivatives the routes take are plain functions there, tested here.
 """
 
 import itertools
@@ -15,11 +17,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from qlambda import identities, stirling, tables
 from qlambda.fubini_bell import FUBINI_DEGENERATE, PolyFamily, poly_by_sum, rfubini_numbers
 from qlambda.gfun import classical_exp, degen_exp, degen_log1p, degen_log_one_minus, inv_one_minus
-from qlambda.harmonic import degen_hyperharmonic, harmonic_gf, hyperharmonic_row, running_sums
+from qlambda.harmonic import (degen_hyperharmonic, harmonic_gf, harmonic_row, hyperharmonic_row,
+                              running_sums)
 from qlambda.identities import (CHECK_IDS, SuiteBounds, check_cor7, check_thm4, check_thm6,
                                 harmonic_terms, run_suite)
 from qlambda.kernel import QL, QQ, LambdaPoly, SeriesOrderError, TruncSeries, XPoly
@@ -70,11 +75,39 @@ def test_harmonic_gf_equals_the_series_product():
 
 def test_harmonic_terms_equal_the_series_products():
     for order in range(17):
-        products = tuple(routes.harmonic_terms_by_product(order, order))
+        products = [p.coeffs for p in routes.harmonic_terms_by_product(order, order)]
         for kmax in range(order + 1):
-            terms = harmonic_terms(order, kmax)
-            assert terms.series == products[:kmax + 1], (order, kmax)
-            assert terms.closed_form, (order, kmax)
+            assert harmonic_terms(order, kmax) == products[:kmax + 1], (order, kmax)
+            assert identities._open_terms(order, kmax) is None, (order, kmax)  # closed form
+
+
+@settings(max_examples=60, deadline=None)
+@given(at=hst.integers(-3, 10), order=hst.integers(0, 16), data=hst.data())
+def test_point_harmonic_values_equal_the_q_l_ones_there(at, order, data):
+    # at a number for l each is its Q[l] value there times lcm(1..N), N = order + kmax the
+    # top index of the row they are read from, and an int
+    kmax = data.draw(hst.integers(0, order))
+    scale = math.lcm(*range(1, order + kmax + 1))
+
+    def flat(values):
+        return [x for v in values for x in (flat(v) if isinstance(v, (list, tuple)) else [v])]
+
+    for points, values in (
+            (harmonic_row(order + kmax, at), harmonic_row(order + kmax)),
+            (identities._harmonic_sums(order, kmax, at), identities._harmonic_sums(order, kmax)),
+            (identities._summed_brackets(order, kmax, at),
+             identities._summed_brackets(order, kmax)),
+            (harmonic_terms(order, kmax, at), harmonic_terms(order, kmax))):
+        assert len(points) == len(values)
+        assert flat(points) == [v.subs(at) * scale for v in flat(values)], (order, kmax)
+        assert all(type(v) is int for v in flat(points))
+
+
+def test_point_binomials_equal_the_generalized_binomial():
+    # C(k - at, k) on k running sums of [1], by one exact step (k - at) // k per sum
+    for at in range(-3, 11):
+        sums = identities._binomial_sums([1], 12, at)
+        assert [row[0] for row in sums] == [routes.gen_binomial(k - at, k) for k in range(13)]
 
 
 def test_thm6_closed_form_equals_the_convolution():
@@ -124,7 +157,7 @@ def test_order_zero_is_the_constant_term():
     for series in (degen_log1p(0), degen_log_one_minus(0), harmonic_gf(2, 0)):
         assert series.order == 0 and series.coeffs[0].is_zero()
     assert hyperharmonic_row(0, 1) == [degen_hyperharmonic(0, 1)]
-    assert len(harmonic_terms(0, 0).series) == 1
+    assert harmonic_terms(0, 0) == [(QL.zero,)] and harmonic_terms(0, 0, 5) == [(0,)]
 
 
 def test_verify_all_takes_no_series_product(monkeypatch):
@@ -141,28 +174,32 @@ def test_verify_all_takes_no_series_product(monkeypatch):
 
 
 def test_each_run_builds_each_shifted_binomial_once(monkeypatch):
-    # the weights C(k - l, k) come with the binomial sums: one for the log, one for cor7
+    # the weights C(k - l, k) come with the binomial sums, one set for the brackets and one
+    # for cor7, each once per point of l to its degree in l
     calls = []
     binomial_sums = identities._binomial_sums
 
-    def counting(base, kmax):
-        calls.append((len(base), kmax))
-        return binomial_sums(base, kmax)
+    def counting(base, kmax, at=None):
+        calls.append((len(base), kmax, at))
+        return binomial_sums(base, kmax, at)
 
     monkeypatch.setattr(identities, "_binomial_sums", counting)
-    bounds = SuiteBounds()
+    b = SuiteBounds()
+    kmax = max(b.thm6_kmax, b.thm8_mmax)
     for _ in range(2):  # nothing a run builds outlives it
         calls.clear()
-        reports = run_suite({"cor7", "thm6", "thm8"}, bounds, tables=Tables())
+        reports = run_suite({"cor7", "thm6", "thm8"}, b, tables=Tables())
         assert reports and all(rep.passed for rep in reports)
-        assert sorted(calls) == [(bounds.cor7_nmax + 1, bounds.cor7_kmax),
-                                 (bounds.thm6_order + 1, max(bounds.thm6_kmax, bounds.thm8_mmax))]
+        assert sorted(calls, key=str) == sorted(
+            [(b.cor7_nmax + 1, b.cor7_kmax, at) for at in range(b.cor7_nmax + b.cor7_kmax)]
+            + [(b.thm6_order + 1, kmax, at) for at in range(b.thm6_order + kmax)], key=str)
     assert tables._RUN.get() is None
     calls.clear()
     check_thm6(2, 6)
     check_thm6(2, 6)
     check_cor7(3, 2)
-    assert calls == [(7, 2), (7, 2), (4, 2)]  # outside a run nothing is kept
+    # outside a run nothing is kept: each check builds its own at l = 0..D
+    assert calls == [(7, 2, at) for at in range(8)] * 2 + [(4, 2, at) for at in range(5)]
 
 
 def test_summed_brackets_equal_the_binomial_products():

@@ -32,6 +32,7 @@ IDENTITIES = "src/qlambda/identities.py"
 OPERATORS = "src/qlambda/operators.py"
 STIRLING = "src/qlambda/stirling.py"
 TABLES = "src/qlambda/tables.py"
+HARMONIC = "src/qlambda/harmonic.py"
 VALUES = ("tests/test_value_types.py",)
 # run_suite against checks that compare every index, clean and faulted
 EVERY_INDEX = tuple(f"tests/test_identities.py::test_{name}" for name in (
@@ -43,6 +44,11 @@ PLANNED = ("tests/test_identities.py::"
            "test_a_run_builds_every_shared_value_once_before_any_check",)
 # each table at a number for l equals the Q[l] table there, faults included
 POINTS = ("tests/test_operators.py::test_point_tables_equal_the_q_l_tables_there",)
+# the harmonic values at a number for l equal the Q[l] ones there times the scale, and a clean
+# run of thm6, cor7 and thm8 never falls back to Q[l]
+HARMONIC_POINTS = (
+    "tests/test_series_routes.py::test_point_harmonic_values_equal_the_q_l_ones_there",
+    "tests/test_identities.py::test_a_clean_harmonic_run_takes_no_lambda_poly_product")
 _MAKE = "    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too\n"
 
 # name -> (file, old, new[, tests]); ``old`` must occur exactly once in ``file``.
@@ -107,13 +113,12 @@ MUTANTS = {
         ("tests/test_operators.py::test_theorem2_check_agrees_with_the_derivative_oracle",),
     ),
     "thm8 takes the closed form unchecked": (
-        IDENTITIES, "self.closed_form = all(", "self.closed_form = True or all(",
+        IDENTITIES, "    return found and found[0]", "    return None",
         ("tests/test_identities.py::"
          "test_thm8_falls_back_to_the_series_when_the_closed_form_fails",),
     ),
     "bracket summed one time fewer": (
-        IDENTITIES, "degen_log_one_minus(order).coeffs, 1)",
-        "degen_log_one_minus(order).coeffs, 0)",
+        IDENTITIES, "row[k] * math.comb(n + k, k)", "row[k] * math.comb(n + k - 1, k - 1)",
         ("tests/test_identities.py::test_thm6_instances",
          "tests/test_identities.py::test_thm8_instances"),
     ),
@@ -126,8 +131,8 @@ MUTANTS = {
         ("tests/test_stirling.py::test_fault_injection_changes_exactly_one_entry",),
     ),
     "recurrence factor's sign": (
-        STIRLING, "LambdaPoly((a0 * k + b0 * n + family.r, a1 * k + b1 * n))",
-        "LambdaPoly((a0 * k + b0 * n + family.r, -a1 * k - b1 * n))",
+        STIRLING, "LambdaPoly((a0 * k + b0 * n + r, a1 * k + b1 * n))",
+        "LambdaPoly((a0 * k + b0 * n + r, -a1 * k - b1 * n))",
         ("tests/test_acceptance.py::test_criterion_9_three_way_stirling_agreement",),
     ),
     **{f"{name} _replace skips its checks": (file, _MAKE, "", VALUES) for name, file in (
@@ -152,8 +157,8 @@ MUTANTS = {
     ),
     "the ratio step k + l": (
         IDENTITIES, "ratio = LambdaPoly((k, -1)) / k", "ratio = LambdaPoly((k, 1)) / k",
-        ("tests/test_identities.py::test_thm6_instances",
-         "tests/test_identities.py::test_cor7_instances"),
+        ("tests/test_series_routes.py::test_summed_brackets_equal_the_binomial_products",
+         "tests/test_series_routes.py::test_harmonic_sums_equal_the_binomial_products"),
     ),
     "the shifted index n - r + 1": (
         OPERATORS, "table[n - r][j - r]", "table[n - r + 1][j - r]",
@@ -177,9 +182,26 @@ MUTANTS = {
         ("tests/test_identities.py::test_a_fault_that_vanishes_at_all_but_the_last_point_is_seen",),
     ),
     "recurrence factor uses n for k": (
-        STIRLING, "(k - at * n + r) * s", "(n - at * n + r) * s", POINTS,
+        STIRLING, "else a0 * k + b0 * n + r +", "else a0 * n + b0 * n + r +", POINTS,
     ),
     "fault delta skipped at points": (STIRLING, "else delta.subs(at))", "else 0)", POINTS),
+    "one harmonic point fewer": (
+        IDENTITIES, "map(sides, l_points(degree))", "map(sides, l_points(degree - 1))",
+        ("tests/test_identities.py::"
+         "test_a_harmonic_error_that_vanishes_at_all_but_the_last_point_is_seen",),
+    ),
+    "bracket binomial uses k + 1": (IDENTITIES, "else k - at", "else k + 1 - at", HARMONIC_POINTS),
+    "scale is lcm(1..N-1)": (
+        HARMONIC, "math.lcm(*range(1, nmax + 1))", "math.lcm(*range(1, nmax))", HARMONIC_POINTS,
+    ),
+    "the plan sizes the harmonic row one index short": (
+        IDENTITIES, "harmonic_row, nmax, at) for at", "harmonic_row, nmax - 1, at) for at",
+        PLANNED,
+    ),
+    "a negative --x value is left to argparse": (
+        "src/qlambda/cli.py", 'in ("--lambda", "--x")', 'in ("--lambda",)',
+        ("tests/test_cli.py::test_a_negative_rational_after_its_flag_equals_the_equals_form",),
+    ),
 }
 
 
