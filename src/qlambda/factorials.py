@@ -61,14 +61,14 @@ def degen_falling(x: PolyArg, n: int):
     return _factorial_product(x, n, LambdaPoly.param(), -1)
 
 
-def degen_falling_table(amax: int, mmax: int, at=None) -> tuple[tuple, ...]:
-    """Entry [a][m] is (a)_{m,l} for 0 <= a <= amax, 0 <= m <= mmax; one product each.
-    At a number ``at`` for l, entry [a][m] is its value there."""
+def degen_falling_table(amax: int, mmax: int, at) -> tuple[tuple, ...]:
+    """Entry [a][m] is the value of (a)_{m,l} at the number ``at`` for l, for 0 <= a <= amax,
+    0 <= m <= mmax; one product each."""
     rows = []
     for a in range(amax + 1):
-        row = [LambdaPoly.one() if at is None else 1]
+        row = [1]
         for m in range(mmax):
-            row.append(row[-1] * (LambdaPoly((a, -m)) if at is None else a - m * at))
+            row.append(row[-1] * (a - m * at))
         rows.append(tuple(row))
     return tuple(rows)
 

@@ -11,11 +11,12 @@ compare entries of its g-free tables (``operators.theorem2_blocks``),
 thm8 where its series has Theorem 6's closed form; they compare m + 1
 indices, which certify the rest by degree in j.  These four, thm6 and
 cor7 decide at D + 1 integer values of l, which certify every l by degree
-in l (``operators.l_points``); only a failing check is redone in Q[l].
-thm4 and thm5 compare coefficient by coefficient in Q[l].  At a number
-for l the harmonic values a check compares come from one scaled row,
-``harmonic_row(N, at)``, N the check's top index outside a run and the
-plan's inside one.
+in l, and name a counterexample by interpolating those values into Q[l]
+(``operators.first_difference``).  thm4 and thm5 compare in Q[l].  At a
+number for l the harmonic values a check compares come from one scaled
+row, ``harmonic_row(N, at)``, N the check's top index outside a run and
+the plan's inside one; the builders return it with their values, so a
+check outside a run builds it once per point.
 A run checks every bound and fault, then builds each value its checks
 share once, before the first check (``_plan``, ``tables.run``); outside a
 run each check builds its own.  Nothing outlives a run.
@@ -29,7 +30,6 @@ import json
 import math
 import random
 from fractions import Fraction
-from functools import partial
 from typing import NamedTuple
 
 from . import stirling
@@ -39,8 +39,8 @@ from .gfun import classical_exp, inv_one_minus
 from .harmonic import (degen_harmonic, degen_hyperharmonic, harmonic_gf, harmonic_row,
                        running_sums)
 from .kernel import QL, LambdaPoly, TruncSeries, XPoly
-from .operators import (entries_agree, l_points, ql_blocks, theorem1_check, theorem2_blocks,
-                        theorem2_check)
+from .operators import (entry_difference, first_difference, l_points, theorem1_check,
+                        theorem2_blocks, theorem2_check)
 from .report import CheckReport, Counterexample, first_mismatch, make_report
 from .tables import Tables, current, run, shared, use
 
@@ -54,59 +54,61 @@ def _poly(family: PolyFamily, n: int) -> XPoly:
     return shared(("poly", family, n), poly_by_sum, family, n)
 
 
-def _binomial_sums(base, kmax: int, at=None) -> list:
-    """[k]: C(k - l, k) times ``base`` summed k times, k <= kmax, at l = ``at`` when given:
-    (k - l)/k times one running sum of the last, an exact ``//`` on ints at a number."""
+def _binomial_sums(base, kmax: int, at) -> list:
+    """[k]: C(k - l, k) times ``base`` summed k times, k <= kmax, at l = ``at``: (k - l)/k
+    times one running sum of the last, an exact ``//`` on ints."""
     sums = [list(base)]
     for k in range(1, kmax + 1):
-        ratio = LambdaPoly((k, -1)) / k if at is None else k - at
-        sums.append([c * ratio if at is None else c * ratio // k
-                     for c in running_sums(sums[-1], 1)])
+        sums.append([c * (k - at) // k for c in running_sums(sums[-1], 1)])
     return sums
 
 
-def _harmonic_sums(nmax: int, kmax: int, at=None) -> list:
-    """[k][n]: C(k - l, k) H^(k+1)_n, the harmonic row summed k times, n <= nmax, k <= kmax."""
+def _harmonic_sums(nmax: int, kmax: int, at) -> tuple:
+    """The harmonic row read, and [k][n]: C(k - l, k) H^(k+1)_n, the row summed k times,
+    n <= nmax, k <= kmax."""
     row = shared(("harmonic", at), harmonic_row, nmax + kmax, at)
-    return _binomial_sums(row[:nmax + 1], kmax, at)
+    return row, _binomial_sums(row[:nmax + 1], kmax, at)
 
 
-def _summed_brackets(order: int, kmax: int, at=None) -> list:
-    """[k]: bracket_k = H_k - C(k - l, k) log_l(1-x) summed k + 1 times, to ``order``, k <= kmax.
-    The log summed once is -H, so coefficient n is H_k C(n + k, k) + C(k - l, k) H^(k+1)_n."""
+def _summed_brackets(order: int, kmax: int, at) -> tuple:
+    """The harmonic row read, and [k]: bracket_k = H_k - C(k - l, k) log_l(1-x) summed k + 1
+    times, to ``order``, k <= kmax.  The log summed once is -H, so coefficient n is
+    H_k C(n + k, k) + C(k - l, k) H^(k+1)_n."""
     row = shared(("harmonic", at), harmonic_row, order + kmax, at)
-    return [tuple(row[k] * math.comb(n + k, k) + c for n, c in enumerate(sums))
-            for k, sums in enumerate(_harmonic_sums(order, kmax, at))]
+    return row, [tuple(row[k] * math.comb(n + k, k) + c for n, c in enumerate(sums))
+                 for k, sums in enumerate(_binomial_sums(row[:order + 1], kmax, at))]
 
 
-def harmonic_terms(order: int, kmax: int, at=None) -> list:
+def harmonic_terms(order: int, kmax: int, at) -> list:
     """[k][n]: [x^n] T_k, k = 0..kmax <= order, T_k = x^k/(1-x)^(k+1) * bracket_k: bracket_k
     summed k + 1 times, to order - k, shifted by k.  thm8's rhs is sum_k w_k T_k."""
     if kmax > order:
         raise ValueError(_ORDER_COVERS_K)
-    brackets = shared(("brackets", order, at), _summed_brackets, order, kmax, at)[:kmax + 1]
-    return [(QL.zero if at is None else 0,) * k + b[:order - k + 1] for k, b in enumerate(brackets)]
+    brackets = shared(("brackets", order, at), _summed_brackets, order, kmax, at)[1][:kmax + 1]
+    return [(0,) * k + b[:order - k + 1] for k, b in enumerate(brackets)]
 
 
-def _disagreeing_sides(sides, degree: int, nmax: int, key, build, *args):
-    """None if ``sides(at)`` agree at every l of ``l_points(degree)``, else ``sides(None)``, in
-    a run nested in the current one that builds the harmonic row to ``nmax`` and ``key``."""
-    if all(lhs == rhs for lhs, rhs in map(sides, l_points(degree))):
-        return None
-    with run([(("harmonic", None), harmonic_row, nmax, None), (key, build, *args)]):
-        return sides(None)
+def _scale(top: int) -> int:
+    """lcm(1..N), the scale of the harmonic row at a number for l: N = ``top`` outside a run,
+    the plan's inside one."""
+    return math.lcm(*range(1, len(shared(("harmonic", 0), harmonic_row, top, 0))))
 
 
 def _open_terms(order: int, kmax: int):
     """None if thm8's terms have Theorem 6's closed form [x^n] T_k = C(n, k) H_n, k <= kmax,
-    both sides of degree <= n - 1 in l; else the terms in Q[l]."""
+    H_n = [x^n] T_0, both sides of degree <= order - 1 in l; else the terms in Q[l],
+    interpolated from the values compared."""
+    points = []
+
     def sides(at):
-        row = shared(("harmonic", at), harmonic_row, order + kmax, at)
-        return harmonic_terms(order, kmax, at), [
-            tuple(row[n] * math.comb(n, k) for n in range(order + 1)) for k in range(kmax + 1)]
-    found = _disagreeing_sides(sides, order - 1, order + kmax, ("brackets", order, None),
-                               _summed_brackets, order, kmax, None)
-    return found and found[0]
+        points.append(harmonic_terms(order, kmax, at))
+        return ([c for term in points[-1] for c in term],
+                [h * math.comb(n, k) for k in range(kmax + 1) for n, h in enumerate(points[-1][0])])
+    if first_difference(sides, order - 1) is None:
+        return None
+    scale = _scale(order + kmax)
+    return [tuple(LambdaPoly.interpolate(values, scale) for values in zip(*term))
+            for term in zip(*points)]
 
 
 def check_thm3(m: int, r: int, order: int) -> CheckReport:
@@ -117,12 +119,9 @@ def check_thm3(m: int, r: int, order: int) -> CheckReport:
     """
     if order < max(m, 1):
         raise ValueError(_ORDER_COVERS_M)
-    params, ns = {"m": m, "r": r, "order": order}, range(m + 1)
-    if entries_agree(r, m, m, ns):
-        return make_report("thm3", params, None)
-    mix, falling = ql_blocks(r, m, m).main  # in Q[l], to name the first divergent coefficient
-    lhs, rhs = (TruncSeries(QL, (t[m][n] for n in ns)) for t in (mix, falling))
-    return make_report("thm3", params, first_mismatch(lhs, rhs, "series"))
+    found = entry_difference(r, m, m, range(m + 1))
+    bad = found and first_mismatch(found[1], found[2], f"series: coefficient of t^{found[0]}")
+    return make_report("thm3", {"m": m, "r": r, "order": order}, bad)
 
 
 def check_thm3_numeric(m: int, r: int, lam: Fraction, tol_exponent: int) -> CheckReport:
@@ -169,15 +168,6 @@ def check_thm5(n: int, r: int) -> CheckReport:
     return make_report("thm5", {"n": n, "r": r}, bad)
 
 
-def _thm6_sides(k: int, order: int, at=None) -> tuple:
-    """Coefficients n <= order of the k-th derivative of sum_n H_n x^n, H_{n+k} (n+k)!/n!, and
-    of its closed form k! bracket_k / (1-x)^(k+1), at l = ``at`` when given."""
-    row = shared(("harmonic", at), harmonic_row, order + k, at)
-    bracket = shared(("brackets", order, at), _summed_brackets, order, k, at)[k]
-    return ([row[n + k] * math.perm(n + k, k) for n in range(order + 1)],
-            [c * math.factorial(k) for c in bracket])
-
-
 def check_thm6(k: int, order: int) -> CheckReport:
     """Closed form of the k-th derivative of the harmonic generating series (k! H_k at 0).
     Both sides are of degree <= order + k - 1 in l."""
@@ -185,27 +175,31 @@ def check_thm6(k: int, order: int) -> CheckReport:
         raise ValueError("k must be >= 1")
     if order < k:
         raise ValueError(_ORDER_COVERS_K)
-    sides = _disagreeing_sides(partial(_thm6_sides, k, order), order + k - 1, order + k,
-                               ("brackets", order, None), _summed_brackets, order, k, None)
-    bad = sides and first_mismatch(*(TruncSeries(QL, s) for s in sides), "derivative series")
+
+    def sides(at):  # H_{n+k} (n+k)!/n! against k! [x^n] bracket_k/(1-x)^(k+1), n <= order
+        row, brackets = shared(("brackets", order, at), _summed_brackets, order, k, at)
+        return ([row[n + k] * math.perm(n + k, k) for n in range(order + 1)],
+                [c * math.factorial(k) for c in brackets[k]])
+    found = first_difference(sides, order + k - 1)
+    scale = found and _scale(order + k)
+    bad = found and first_mismatch(found[1] / scale, found[2] / scale,
+                                   f"derivative series: coefficient of t^{found[0]}")
     return make_report("thm6", {"k": k, "order": order}, bad)
 
 
-def _cor7_sides(n: int, k: int, at=None) -> tuple:
-    """C(k - l, k) H^(k+1)_n and (H_{n+k} - H_k) C(n + k, k), at l = ``at`` when given."""
-    row = shared(("harmonic", at), harmonic_row, n + k, at)
-    lhs = shared(("harmonic sums", at), _harmonic_sums, n, k, at)[k][n]
-    return lhs, (row[n + k] - row[k]) * math.comb(n + k, k)
-
-
 def check_cor7(n: int, k: int) -> CheckReport:
-    """Hyperharmonic/harmonic relation through the shifted binomial; both sides are of degree
-    <= n + k - 1 in l."""
+    """Hyperharmonic/harmonic relation through the shifted binomial, C(k - l, k) H^(k+1)_n
+    against (H_{n+k} - H_k) C(n + k, k); both sides are of degree <= n + k - 1 in l."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
-    sides = _disagreeing_sides(partial(_cor7_sides, n, k), n + k - 1, n + k,
-                               ("harmonic sums", None), _harmonic_sums, n, k, None)
-    return make_report("cor7", {"n": n, "k": k}, sides and first_mismatch(*sides, "values"))
+
+    def sides(at):
+        row, sums = shared(("harmonic sums", at), _harmonic_sums, n, k, at)
+        return [sums[k][n]], [(row[n + k] - row[k]) * math.comb(n + k, k)]
+    found = first_difference(sides, n + k - 1)
+    scale = found and _scale(n + k)
+    bad = found and first_mismatch(found[1] / scale, found[2] / scale, "values")
+    return make_report("cor7", {"n": n, "k": k}, bad)
 
 
 def check_thm8(m: int, r: int, order: int) -> CheckReport:
@@ -215,26 +209,27 @@ def check_thm8(m: int, r: int, order: int) -> CheckReport:
     k! [t^n] T_k (``harmonic_terms``).  Where their closed form holds
     (``_open_terms``, at points of l), both are H_n times entries [m][n] of
     the g-free main tables (H_0 = 0), of degree <= m in n, so n = 1..m+1
-    decide; else the full series do, in Q[l].
+    decide; else the full series do, in Q[l], on the interpolated terms.
     """
     if order < max(m, 1):
         raise ValueError(_ORDER_COVERS_M)
     top = min(m + 1, order)
     params = {"m": m, "r": r, "order": order}
     terms = shared(("terms", order), _open_terms, order, m)
-    ns = range((order if terms else top) + 1)
-    if not terms:
-        if entries_agree(r, top, m, ns[1:]):
+    if terms is None:
+        found = entry_difference(r, top, m, range(1, top + 1))
+        if found is None:
             return make_report("thm8", params, None)
-        mix, falling = ql_blocks(r, top, m).main
-        lhs, rhs = (TruncSeries(QL, (degen_harmonic(n) * t[m][n] for n in ns))
-                    for t in (falling, mix))
-    else:
-        lhs = TruncSeries(QL, (degen_harmonic(n) * degen_falling(n + r, m) for n in ns))
-        fam = stirling.StirlingFamily(stirling.S2R_DEGENERATE, r)
-        weights = (stirling.stirling_value(fam, m, k) * math.factorial(k) for k in range(m + 1))
-        rhs = sum((TruncSeries(QL, term).scale(w) for term, w in zip(terms, weights)
-                   if not w.is_zero()), TruncSeries.zero(QL, order))
+        n, mix, falling = found
+        h = degen_harmonic(n)
+        return make_report("thm8", params, first_mismatch(h * falling, h * mix,
+                                                          f"series: coefficient of t^{n}"))
+    ns = range(order + 1)
+    lhs = TruncSeries(QL, (degen_harmonic(n) * degen_falling(n + r, m) for n in ns))
+    fam = stirling.StirlingFamily(stirling.S2R_DEGENERATE, r)
+    weights = (stirling.stirling_value(fam, m, k) * math.factorial(k) for k in range(m + 1))
+    rhs = sum((TruncSeries(QL, term).scale(w) for term, w in zip(terms, weights)
+               if not w.is_zero()), TruncSeries.zero(QL, order))
     return make_report("thm8", params, first_mismatch(lhs, rhs, "series"))
 
 
@@ -282,8 +277,8 @@ def _plan(ids, bounds: SuiteBounds) -> list:
     decide at the points ``operators.l_points(degmax)`` of l, on one falling table and the
     g-free tables of each r per point, sized by the largest r, m (or deg f) and index any of
     them reads: min(m, jmax), m, min(m + 1, order), and min(degmax + 1, order) for thm2, whose
-    named g are nonzero at j >= 1.  Their S2r triangles in Q[l] are built only to name a
-    counterexample, so the plan lists the rows they read but builds none of them.  thm6,
+    named g are nonzero at j >= 1; the plan checks faults against their S2r rows, but builds
+    no S2r triangle.  thm6,
     cor7 and thm8's terms read one harmonic row per point, to the largest index read, and the
     brackets and harmonic sums at the points their degree in l needs.
     """

@@ -225,6 +225,17 @@ class LambdaPoly(_DensePoly):
             acc = acc * value + c
         return acc
 
+    @classmethod
+    def interpolate(cls, values, scale: Scalar = 1) -> "LambdaPoly":
+        """The polynomial of degree < len(values) that is ``values[i] / scale`` at l = i, by
+        Newton's forward differences: the sum over i of (Delta^i values)[0] C(l, i)."""
+        diffs, out, basis = list(values), cls._zero, cls._one
+        for i in range(len(diffs)):
+            out = out + basis * Fraction(diffs[0], scale)
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+            basis = basis * cls((-i, 1)) / (i + 1)
+        return out
+
     def __repr__(self):
         from .render import lambda_poly_ascii
 

@@ -24,10 +24,12 @@ a nonzero polynomial of degree <= m has at most m roots, so each check
 compares only the first m + 1 indices it would read (all when fewer exist).
 The same argument holds in l: entry ``[n][j]`` is of degree <= n in l, or
 the degree of a fault if higher, so the checks compare the tables at the
-numbers l = 0..D (``l_points``), in Python ints, and build them in Q[l]
-only to name the first divergent coefficient (``ql_blocks``).  The checks
-read a suite run's tables (``tables.shared``), else build their own;
-nothing is memoized, so a fault is always seen by the next check.
+numbers l = 0..D (``l_points``), in Python ints.  Each side, not only their
+difference, is of degree <= D, so its values there fix it: the first
+divergent coefficient is named by interpolating both sides into Q[l] from
+the values already compared (``first_difference``).  The checks read a
+suite run's tables (``tables.shared``), else build their own; nothing is
+memoized, so a fault is always seen by the next check.
 """
 
 from __future__ import annotations
@@ -39,10 +41,7 @@ from . import stirling
 from .factorials import degen_falling_table
 from .kernel import LambdaPoly, TruncSeries, XPoly
 from .report import CheckReport, first_mismatch, make_report
-from .tables import current, run, shared
-
-Table = tuple[tuple[LambdaPoly, ...], ...]
-_ZERO = LambdaPoly.zero()
+from .tables import current, shared
 
 _MODES = ("plain", "shifted")
 
@@ -72,8 +71,8 @@ class Theorem2Blocks(namedtuple("Theorem2Blocks", "r order degmax main shifted")
     against (j+r)_{n,l}.  ``shifted``: sum_{k >= r} {n over k}_r
     j(j-1)...(j-k+1) against (j)_{n-r,l} j(j-1)...(j-r+1), both zero for
     n < r or j < r.  Since (j)_k = (j)_r (j-r)_{k-r}, each shifted entry is
-    j(j-1)...(j-r+1) times the main entry ``[n-r][j-r]``.  Entries are in
-    Q[l], or the values at one number for l.
+    j(j-1)...(j-r+1) times the main entry ``[n-r][j-r]``.  Entries are the
+    values at one number for l.
     """
 
     __slots__ = ()
@@ -82,58 +81,53 @@ class Theorem2Blocks(namedtuple("Theorem2Blocks", "r order degmax main shifted")
         return f"Theorem2Blocks(r={self.r!r}, order={self.order!r}, degmax={self.degmax!r})"
 
 
-def theorem2_blocks(r: int, order: int, degmax: int, at=None) -> Theorem2Blocks:
-    """The tables ``theorem2_check`` reads besides f and g, for every f of degree <= degmax,
-    on the run's falling table inside a run; at the number ``at`` for l when given, from the
-    S2r recurrence taken there (``stirling.s2r_rows``)."""
+def theorem2_blocks(r: int, order: int, degmax: int, at) -> Theorem2Blocks:
+    """The tables ``theorem2_check`` reads besides f and g, for every f of degree <= degmax, at
+    the number ``at`` for l: from the S2r recurrence taken there (``stirling.s2r_rows``), on the
+    run's falling table inside a run."""
     if r < 0:
         raise ValueError("r must be >= 0")
     if degmax < 0:
         raise ValueError("degmax must be >= 0")
-    if at is None:
-        rows = stirling.triangle(stirling.StirlingFamily(stirling.S2R_DEGENERATE, r), degmax).rows
-    else:
-        rows = stirling.s2r_rows(r, degmax, at)
-    zero = _ZERO if at is None else 0
+    rows = stirling.s2r_rows(r, degmax, at)
     falling = shared(("falling", at), degen_falling_table, order + r, degmax, at)
     js, ns = range(order + 1), range(degmax + 1)
-    main = (tuple(tuple(sum((rows[n][k] * math.perm(j, k) for k in range(min(n, j) + 1)), zero)
+    main = (tuple(tuple(sum(rows[n][k] * math.perm(j, k) for k in range(min(n, j) + 1))
                         for j in js) for n in ns),
             tuple(tuple(falling[j + r][n] for j in js) for n in ns))
 
-    def shift(table: Table) -> Table:  # j(j-1)...(j-r+1) times main entry [n - r][j - r]
-        return tuple(tuple(zero if n < r or j < r else table[n - r][j - r] * math.perm(j, r)
+    def shift(table):  # j(j-1)...(j-r+1) times main entry [n - r][j - r]
+        return tuple(tuple(0 if n < r or j < r else table[n - r][j - r] * math.perm(j, r)
                            for j in js) for n in ns)
     return Theorem2Blocks(r, order, degmax, main, tuple(map(shift, main)))
 
 
 def l_points(degree: int, extra: int = 0) -> range:
     """l = 0..D, D = max(``degree``, the degree of each fault of the current ``Tables``) +
-    ``extra``: tables whose compared values are of degree <= D in l agree in Q[l] when they
-    agree at these D + 1 points."""
+    ``extra``: values of degree <= D in l agree in Q[l] when they agree at these D + 1 points,
+    and are fixed by their values there."""
     faults = current().faults.values()
     return range(max([degree, *(delta.degree for delta in faults)]) + extra + 1)
 
 
-def point_blocks(r: int, order: int, degmax: int, extra: int = 0) -> list:
-    """``theorem2_blocks`` of r at each l of ``l_points(degmax, extra)``, the run's inside a run."""
-    return [shared(("blocks", r, at), theorem2_blocks, r, order, degmax, at)
-            for at in l_points(degmax, extra)]
+def first_difference(sides, degree: int, extra: int = 0):
+    """None if the value lists ``sides(at)`` = (lhs, rhs) agree at each l of ``l_points(degree,
+    extra)``; else (i, lhs_i, rhs_i) at the first index where they differ, each interpolated into
+    Q[l] from its values there: exact where each side, not only their difference, has degree
+    <= D."""
+    points = [sides(at) for at in l_points(degree, extra)]
+    for i, pairs in enumerate(zip(*(zip(*point) for point in points))):
+        if any(left != right for left, right in pairs):
+            return i, *(LambdaPoly.interpolate(values) for values in zip(*pairs))
+    return None
 
 
-def ql_blocks(r: int, order: int, degmax: int) -> Theorem2Blocks:
-    """``theorem2_blocks`` of r in Q[l], built in a one-check plan: they name a counterexample."""
-    plan = [(("falling", None), degen_falling_table, order + r, degmax, None),
-            (("blocks", r, None), theorem2_blocks, r, order, degmax, None)]
-    with run(plan):
-        return shared(("blocks", r, None), theorem2_blocks, r, order, degmax, None)
-
-
-def entries_agree(r: int, order: int, m: int, js, form: str = "main") -> bool:
-    """Whether the two tables of ``form`` agree at entries ``[m][j]``, j in ``js``, at every
-    point of ``l_points(m)``: of degree <= m in l, faults aside, they then agree in Q[l]."""
-    return all(lhs[m][j] == rhs[m][j] for lhs, rhs in (getattr(blocks, form)
-               for blocks in point_blocks(r, order, m)) for j in js)
+def entry_difference(r: int, order: int, m: int, js, form: str = "main"):
+    """``first_difference`` of the two tables of ``form`` (mix, falling) at entries [m][j], j in
+    ``js``, of degree <= m in l, faults aside: None, or (j, mix entry, falling entry)."""
+    found = first_difference(lambda at: [[t[m][j] for j in js] for t in getattr(
+        shared(("blocks", r, at), theorem2_blocks, r, order, m, at), form)], m)
+    return found and (js[found[0]], *found[1:])
 
 
 def theorem1_check(m: int, r: int, mode: str, jmax: int = 10) -> CheckReport:
@@ -148,16 +142,11 @@ def theorem1_check(m: int, r: int, mode: str, jmax: int = 10) -> CheckReport:
     """
     OperatorSpec(m, r, mode)
     top = min(m, jmax)
-    params = {"m": m, "r": r, "mode": mode, "jmax": jmax}
-    form = "main" if mode == "plain" else "shifted"
-    if entries_agree(r, top, m, range(top + 1), form):
-        return make_report("thm1", params, None)
-    mix, falling = getattr(ql_blocks(r, top, m), form)
-    shift = r if mode == "plain" else 0
-    bad = next(filter(None, (first_mismatch(falling[m][j], mix[m][j],
-                                            f"operand x^{j}: coefficient of x^{j + shift}")
-                             for j in range(top + 1))), None)
-    return make_report("thm1", params, bad)
+    found = entry_difference(r, top, m, range(top + 1), "main" if mode == "plain" else "shifted")
+    j, shift = found and found[0], r if mode == "plain" else 0
+    bad = found and first_mismatch(found[2], found[1],
+                                   f"operand x^{j}: coefficient of x^{j + shift}")
+    return make_report("thm1", {"m": m, "r": r, "mode": mode, "jmax": jmax}, bad)
 
 
 def _times(w, v):
@@ -184,21 +173,16 @@ def theorem2_check(f: XPoly, g: TruncSeries, r: int, order: int) -> CheckReport:
             return [table[coeffs[0][0]][j] for j in js]
         return [sum(_times(a, table[n][j]) for n, a in coeffs) for j in js]
 
-    def first_difference(blocks, coeffs):  # (label, j, lhs, rhs) of the first sums that differ
-        for label, (lhs, rhs) in (("main form", blocks.main), ("shifted form", blocks.shifted)):
-            for j, left, right in zip(js, sums(lhs, coeffs), sums(rhs, coeffs)):
-                if left != right:
-                    return label, j, left, right
-        return None
-    extra = max((a.degree for _, a in terms), default=0)
-    points = point_blocks(r, width, degmax, extra)
-    if all(first_difference(blocks, [(n, a.subs(at)) for n, a in terms]) is None
-           for at, blocks in enumerate(points)):
-        return make_report("thm2", params, None)
-    found = first_difference(ql_blocks(r, width, degmax), terms)
+    def sides(at):  # the sums of each side at l = at, for j in js, main form then shifted
+        blocks = shared(("blocks", r, at), theorem2_blocks, r, width, degmax, at)
+        coeffs = [(n, a.subs(at)) for n, a in terms]
+        return [[v for form in (blocks.main, blocks.shifted) for v in sums(form[side], coeffs)]
+                for side in (0, 1)]
+    found = first_difference(sides, degmax, max((a.degree for _, a in terms), default=0))
     if found is None:
         return make_report("thm2", params, None)
-    label, j, left, right = found
+    i, left, right = found
+    label, j = ("main form", "shifted form")[i // len(js)], js[i % len(js)]
     gj = g.coeffs[j]
     bad = first_mismatch(_times(gj, left), _times(gj, right), f"{label}: coefficient of t^{j}")
     return make_report("thm2", params, bad)

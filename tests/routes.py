@@ -13,15 +13,18 @@ summed value, where the package takes one factor (k - l)/k per sum; the
 shifted two-series tables are summed term by term, where the package
 scales the main ones; thm4's left side is taken by ``XPoly`` products and
 derivatives, where the package writes its coefficients; and the numeric
-r-Fubini sum runs over ``Fraction``s, where the package sums integers.  ``every_index_reports``
-runs thm1, thm2, thm3 and thm8 comparing every index to the order, where
-the package compares the first m + 1.  They use the kernel's
-arithmetic and the named series of ``gfun``, never ``fubini_bell``'s
-sums, and no triangle except through single ``stirling_value`` entries
-(so a faulted ``Tables`` reaches both routes), so agreement with the
-package is a cross-check.  No command shifts or differentiates a series
-or a polynomial, so ``shift``, ``derive`` and ``derivative``, which the
-oracles take, are plain functions here rather than kernel methods.
+r-Fubini sum runs over ``Fraction``s, where the package sums integers.
+``every_index_reports`` runs thm1, thm2, thm3 and thm8 in Q[l], comparing
+every index to the order, on g-free tables of their own
+(``theorem2_tables``), where the package compares the first m + 1 at
+points of l.  They use the kernel's arithmetic and the named series of
+``gfun``, never ``fubini_bell``'s sums, and no triangle except through
+single ``stirling_value`` entries or the S2r basis expansion plus the
+fault there (``s2r_entry``), so a faulted ``Tables`` reaches both routes
+and agreement with the package is a cross-check.  No command shifts or
+differentiates a series or a polynomial, so ``shift``, ``derive`` and
+``derivative``, which the oracles take, are plain functions here rather
+than kernel methods.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from qlambda import identities, stirling
 from qlambda.factorials import BasisId, basis_poly, classical_falling, degen_falling
@@ -38,8 +42,9 @@ from qlambda.fubini_bell import (BELL_DEGENERATE, FUBINI_CLASSICAL, RBELL_DEGENE
 from qlambda.gfun import classical_exp, degen_exp, degen_log1p, degen_log_one_minus, inv_one_minus
 from qlambda.harmonic import degen_harmonic, degen_hyperharmonic, harmonic_gf
 from qlambda.kernel import QL, QLX, LambdaPoly, SeriesOrderError, TruncSeries, XPoly
-from qlambda.operators import OperatorSpec, theorem2_blocks
+from qlambda.operators import OperatorSpec, Theorem2Blocks
 from qlambda.report import Counterexample, first_mismatch, make_report
+from qlambda.tables import current
 
 
 def shift(series: TruncSeries, k: int) -> TruncSeries:
@@ -204,17 +209,37 @@ def theorem2_sides(f: XPoly, g: TruncSeries, r: int, order: int):
     return (lhs, rhs), (lhs2, rhs2)
 
 
+@lru_cache(maxsize=None)
+def _s2r_by_basis(r: int, n: int, k: int) -> LambdaPoly:
+    return stirling.stirling_by_basis(stirling.StirlingFamily(stirling.S2R_DEGENERATE, r), n, k)
+
+
+def s2r_entry(r: int, n: int, k: int) -> LambdaPoly:
+    """S_r(n, k) by its basis expansion, plus the current ``Tables``' fault there, if any."""
+    fault = current().faults.get((stirling.S2R_DEGENERATE, r, n, k), LambdaPoly.zero())
+    return _s2r_by_basis(r, n, k) + fault
+
+
 def shifted_tables_by_sums(r: int, order: int, degmax: int):
-    """``theorem2_blocks(r, order, degmax).shifted`` entry by entry: [n][j] is
+    """``theorem2_blocks(r, order, degmax, at).shifted`` in Q[l], entry by entry: [n][j] is
     sum_{k >= r} S_r(n - r, k - r) j(j-1)...(j-k+1) on the left and (j)_{n-r,l}
     j(j-1)...(j-r+1) on the right, both zero for n < r."""
-    fam = stirling.StirlingFamily(stirling.S2R_DEGENERATE, r)
     js, ns, zero = range(order + 1), range(degmax + 1), LambdaPoly.zero()
-    lhs = tuple(tuple(sum((stirling.stirling_value(fam, n - r, k - r) * math.perm(j, k)
+    lhs = tuple(tuple(sum((s2r_entry(r, n - r, k - r) * math.perm(j, k)
                            for k in range(r, min(n, j) + 1)), zero) for j in js) for n in ns)
     rhs = tuple(tuple(zero if n < r else degen_falling(j, n - r) * math.perm(j, r) for j in js)
                 for n in ns)
     return lhs, rhs
+
+
+def theorem2_tables(r: int, order: int, degmax: int) -> Theorem2Blocks:
+    """``theorem2_blocks(r, order, degmax, at)`` in Q[l]: the main tables from ``s2r_entry`` and
+    ``degen_falling``, the shifted ones summed term by term."""
+    js, ns, zero = range(order + 1), range(degmax + 1), LambdaPoly.zero()
+    main = (tuple(tuple(sum((s2r_entry(r, n, k) * math.perm(j, k) for k in range(min(n, j) + 1)),
+                            zero) for j in js) for n in ns),
+            tuple(tuple(degen_falling(j + r, n) for j in js) for n in ns))
+    return Theorem2Blocks(r, order, degmax, main, shifted_tables_by_sums(r, order, degmax))
 
 
 def euler_apply(spec: OperatorSpec, f):
@@ -371,13 +396,13 @@ def every_index_reports(ids, bounds, seed: int) -> list:
     """The thm1, thm2, thm3 (no numeric sums) and thm8 reports of ``run_suite`` in the current
     ``Tables``, comparing every index to jmax or the order, sorted as ``run_suite`` sorts.
 
-    thm1 and thm2 read full-width ``theorem2_blocks``; thm3 and thm8 take their series from
-    single triangle values and ``degen_falling``, thm8's terms as series products.
+    thm1 and thm2 read full-width ``theorem2_tables``; thm3 and thm8 take their series from
+    ``s2r_entry`` and ``degen_falling``, thm8's terms as series products.
     """
     b, out = bounds, []
     if "thm1" in ids:
         for r in range(min(b.thm1_mmax, b.thm1_rmax) + 1):
-            blocks = theorem2_blocks(r, b.thm1_jmax, b.thm1_mmax)
+            blocks = theorem2_tables(r, b.thm1_jmax, b.thm1_mmax)
             for m in range(r, b.thm1_mmax + 1):
                 for mode in ("plain", "shifted"):
                     mix, falling = blocks.main if mode == "plain" else blocks.shifted
@@ -391,7 +416,7 @@ def every_index_reports(ids, bounds, seed: int) -> list:
     if "thm2" in ids:
         rng = random.Random(seed)
         polys = [identities._random_poly(rng, b.thm2_degmax) for _ in range(b.thm2_trials)]
-        blocks = [theorem2_blocks(r, b.thm2_order, b.thm2_degmax) for r in range(b.thm2_rmax + 1)]
+        blocks = [theorem2_tables(r, b.thm2_order, b.thm2_degmax) for r in range(b.thm2_rmax + 1)]
         monomials = [XPoly.monomial(1, n) for n in range(b.thm2_degmax + 1)]
         for name in ("exp", "geometric", "harmonic"):
             g = identities._named_g(name, b.thm2_order)
@@ -405,8 +430,7 @@ def every_index_reports(ids, bounds, seed: int) -> list:
         ns = range(b.thm3_order + 1)
         for m in range(b.thm3_mmax + 1):
             for r in range(b.thm3_rmax + 1):
-                fam = stirling.StirlingFamily(stirling.S2R_DEGENERATE, r)
-                lhs = TruncSeries(QL, (sum((stirling.stirling_value(fam, m, k) * math.perm(n, k)
+                lhs = TruncSeries(QL, (sum((s2r_entry(r, m, k) * math.perm(n, k)
                                             for k in range(min(m, n) + 1)), LambdaPoly.zero())
                                        for n in ns))
                 rhs = TruncSeries(QL, (degen_falling(n + r, m) for n in ns))
@@ -417,12 +441,10 @@ def every_index_reports(ids, bounds, seed: int) -> list:
         terms = harmonic_terms_by_product(b.thm8_order, b.thm8_mmax)
         for m in range(b.thm8_mmax + 1):
             for r in range(b.thm8_rmax + 1):
-                fam = stirling.StirlingFamily(stirling.S2R_DEGENERATE, r)
                 lhs = TruncSeries(QL, (degen_harmonic(n) * degen_falling(n + r, m) for n in ns))
                 rhs = TruncSeries.zero(QL, b.thm8_order)
                 for k in range(m + 1):
-                    rhs = rhs + terms[k].scale(stirling.stirling_value(fam, m, k)
-                                               * math.factorial(k))
+                    rhs = rhs + terms[k].scale(s2r_entry(r, m, k) * math.factorial(k))
                 out.append(make_report("thm8", {"m": m, "r": r, "order": b.thm8_order},
                                        first_mismatch(lhs, rhs, "series")))
     return sorted(out, key=lambda rep: (rep.check_id, json.dumps(dict(rep.params),

@@ -26,13 +26,15 @@ def test_product_examples():
 
 
 def test_degen_falling_table_matches_degen_falling():
-    table = degen_falling_table(24, 9)
-    assert len(table) == 25 and all(len(row) == 10 for row in table)
-    for a, row in enumerate(table):
-        for m, entry in enumerate(row):
-            assert entry == degen_falling(a, m), (a, m)
-    assert table[0][0] == LambdaPoly.one() and table[0][1] == LambdaPoly.zero()
-    assert table[24][0] == LambdaPoly.one()
+    # at l = 0..9, which fix each entry, of degree <= 8 in l, and at two negative numbers
+    falling = [[degen_falling(a, m) for m in range(10)] for a in range(25)]
+    for at in (-3, -1, *range(10)):
+        table = degen_falling_table(24, 9, at)
+        assert len(table) == 25 and all(len(row) == 10 for row in table)
+        for a, row in enumerate(table):
+            for m, entry in enumerate(row):
+                assert entry == falling[a][m].subs(at) and type(entry) is int, (a, m, at)
+        assert table[0][0] == 1 and table[0][1] == 0 and table[24][0] == 1
 
 
 def test_gen_binomial_examples():

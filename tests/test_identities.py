@@ -99,6 +99,24 @@ def test_cor7_reads_a_given_hyperharmonic_number(monkeypatch):
     assert reports == expected and all(rep["passed"] for rep in reports)
 
 
+def test_single_harmonic_checks_build_each_point_row_once(monkeypatch):
+    # outside a run, cor7 at (n, k) reads the row at l = 0..n + k - 1 and thm6 at (k, order)
+    # at l = 0..order + k - 1, each built once per check and point
+    builds = []
+
+    def counting(nmax, at=None):
+        builds.append((nmax, at))
+        return harmonic_row(nmax, at)
+
+    monkeypatch.setattr(identities, "harmonic_row", counting)
+    with use(Tables()):
+        assert all(check_cor7(n, k).passed for n in range(1, 11) for k in range(1, 11))
+        assert len(builds) == sum(n + k for n in range(1, 11) for k in range(1, 11)) == 1100
+        builds.clear()
+        assert all(check_thm6(k, 16).passed for k in range(1, 9))
+        assert len(set(builds)) == len(builds) == sum(16 + k for k in range(1, 9)) == 164
+
+
 def _scale(nmax, at):
     """The scale lcm(1..N) of the harmonic row the checks read at the number ``at`` for l, N
     its top index: ``nmax`` outside a run, the plan's inside one."""
@@ -567,18 +585,18 @@ def test_each_grid_builds_each_triangle_once(monkeypatch):
         builds.clear()
         assert all(rep.passed for rep in run_suite({check_id}, bounds, tables=Tables()))
         assert builds == [], check_id
-    # a counterexample is named in Q[l], on the faulted triangle only
+    # a counterexample is named by interpolating the point values: no S2r triangle in Q[l]
     builds.clear()
     faulted = Tables({(st.S2R_DEGENERATE, 1, 3, 2): LambdaPoly.one()})
     assert not all(rep.passed for rep in run_suite({"thm1"}, bounds, tables=faulted))
-    assert set(builds) == {(st.S2R_DEGENERATE, 1)}
+    assert builds == []
 
 
 def test_thm8_builds_its_series_once_per_run(monkeypatch):
     calls = []
     summed_brackets = identities._summed_brackets
 
-    def counting(order, kmax, at=None):
+    def counting(order, kmax, at):
         calls.append(at)
         return summed_brackets(order, kmax, at)
 
@@ -615,16 +633,19 @@ def test_thm8_falls_back_to_the_series_when_the_closed_form_fails(monkeypatch):
     order, mmax = bounds.thm8_order, bounds.thm8_mmax
     terms = identities.harmonic_terms
 
-    def broken(order, kmax, at=None):  # T_2 moved by l at t^5, at a number by l times the scale
-        step = LambdaPoly([0, 1]) if at is None else at * _scale(order + kmax, at)
+    def broken(order, kmax, at):  # T_2 moved by l at t^5: by l times the scale at a number
+        step = at * _scale(order + kmax, at)
         return [tuple(c + step if (k, n) == (2, 5) else c for n, c in enumerate(term))
                 for k, term in enumerate(terms(order, kmax, at))]
 
     assert identities._open_terms(order, mmax) is None  # the closed form holds
     monkeypatch.setattr(identities, "harmonic_terms", broken)
-    assert identities._open_terms(order, mmax) == broken(order, mmax)
+    moved = [tuple(c + LambdaPoly([0, 1]) if (k, n) == (2, 5) else c
+                   for n, c in enumerate(term.coeffs))
+             for k, term in enumerate(routes.harmonic_terms_by_product(order, mmax))]
+    assert identities._open_terms(order, mmax) == moved  # interpolated from the point values
     reports = run_suite({"thm8"}, bounds, tables=Tables())
-    expected = _thm8_full_series_reports(bounds, [TruncSeries(QL, t) for t in broken(order, mmax)])
+    expected = _thm8_full_series_reports(bounds, [TruncSeries(QL, t) for t in moved])
     assert [rep.to_json() for rep in reports] == [rep.to_json() for rep in expected]
     # the broken T_2 reaches every m >= 2 whose S_r(m, 2) is nonzero
     assert sum(not rep.passed for rep in reports) == (mmax - 1) * (bounds.thm8_rmax + 1)
@@ -726,10 +747,10 @@ def _rebind(monkeypatch, original, replacement):
 # builder -> the key of what it builds, from its arguments
 _BUILDERS = {
     (st, "_build_rows"): lambda family, nmax: (family.id, family.r),
-    (factorials, "degen_falling_table"): lambda amax, mmax, at=None: at,
-    (operators, "theorem2_blocks"): lambda r, order, degmax, at=None: (r, at),
-    (identities, "_binomial_sums"): lambda base, kmax, at=None: (len(base), at),
-    (identities, "harmonic_terms"): lambda order, kmax, at=None: (order, at),
+    (factorials, "degen_falling_table"): lambda amax, mmax, at: at,
+    (operators, "theorem2_blocks"): lambda r, order, degmax, at: (r, at),
+    (identities, "_binomial_sums"): lambda base, kmax, at: (len(base), at),
+    (identities, "harmonic_terms"): lambda order, kmax, at: (order, at),
     (fubini_bell, "poly_by_sum"): lambda family, n: (family, n),
 }
 

@@ -312,3 +312,12 @@ def test_xpoly_scalar_product_is_the_constant_product(p, scalar):
     for prod in (p * scalar, scalar * p):
         assert type(prod) is XPoly
         assert prod.coeffs == expected.coeffs and hash(prod) == hash(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=_LAMBDA_POLYS, extra=hst.integers(0, 3), scale=hst.integers(1, 30))
+def test_interpolate_recovers_a_polynomial_from_its_scaled_values(p, extra, scale):
+    # the values at l = 0..D, any D >= deg p, each times the scale, fix p
+    points = range(max(p.degree, 0) + extra + 1)
+    assert LambdaPoly.interpolate([p.subs(i) * scale for i in points], scale) == p
+    assert LambdaPoly.interpolate([]) == LambdaPoly.zero()

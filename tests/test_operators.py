@@ -16,12 +16,14 @@ from qlambda.gfun import classical_exp, degen_log_one_minus, inv_one_minus
 from qlambda import identities
 from qlambda.identities import SuiteBounds, check_thm8
 from qlambda.kernel import QL, LambdaPoly, TruncSeries, XPoly
-from qlambda.operators import OperatorSpec, theorem1_check, theorem2_blocks, theorem2_check
+from qlambda.operators import (OperatorSpec, l_points, theorem1_check, theorem2_blocks,
+                               theorem2_check)
 from qlambda.report import first_mismatch, make_report
 from qlambda.tables import Tables, run, use
 
 from routes import (degen_transform, degen_transform_value, derivative, derive, euler_apply,
-                    rhs_theorem1, shift, shifted_tables_by_sums, theorem2_sides)
+                    rhs_theorem1, s2r_entry, shift, shifted_tables_by_sums, theorem2_sides,
+                    theorem2_tables)
 
 X = XPoly.x()
 
@@ -210,34 +212,38 @@ def test_theorem2_insufficient_order_is_error():
 
 
 def test_theorem2_blocks_shapes():
-    blocks = theorem2_blocks(2, 6, 3)
+    at = 3
+    blocks = theorem2_blocks(2, 6, 3, at)
     tables = blocks.main + blocks.shifted
     assert all(len(t) == 4 and all(len(row) == 7 for row in t) for t in tables)
     # f with m < r contributes nothing to the shifted form
-    zero = (LambdaPoly.zero(),) * 7
+    zero = (0,) * 7
     assert all(t[0] == t[1] == zero for t in blocks.shifted)
-    assert blocks.main[1][2][5] == degen_falling(5 + 2, 2)
-    assert blocks.shifted[1][3][5] == degen_falling(5, 1) * 20
+    assert blocks.main[1][2][5] == degen_falling(5 + 2, 2).subs(at)
+    assert blocks.shifted[1][3][5] == degen_falling(5, 1).subs(at) * 20
     assert blocks.main is blocks.main
     twin = pickle.loads(pickle.dumps(blocks))  # carries both forms
     assert twin == blocks and twin.main == blocks.main and twin.shifted == blocks.shifted
 
 
+def _at(table, at):
+    """A table of ``LambdaPoly`` entries with the number ``at`` substituted for l."""
+    return tuple(tuple(entry.subs(at) for entry in row) for row in table)
+
+
 @pytest.mark.parametrize("fault", [None, (1, 3, 2), (2, 6, 4), (4, 8, 0), (0, 10, 10)], ids=str)
 def test_shifted_tables_equal_the_term_by_term_sums(fault):
-    # each shifted entry is j(j-1)...(j-r+1) times a main one; the route sums its terms
+    # each shifted entry is j(j-1)...(j-r+1) times a main one; the route sums its terms, in
+    # Q[l], and the point tables must equal it at l = 0..D, which fix each entry
     faults = {} if fault is None else {(st.S2R_DEGENERATE, *fault): LambdaPoly([1, 1])}
     with use(Tables(faults)):
         for r in range(5):
             for order, degmax in ((20, 10), (r - 1, 10), (20, r)):
                 if order >= 0:
                     expected = shifted_tables_by_sums(r, order, degmax)
-                    assert theorem2_blocks(r, order, degmax).shifted == expected, (r, order)
-
-
-def _at(table, at):
-    """A table of ``LambdaPoly`` entries with the number ``at`` substituted for l."""
-    return tuple(tuple(entry.subs(at) for entry in row) for row in table)
+                    for at in l_points(degmax):
+                        assert theorem2_blocks(r, order, degmax, at).shifted == tuple(
+                            _at(t, at) for t in expected), (r, order, at)
 
 
 _DELTAS = hst.lists(hst.fractions(min_value=-3, max_value=3, max_denominator=3), max_size=4)
@@ -247,15 +253,16 @@ _DELTAS = hst.lists(hst.fractions(min_value=-3, max_value=3, max_denominator=3),
 @given(r=hst.integers(0, 4), n=hst.integers(0, 8), at=hst.integers(-3, 10),
        fault=hst.tuples(hst.integers(0, 8), hst.integers(0, 8), _DELTAS))
 def test_point_tables_equal_the_q_l_tables_there(r, n, at, fault):
-    # each table at a number for l is the Q[l] table of the basis route, faults included,
-    # with that number substituted
+    # each table at a number for l is the oracle's Q[l] table, from the basis route with the
+    # faults added, with that number substituted
     row, k, coeffs = fault
     order = n + 2
     with use(Tables({(st.S2R_DEGENERATE, r, row, k): LambdaPoly(coeffs)})):
-        basis = st.triangle(st.StirlingFamily(st.S2R_DEGENERATE, r), n).rows
+        basis = [[s2r_entry(r, i, j) for j in range(i + 1)] for i in range(n + 1)]
         assert st.s2r_rows(r, n, at) == _at(basis, at)
-        assert degen_falling_table(order + r, n, at) == _at(degen_falling_table(order + r, n), at)
-        points, blocks = theorem2_blocks(r, order, n, at), theorem2_blocks(r, order, n)
+        assert degen_falling_table(order + r, n, at) == _at(
+            [[degen_falling(a, m) for m in range(n + 1)] for a in range(order + r + 1)], at)
+        points, blocks = theorem2_blocks(r, order, n, at), theorem2_tables(r, order, n)
         for form in ("main", "shifted"):
             assert getattr(points, form) == tuple(_at(t, at) for t in getattr(blocks, form))
         # thm3's coefficient j, sum_k c_k C(j, k) from the r-Fubini polynomial, is entry [n][j]
@@ -276,14 +283,13 @@ def _x_derivs(g, kmax, order):
 
 @pytest.mark.parametrize("faulted", [False, True])
 def test_theorem2_blocks_mix_matches_scaled_derivatives(faulted):
+    # g_j times each entry, at l = 0..D, against the Stirling-weighted x^k g^(k) there
     order, degmax = 10, 6
     faults = {(st.S2R_DEGENERATE, r, n, k): LambdaPoly([1, -2])
               for r in range(4) for n, k in ((3, 1), (5, 4))} if faulted else {}
     with use(Tables(faults)):
         for r in range(4):
-            blocks = theorem2_blocks(r, order, degmax)
             tri = st.triangle(st.StirlingFamily(st.S2R_DEGENERATE, r), degmax)
-            (main, main_rhs), (shifted, shifted_rhs) = blocks.main, blocks.shifted
             for name in ("exp", "geometric", "harmonic"):
                 g = _g_for(name, order + degmax)
                 derivs = _x_derivs(g, degmax, order)
@@ -293,20 +299,27 @@ def test_theorem2_blocks_mix_matches_scaled_derivatives(faulted):
                     for k, w in weights:
                         out = out + derivs[k].scale(w)
                     return out
-
-                def times_g(row):
-                    return TruncSeries(QL, (g.coeffs[j] * v for j, v in enumerate(row)))
-                for n in range(degmax + 1):
-                    assert times_g(main[n]) == mix((k, tri.entry(n, k)) for k in range(n + 1))
-                    assert times_g(shifted[n]) == mix((k, tri.entry(n - r, k - r))
-                                                      for k in range(r, n + 1))
+                mixes = [(mix((k, tri.entry(n, k)) for k in range(n + 1)),
+                          mix((k, tri.entry(n - r, k - r)) for k in range(r, n + 1)))
+                         for n in range(degmax + 1)]
+                for at in l_points(degmax):
+                    blocks = theorem2_blocks(r, order, degmax, at)
+                    gs = [c.subs(at) for c in g.coeffs]
+                    for n, series in enumerate(mixes):
+                        for (table, _), want in zip((blocks.main, blocks.shifted), series):
+                            assert [gj * v for gj, v in zip(gs, table[n])] == [
+                                c.subs(at) for c in want.coeffs], (r, name, n, at)
                 if faulted:
                     assert not theorem2_check(XPoly.monomial(1, 5), g, r, order).passed
-            for n in range(degmax + 1):
-                assert main_rhs[n] == tuple(degen_falling(j + r, n) for j in range(order + 1))
-                assert shifted_rhs[n] == tuple(
-                    degen_falling(j, n - r) * math.perm(j, r) if n >= r else LambdaPoly.zero()
-                    for j in range(order + 1))
+            for at in l_points(degmax):
+                blocks = theorem2_blocks(r, order, degmax, at)
+                (_, main_rhs), (_, shifted_rhs) = blocks.main, blocks.shifted
+                for n in range(degmax + 1):
+                    assert main_rhs[n] == tuple(degen_falling(j + r, n).subs(at)
+                                                for j in range(order + 1))
+                    assert shifted_rhs[n] == tuple(
+                        degen_falling(j, n - r).subs(at) * math.perm(j, r) if n >= r else 0
+                        for j in range(order + 1))
 
 
 def _random_rational_series(rng, order):

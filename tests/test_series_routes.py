@@ -6,11 +6,13 @@ its coefficients, and the numeric r-Fubini sum runs in integers;
 ``routes`` keeps the series products, the convolution, the binomial
 products, the ``XPoly`` derivatives and the ``Fraction`` loop they
 replaced, and each must agree exactly.  The harmonic values thm6, cor7
-and thm8 decide with are also taken at integer l, scaled to ints; each must
-equal its Q[l] value there times the scale.  The series shift and
+and thm8 decide with are taken at integer l only, scaled to ints; each must
+equal the route's Q[l] value there times the scale, at l = 0..D, which fix
+a value of degree <= D in l.  The series shift and
 derivatives the routes take are plain functions there, tested here.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -73,31 +75,52 @@ def test_harmonic_gf_equals_the_series_product():
             assert harmonic_gf(r, order) == routes.harmonic_gf_by_product(r, order), (r, order)
 
 
+def _scaled(values, at, scale):
+    """Rows of ``LambdaPoly`` values, each at the number ``at`` for l times ``scale``."""
+    return [tuple(v.subs(at) * scale for v in row) for row in values]
+
+
 def test_harmonic_terms_equal_the_series_products():
+    # [t^n] T_k is of degree <= n - 1 <= order - 1 in l, so l = 0..order - 1 fix it
     for order in range(17):
         products = [p.coeffs for p in routes.harmonic_terms_by_product(order, order)]
+        for at in range(max(order, 1)):
+            values = _scaled(products, at, 1)
+            for kmax in range(order + 1):
+                scale = math.lcm(*range(1, order + kmax + 1))
+                assert harmonic_terms(order, kmax, at) == [
+                    tuple(v * scale for v in row) for row in values[:kmax + 1]], (order, kmax, at)
         for kmax in range(order + 1):
-            assert harmonic_terms(order, kmax) == products[:kmax + 1], (order, kmax)
             assert identities._open_terms(order, kmax) is None, (order, kmax)  # closed form
+
+
+@functools.lru_cache(maxsize=None)
+def _harmonic_routes() -> tuple:
+    """The routes' cor7 sums, summed brackets and thm8 terms to order and k 16; at a lower
+    order each row is a prefix of its row here."""
+    return (routes.harmonic_sums_by_product(16, 16), routes.summed_brackets_by_product(16, 16),
+            [p.coeffs for p in routes.harmonic_terms_by_product(16, 16)])
 
 
 @settings(max_examples=60, deadline=None)
 @given(at=hst.integers(-3, 10), order=hst.integers(0, 16), data=hst.data())
 def test_point_harmonic_values_equal_the_q_l_ones_there(at, order, data):
-    # at a number for l each is its Q[l] value there times lcm(1..N), N = order + kmax the
-    # top index of the row they are read from, and an int
+    # at a number for l each is the route's Q[l] value there times lcm(1..N), N = order + kmax
+    # the top index of the row they are read from, and an int
     kmax = data.draw(hst.integers(0, order))
     scale = math.lcm(*range(1, order + kmax + 1))
+    sums, brackets, terms = ([row[:order + 1] for row in table[:kmax + 1]]
+                             for table in _harmonic_routes())
 
     def flat(values):
         return [x for v in values for x in (flat(v) if isinstance(v, (list, tuple)) else [v])]
 
-    for points, values in (
-            (harmonic_row(order + kmax, at), harmonic_row(order + kmax)),
-            (identities._harmonic_sums(order, kmax, at), identities._harmonic_sums(order, kmax)),
-            (identities._summed_brackets(order, kmax, at),
-             identities._summed_brackets(order, kmax)),
-            (harmonic_terms(order, kmax, at), harmonic_terms(order, kmax))):
+    row = harmonic_row(order + kmax, at)
+    (sums_row, sums_at), (brackets_row, brackets_at) = (build(order, kmax, at) for build in (
+        identities._harmonic_sums, identities._summed_brackets))
+    assert sums_row == brackets_row == row  # each returns the row it reads, for its checks
+    for points, values in ((row, harmonic_row(order + kmax)), (sums_at, sums),
+                           (brackets_at, brackets), (harmonic_terms(order, kmax, at), terms)):
         assert len(points) == len(values)
         assert flat(points) == [v.subs(at) * scale for v in flat(values)], (order, kmax)
         assert all(type(v) is int for v in flat(points))
@@ -140,8 +163,9 @@ def test_rfubini_numbers_equal_the_fraction_sum(lam):
     (hyperharmonic_row, (-1, 1), ValueError),
     (hyperharmonic_row, (-1, 3), ValueError),
     (degen_hyperharmonic, (-1, 1), ValueError),
-    (harmonic_terms, (3, 5), ValueError),
-    (harmonic_terms, (0, 1), ValueError),
+    # kmax > order, at the points l = 0 and 2; the ids name (order, kmax)
+    pytest.param(harmonic_terms, (3, 5, 0), ValueError, id="harmonic_terms-(3, 5)-ValueError"),
+    pytest.param(harmonic_terms, (0, 1, 2), ValueError, id="harmonic_terms-(0, 1)-ValueError"),
     (inv_one_minus, (-3, 0), SeriesOrderError),
     pytest.param(TruncSeries.one, (QL, -1), SeriesOrderError, id="one-(-1)"),
     pytest.param(TruncSeries.const, (QL, QL.one, -2), SeriesOrderError, id="const-(-2)"),
@@ -157,7 +181,7 @@ def test_order_zero_is_the_constant_term():
     for series in (degen_log1p(0), degen_log_one_minus(0), harmonic_gf(2, 0)):
         assert series.order == 0 and series.coeffs[0].is_zero()
     assert hyperharmonic_row(0, 1) == [degen_hyperharmonic(0, 1)]
-    assert harmonic_terms(0, 0) == [(QL.zero,)] and harmonic_terms(0, 0, 5) == [(0,)]
+    assert harmonic_terms(0, 0, 5) == [(0,)]
 
 
 def test_verify_all_takes_no_series_product(monkeypatch):
@@ -179,7 +203,7 @@ def test_each_run_builds_each_shifted_binomial_once(monkeypatch):
     calls = []
     binomial_sums = identities._binomial_sums
 
-    def counting(base, kmax, at=None):
+    def counting(base, kmax, at):
         calls.append((len(base), kmax, at))
         return binomial_sums(base, kmax, at)
 
@@ -202,20 +226,32 @@ def test_each_run_builds_each_shifted_binomial_once(monkeypatch):
     assert calls == [(7, 2, at) for at in range(8)] * 2 + [(4, 2, at) for at in range(5)]
 
 
+def _at_points(degree: int, values, build, *args) -> None:
+    """The table ``build(*args, at)`` returns with its row equals ``values`` at each
+    l = 0..degree times the scale lcm(1..N) of that row, N = the sum of ``args``; values of
+    degree <= ``degree`` in l are fixed there."""
+    scale = math.lcm(*range(1, sum(args) + 1))
+    for at in range(degree + 1):
+        table = build(*args, at)[1]
+        assert [tuple(row) for row in table] == _scaled(values, at, scale), (args, at)
+
+
 def test_summed_brackets_equal_the_binomial_products():
+    # coefficient n of bracket k is of degree <= n + k - 1 in l
     for order in (0, 1, 2, 3, 8, 16, 20):
         products = routes.summed_brackets_by_product(order, 10)
-        assert identities._summed_brackets(order, 10) == products, order
+        _at_points(order + 9, products, identities._summed_brackets, order, 10)
         for kmax in (0, 1, order // 2):
-            assert identities._summed_brackets(order, kmax) == products[:kmax + 1], (order, kmax)
+            _at_points(order + kmax, products[:kmax + 1], identities._summed_brackets, order,
+                       kmax)
 
 
 def test_harmonic_sums_equal_the_binomial_products():
     products = routes.harmonic_sums_by_product(20, 10)
-    assert identities._harmonic_sums(20, 10) == products
+    _at_points(29, products, identities._harmonic_sums, 20, 10)
     for nmax, kmax in ((0, 0), (0, 10), (1, 3), (7, 10), (20, 0)):
-        assert identities._harmonic_sums(nmax, kmax) == [row[:nmax + 1]
-                                                          for row in products[:kmax + 1]]
+        _at_points(nmax + kmax, [row[:nmax + 1] for row in products[:kmax + 1]],
+                   identities._harmonic_sums, nmax, kmax)
 
 
 def _random_lambda_xpoly(rng: random.Random, degmax: int) -> XPoly:

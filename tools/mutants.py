@@ -42,10 +42,10 @@ EVERY_INDEX = tuple(f"tests/test_identities.py::test_{name}" for name in (
 # a default run builds every shared value once, before its first check
 PLANNED = ("tests/test_identities.py::"
            "test_a_run_builds_every_shared_value_once_before_any_check",)
-# each table at a number for l equals the Q[l] table there, faults included
+# each table at a number for l equals the oracle's Q[l] table there, faults included
 POINTS = ("tests/test_operators.py::test_point_tables_equal_the_q_l_tables_there",)
-# the harmonic values at a number for l equal the Q[l] ones there times the scale, and a clean
-# run of thm6, cor7 and thm8 never falls back to Q[l]
+# the harmonic values at a number for l equal the routes' Q[l] ones there times the scale, and
+# a clean run of thm6, cor7 and thm8 takes no product in Q[l]
 HARMONIC_POINTS = (
     "tests/test_series_routes.py::test_point_harmonic_values_equal_the_q_l_ones_there",
     "tests/test_identities.py::test_a_clean_harmonic_run_takes_no_lambda_poly_product")
@@ -102,8 +102,7 @@ MUTANTS = {
     ),
     "thm2 reads one index fewer": (OPERATORS, "[:f.degree + 1]", "[:f.degree]", EVERY_INDEX),
     "thm3 reads one index fewer": (
-        IDENTITIES, '"order": order}, range(m + 1)', '"order": order}, range(max(m, 1))',
-        EVERY_INDEX,
+        IDENTITIES, "r, m, m, range(m + 1)", "r, m, m, range(max(m, 1))", EVERY_INDEX,
     ),
     "thm8 reads one index fewer": (
         IDENTITIES, "top = min(m + 1, order)", "top = min(m, order)", EVERY_INDEX,
@@ -113,7 +112,7 @@ MUTANTS = {
         ("tests/test_operators.py::test_theorem2_check_agrees_with_the_derivative_oracle",),
     ),
     "thm8 takes the closed form unchecked": (
-        IDENTITIES, "    return found and found[0]", "    return None",
+        IDENTITIES, "if first_difference(sides, order - 1) is None:", "if True:",
         ("tests/test_identities.py::"
          "test_thm8_falls_back_to_the_series_when_the_closed_form_fails",),
     ),
@@ -152,11 +151,11 @@ MUTANTS = {
         "theorem2_blocks, r, index - 1, degmax, at)", PLANNED,
     ),
     "a check builds its own blocks inside a run": (
-        OPERATORS, "shared((\"blocks\", r, at), theorem2_blocks, r, order, degmax, at)",
-        "theorem2_blocks(r, order, degmax, at)", PLANNED,
+        OPERATORS, "shared((\"blocks\", r, at), theorem2_blocks, r, order, m, at)",
+        "theorem2_blocks(r, order, m, at)", PLANNED,
     ),
     "the ratio step k + l": (
-        IDENTITIES, "ratio = LambdaPoly((k, -1)) / k", "ratio = LambdaPoly((k, 1)) / k",
+        IDENTITIES, "c * (k - at) // k", "c * (k + at) // k",
         ("tests/test_series_routes.py::test_summed_brackets_equal_the_binomial_products",
          "tests/test_series_routes.py::test_harmonic_sums_equal_the_binomial_products"),
     ),
@@ -186,11 +185,20 @@ MUTANTS = {
     ),
     "fault delta skipped at points": (STIRLING, "else delta.subs(at))", "else 0)", POINTS),
     "one harmonic point fewer": (
-        IDENTITIES, "map(sides, l_points(degree))", "map(sides, l_points(degree - 1))",
+        OPERATORS, "sides(at) for at in l_points(degree, extra)",
+        "sides(at) for at in l_points(degree - 1, extra)",
         ("tests/test_identities.py::"
          "test_a_harmonic_error_that_vanishes_at_all_but_the_last_point_is_seen",),
     ),
-    "bracket binomial uses k + 1": (IDENTITIES, "else k - at", "else k + 1 - at", HARMONIC_POINTS),
+    "bracket binomial uses k + 1": (
+        IDENTITIES, "c * (k - at) // k", "c * (k + 1 - at) // k", HARMONIC_POINTS,
+    ),
+    "interpolation drops the last point": (
+        KERNEL, "for i in range(len(diffs)):", "for i in range(len(diffs) - 1):",
+    ),
+    "Newton basis step off by one": (
+        KERNEL, "basis * cls((-i, 1)) / (i + 1)", "basis * cls((-i - 1, 1)) / (i + 1)",
+    ),
     "scale is lcm(1..N-1)": (
         HARMONIC, "math.lcm(*range(1, nmax + 1))", "math.lcm(*range(1, nmax))", HARMONIC_POINTS,
     ),
