@@ -1,9 +1,12 @@
 """Factorial-type building blocks and basis conversion for Q[l][x].
 
-Falling/rising factorials in their classical and degenerate forms, and
-conversion of an ``XPoly`` from the monomial basis into any of the (monic) factorial
-bases.  Shifted bases like (x+r)_n are obtained by substituting x -> x+r
-before expanding, so one conversion engine serves every family.
+Falling factorials in their classical and degenerate forms, and conversion
+of an ``XPoly`` from the monomial basis into the monic bases the Stirling
+families built by basis conversion take: monomials, falling and degenerate
+falling factorials.  Shifted bases like (x+r)_n are obtained by
+substituting x -> x+r before expanding, so one conversion engine serves
+those five families.  The rising bases live in ``tests/routes.py``, with
+the basis expansions of the three families built by recurrence.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Union
 
 from .kernel import QL, LambdaPoly, XPoly
 
-BASIS_KINDS = ("monomial", "falling", "rising", "degen-falling", "degen-rising")
+BASIS_KINDS = ("monomial", "falling", "degen-falling")
 
 PolyArg = Union[int, Fraction, LambdaPoly, XPoly]
 
@@ -34,31 +37,26 @@ class BasisId(namedtuple("BasisId", "kind shift")):
         return super().__new__(cls, kind, shift)
 
 
-def _factorial_product(x: PolyArg, n: int, step, sign: int):
-    """Product x (x +/- step) (x +/- 2 step) ... with n factors."""
+def _falling_product(x: PolyArg, n: int, step):
+    """Product x (x - step) (x - 2 step) ... with n factors."""
     if n < 0:
         raise ValueError("factorial length must be >= 0")
     base = x if isinstance(x, XPoly) else QL.coerce(x)
     step_el = type(base)._coerce(step)
     out = type(base).one()
     for j in range(n):
-        out = out * (base + step_el * (sign * j))
+        out = out * (base + step_el * -j)
     return out
 
 
 def classical_falling(x: PolyArg, n: int):
     """x(x-1)...(x-n+1); the empty product is 1."""
-    return _factorial_product(x, n, 1, -1)
-
-
-def classical_rising(x: PolyArg, n: int):
-    """x(x+1)...(x+n-1)."""
-    return _factorial_product(x, n, 1, +1)
+    return _falling_product(x, n, 1)
 
 
 def degen_falling(x: PolyArg, n: int):
     """x(x-l)(x-2l)...(x-(n-1)l), the degenerate falling factorial."""
-    return _factorial_product(x, n, LambdaPoly.param(), -1)
+    return _falling_product(x, n, LambdaPoly.param())
 
 
 def degen_falling_table(amax: int, mmax: int, at) -> tuple[tuple, ...]:
@@ -73,11 +71,6 @@ def degen_falling_table(amax: int, mmax: int, at) -> tuple[tuple, ...]:
     return tuple(rows)
 
 
-def degen_rising(x: PolyArg, n: int):
-    """x(x+l)(x+2l)...(x+(n-1)l)."""
-    return _factorial_product(x, n, LambdaPoly.param(), +1)
-
-
 @lru_cache(maxsize=4096)
 def basis_poly(basis: BasisId, k: int) -> XPoly:
     """The k-th basis polynomial (monic of degree k in x)."""
@@ -86,11 +79,7 @@ def basis_poly(basis: BasisId, k: int) -> XPoly:
         return XPoly.monomial(1, k) if basis.shift == 0 else arg ** k
     if basis.kind == "falling":
         return classical_falling(arg, k)
-    if basis.kind == "rising":
-        return classical_rising(arg, k)
-    if basis.kind == "degen-falling":
-        return degen_falling(arg, k)
-    return degen_rising(arg, k)
+    return degen_falling(arg, k)
 
 
 def to_basis(p: XPoly, basis: BasisId) -> list[LambdaPoly]:

@@ -8,15 +8,16 @@ and aggregates deterministic, machine-readable reports.  The two-series
 identity is certified on the monomial basis; its seeded random instances
 are drawn only to name a counterexample.  thm1, thm2, thm3 and thm8
 compare entries of its g-free tables (``operators.theorem2_blocks``),
-thm8 where its series has Theorem 6's closed form; they compare m + 1
-indices, which certify the rest by degree in j.  These four, thm6 and
-cor7 decide at D + 1 integer values of l, which certify every l by degree
-in l, and name a counterexample by interpolating those values into Q[l]
-(``operators.first_difference``).  thm4 and thm5 compare in Q[l].  At a
-number for l the harmonic values a check compares come from one scaled
-row, ``harmonic_row(N, at)``, N the check's top index outside a run and
-the plan's inside one; the builders return it with their values, so a
-check outside a run builds it once per point.
+thm8 where its terms have Theorem 6's closed form, and an instance fails
+where they do not; they compare m + 1 indices, which certify the rest by
+degree in j.  These four, thm6 and cor7 decide at D + 1 integer values of
+l, which certify every l by degree in l, and name a counterexample by
+interpolating those values into Q[l] (``operators.first_difference``); D
+counts S2r faults only where a check reads S2r.  thm4 and thm5 compare in
+Q[l].  At a number for l the harmonic values a check compares come from
+one scaled row, ``harmonic_row(N, at)``, N the check's top index outside a
+run and the plan's inside one; the builders return it with their values,
+so a check outside a run builds it once per point.
 A run checks every bound and fault, then builds each value its checks
 share once, before the first check (``_plan``, ``tables.run``); outside a
 run each check builds its own.  Nothing outlives a run.
@@ -33,7 +34,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import stirling
-from .factorials import degen_falling, degen_falling_table
+from .factorials import degen_falling_table
 from .fubini_bell import FUBINI_DEGENERATE, PolyFamily, poly_by_sum, rfubini_numbers
 from .gfun import classical_exp, inv_one_minus
 from .harmonic import (degen_harmonic, degen_hyperharmonic, harmonic_gf, harmonic_row,
@@ -96,19 +97,15 @@ def _scale(top: int) -> int:
 
 def _open_terms(order: int, kmax: int):
     """None if thm8's terms have Theorem 6's closed form [x^n] T_k = C(n, k) H_n, k <= kmax,
-    H_n = [x^n] T_0, both sides of degree <= order - 1 in l; else the terms in Q[l],
-    interpolated from the values compared."""
-    points = []
-
+    H_n = [x^n] T_0, both sides of degree <= order - 1 in l; else (k, n, [x^n] T_k, C(n, k)
+    H_n) in Q[l] at the first (k, n) where they differ, interpolated from the values compared."""
     def sides(at):
-        points.append(harmonic_terms(order, kmax, at))
-        return ([c for term in points[-1] for c in term],
-                [h * math.comb(n, k) for k in range(kmax + 1) for n, h in enumerate(points[-1][0])])
-    if first_difference(sides, order - 1) is None:
-        return None
-    scale = _scale(order + kmax)
-    return [tuple(LambdaPoly.interpolate(values, scale) for values in zip(*term))
-            for term in zip(*points)]
+        terms = harmonic_terms(order, kmax, at)
+        return ([c for term in terms for c in term],
+                [h * math.comb(n, k) for k in range(kmax + 1) for n, h in enumerate(terms[0])])
+    found = first_difference(sides, order - 1)
+    scale = found and _scale(order + kmax)
+    return found and (*divmod(found[0], order + 1), found[1] / scale, found[2] / scale)
 
 
 def check_thm3(m: int, r: int, order: int) -> CheckReport:
@@ -206,31 +203,26 @@ def check_thm8(m: int, r: int, order: int) -> CheckReport:
     """Harmonic-weighted power series against its Stirling expansion.
 
     Coefficient n of the lhs is H_n (n+r)_{m,l}, of the rhs sum_k S_r(m, k)
-    k! [t^n] T_k (``harmonic_terms``).  Where their closed form holds
-    (``_open_terms``, at points of l), both are H_n times entries [m][n] of
-    the g-free main tables (H_0 = 0), of degree <= m in n, so n = 1..m+1
-    decide; else the full series do, in Q[l], on the interpolated terms.
+    k! [t^n] T_k (``harmonic_terms``).  Where the terms have Theorem 6's closed
+    form (``_open_terms``, at points of l), both are H_n times entries [m][n]
+    of the g-free main tables (H_0 = 0), of degree <= m in n, so n = 1..m+1
+    decide; where they do not, the instance fails, naming the first term
+    coefficient that breaks it.
     """
     if order < max(m, 1):
         raise ValueError(_ORDER_COVERS_M)
     top = min(m + 1, order)
     params = {"m": m, "r": r, "order": order}
-    terms = shared(("terms", order), _open_terms, order, m)
-    if terms is None:
-        found = entry_difference(r, top, m, range(1, top + 1))
-        if found is None:
-            return make_report("thm8", params, None)
-        n, mix, falling = found
-        h = degen_harmonic(n)
-        return make_report("thm8", params, first_mismatch(h * falling, h * mix,
-                                                          f"series: coefficient of t^{n}"))
-    ns = range(order + 1)
-    lhs = TruncSeries(QL, (degen_harmonic(n) * degen_falling(n + r, m) for n in ns))
-    fam = stirling.StirlingFamily(stirling.S2R_DEGENERATE, r)
-    weights = (stirling.stirling_value(fam, m, k) * math.factorial(k) for k in range(m + 1))
-    rhs = sum((TruncSeries(QL, term).scale(w) for term, w in zip(terms, weights)
-               if not w.is_zero()), TruncSeries.zero(QL, order))
-    return make_report("thm8", params, first_mismatch(lhs, rhs, "series"))
+    open_term = shared(("terms", order), _open_terms, order, m)
+    if open_term is not None:
+        k, n, term, closed = open_term
+        return make_report("thm8", params, first_mismatch(term, closed,
+                                                          f"T_{k}: coefficient of t^{n}"))
+    found = entry_difference(r, top, m, range(1, top + 1))
+    h = found and degen_harmonic(found[0])
+    bad = found and first_mismatch(h * found[2], h * found[1],
+                                   f"series: coefficient of t^{found[0]}")
+    return make_report("thm8", params, bad)
 
 
 class SuiteBounds(NamedTuple):
@@ -274,13 +266,13 @@ def _plan(ids, bounds: SuiteBounds) -> list:
     value their checks share, as ``(key, build, *args)``, each after those it reads.
 
     Each triangle is built once, to the top row any check reads.  thm1, thm2, thm3 and thm8
-    decide at the points ``operators.l_points(degmax)`` of l, on one falling table and the
-    g-free tables of each r per point, sized by the largest r, m (or deg f) and index any of
-    them reads: min(m, jmax), m, min(m + 1, order), and min(degmax + 1, order) for thm2, whose
-    named g are nonzero at j >= 1; the plan checks faults against their S2r rows, but builds
-    no S2r triangle.  thm6,
-    cor7 and thm8's terms read one harmonic row per point, to the largest index read, and the
-    brackets and harmonic sums at the points their degree in l needs.
+    decide at the points ``operators.l_points(degmax, family=s2r)`` of l, on one falling table
+    and the g-free tables of each r per point, sized by the largest r, m (or deg f) and index
+    any of them reads: min(m, jmax), m, min(m + 1, order), and min(degmax + 1, order) for thm2,
+    whose named g are nonzero at j >= 1; the plan checks faults against their S2r rows, but
+    builds no S2r triangle.  thm6, cor7 and thm8's terms read one harmonic row per point, to
+    the largest index read, and the brackets and harmonic sums at the points their degree in l
+    needs, which no fault raises.
     """
     b, tops, polys, reach, block_rs, brackets, later = bounds, {}, [], [], set(), {}, []
     s2r, thm3_rs, sums = stirling.S2R_DEGENERATE, set(), ()
@@ -337,7 +329,7 @@ def _plan(ids, bounds: SuiteBounds) -> list:
             for key, top in tops.items() if key[0] != s2r]
     plan += [(("poly", *key), poly_by_sum, *key) for key in dict.fromkeys(polys)]
     if reach:
-        points = l_points(degmax)
+        points = l_points(degmax, family=s2r)
         plan += [(("falling", at), degen_falling_table, index + rmax, degmax, at) for at in points]
         plan += [(("blocks", r, at), theorem2_blocks, r, index, degmax, at)
                  for r in sorted(block_rs | thm3_rs) for at in points]

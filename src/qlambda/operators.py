@@ -23,7 +23,7 @@ Whatever the triangle holds, entry ``[n][j]`` is of degree <= n in j, and
 a nonzero polynomial of degree <= m has at most m roots, so each check
 compares only the first m + 1 indices it would read (all when fewer exist).
 The same argument holds in l: entry ``[n][j]`` is of degree <= n in l, or
-the degree of a fault if higher, so the checks compare the tables at the
+the degree of an S2r fault if higher, so the checks compare the tables at the
 numbers l = 0..D (``l_points``), in Python ints.  Each side, not only their
 difference, is of degree <= D, so its values there fix it: the first
 divergent coefficient is named by interpolating both sides into Q[l] from
@@ -102,20 +102,21 @@ def theorem2_blocks(r: int, order: int, degmax: int, at) -> Theorem2Blocks:
     return Theorem2Blocks(r, order, degmax, main, tuple(map(shift, main)))
 
 
-def l_points(degree: int, extra: int = 0) -> range:
-    """l = 0..D, D = max(``degree``, the degree of each fault of the current ``Tables``) +
-    ``extra``: values of degree <= D in l agree in Q[l] when they agree at these D + 1 points,
-    and are fixed by their values there."""
-    faults = current().faults.values()
-    return range(max([degree, *(delta.degree for delta in faults)]) + extra + 1)
+def l_points(degree: int, extra: int = 0, family: str | None = None) -> range:
+    """l = 0..D, D = max(``degree``, the degree of each fault the current ``Tables`` adds to the
+    triangles of ``family``) + ``extra``: values of degree <= D in l agree in Q[l] when they
+    agree at these D + 1 points, and are fixed by their values there.  Values that read no
+    triangle name no ``family``, so no fault raises their D."""
+    degrees = [delta.degree for (fid, *_), delta in current().faults.items() if fid == family]
+    return range(max([degree, *degrees]) + extra + 1)
 
 
-def first_difference(sides, degree: int, extra: int = 0):
+def first_difference(sides, degree: int, extra: int = 0, family: str | None = None):
     """None if the value lists ``sides(at)`` = (lhs, rhs) agree at each l of ``l_points(degree,
-    extra)``; else (i, lhs_i, rhs_i) at the first index where they differ, each interpolated into
-    Q[l] from its values there: exact where each side, not only their difference, has degree
-    <= D."""
-    points = [sides(at) for at in l_points(degree, extra)]
+    extra, family)``; else (i, lhs_i, rhs_i) at the first index where they differ, each
+    interpolated into Q[l] from its values there: exact where each side, not only their
+    difference, has degree <= D."""
+    points = [sides(at) for at in l_points(degree, extra, family)]
     for i, pairs in enumerate(zip(*(zip(*point) for point in points))):
         if any(left != right for left, right in pairs):
             return i, *(LambdaPoly.interpolate(values) for values in zip(*pairs))
@@ -124,9 +125,10 @@ def first_difference(sides, degree: int, extra: int = 0):
 
 def entry_difference(r: int, order: int, m: int, js, form: str = "main"):
     """``first_difference`` of the two tables of ``form`` (mix, falling) at entries [m][j], j in
-    ``js``, of degree <= m in l, faults aside: None, or (j, mix entry, falling entry)."""
+    ``js``, of degree <= m in l, or an S2r fault's: None, or (j, mix entry, falling entry)."""
     found = first_difference(lambda at: [[t[m][j] for j in js] for t in getattr(
-        shared(("blocks", r, at), theorem2_blocks, r, order, m, at), form)], m)
+        shared(("blocks", r, at), theorem2_blocks, r, order, m, at), form)], m,
+        family=stirling.S2R_DEGENERATE)
     return found and (js[found[0]], *found[1:])
 
 
@@ -178,7 +180,8 @@ def theorem2_check(f: XPoly, g: TruncSeries, r: int, order: int) -> CheckReport:
         coeffs = [(n, a.subs(at)) for n, a in terms]
         return [[v for form in (blocks.main, blocks.shifted) for v in sums(form[side], coeffs)]
                 for side in (0, 1)]
-    found = first_difference(sides, degmax, max((a.degree for _, a in terms), default=0))
+    found = first_difference(sides, degmax, max((a.degree for _, a in terms), default=0),
+                             stirling.S2R_DEGENERATE)
     if found is None:
         return make_report("thm2", params, None)
     i, left, right = found

@@ -1,13 +1,12 @@
 """Stirling-number families over Q[l]: eight triangles, one memoized route each.
 
-Every family is defined by a basis expansion (``stirling_by_basis``).
-Five are built that way; three by Carlitz's row recurrence
-S(n+1, k) = S(n, k-1) + (a k + b n + r) S(n, k), with (a, b) = (1, -l)
-for S2-degenerate and (-l, 1) for S1- and S1r-unsigned-degenerate.  So
-``stirling_by_basis`` is independent of ``triangle`` for those three.  The
-generating-function route lives in ``tests/routes.py`` as an independent
-oracle.  Values are polynomials in l; the classical families are degree-0
-polynomials.
+Every family is defined by a basis expansion.  Five are built that way;
+three by Carlitz's row recurrence S(n+1, k) = S(n, k-1) + (a k + b n + r)
+S(n, k), with (a, b) = (1, -l) for S2-degenerate and (-l, 1) for S1- and
+S1r-unsigned-degenerate.  The basis expansions of those three and the
+generating-function route live in ``tests/routes.py`` as independent
+oracles.  Values are polynomials in l; the classical families are
+degree-0 polynomials.
 
 ``triangle`` memoizes whole triangles per (family id, r) in the current
 ``tables.Tables``; completed triangles are immutable, so concurrent
@@ -63,17 +62,15 @@ class StirlingFamily(namedtuple("StirlingFamily", "id r")):
         return super().__new__(cls, id, r)
 
 
-# (basis of the degree-n polynomial being expanded, basis expanded into).
-# The shift r lands on the source, matching the defining expansions.
+# (basis of the degree-n polynomial being expanded, basis expanded into) of the five
+# families built by basis conversion; the shift r lands on the source, matching the
+# defining expansions.
 _BASIS_ROUTES = {
     S1_CLASSICAL: ("falling", "monomial"),
     S2_CLASSICAL: ("monomial", "falling"),
     S1_DEGENERATE: ("falling", "degen-falling"),
-    S2_DEGENERATE: ("degen-falling", "falling"),
     S1R_DEGENERATE: ("falling", "degen-falling"),
     S2R_DEGENERATE: ("degen-falling", "falling"),
-    S1R_UNSIGNED_DEGENERATE: ("rising", "degen-rising"),
-    S1_UNSIGNED_DEGENERATE: ("rising", "degen-rising"),
 }
 
 
@@ -120,15 +117,6 @@ def _rows_by_recurrence(family_id: str, r: int, nmax: int, at=None) -> tuple:
                   for k, s in enumerate(prev)]
         rows.append((scaled[0], *(prev[k - 1] + scaled[k] for k in range(1, n + 1)), prev[n]))
     return tuple(rows)
-
-
-def stirling_by_basis(family: StirlingFamily, n: int, k: int) -> LambdaPoly:
-    """Entry via the family's defining basis expansion."""
-    if n < 0:
-        raise ValueError("negative index")
-    if k > n or k < 0:
-        return LambdaPoly.zero()
-    return _row_by_basis(family, n)[k]
 
 
 def unsigned_first_kind(n: int, k: int) -> LambdaPoly:

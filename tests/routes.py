@@ -3,10 +3,12 @@
 The package has one route per job.  Each function here reaches one of
 those values another way: the Bell/Fubini series and polynomials and the
 Stirling triangles through their generating functions (a series
-reciprocal, a Bell composition or powers of a series), a polynomial back
-from its coefficients in a factorial basis, and the degenerate transform
-of a polynomial one monomial at a time, and both sides of the
-two-series identity from the derivatives of g.  The binomial series
+reciprocal, a Bell composition or powers of a series), the three triangles
+the package builds by recurrence through their defining basis expansions
+(``row_by_basis``, with the rising bases the package does not take), a
+polynomial back from its coefficients in a factorial basis, the
+degenerate transform of a polynomial one monomial at a time, and both
+sides of the two-series identity from the derivatives of g.  The binomial series
 (1-t)^-(k+1) is multiplied out as a product or a convolution, where the
 package takes running sums; the weight C(k - l, k) multiplies each
 summed value, where the package takes one factor (k - l)/k per sum; the
@@ -32,11 +34,12 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from qlambda import identities, stirling
-from qlambda.factorials import BasisId, basis_poly, classical_falling, degen_falling
+from qlambda import factorials, identities, stirling
+from qlambda.factorials import BasisId, classical_falling, degen_falling
 from qlambda.fubini_bell import (BELL_DEGENERATE, FUBINI_CLASSICAL, RBELL_DEGENERATE,
                                  PolyFamily)
 from qlambda.gfun import classical_exp, degen_exp, degen_log1p, degen_log_one_minus, inv_one_minus
@@ -144,7 +147,65 @@ def triangle_by_gf(family: stirling.StirlingFamily, nmax: int) -> stirling.Trian
     return stirling.Triangle(family, nmax, tuple(tuple(r) for r in rows))
 
 
-def from_basis(coeffs, basis: BasisId) -> XPoly:
+# The rising kinds of factorial basis, which the package's ``BasisId`` does not take.
+RISING_KINDS = ("rising", "degen-rising")
+RisingBasis = namedtuple("RisingBasis", "kind shift", defaults=(0,))
+
+# (basis of the degree-n polynomial expanded, basis expanded into) of the three families
+# ``triangle`` builds by Carlitz's recurrence; the shift r lands on the source.
+_RECURRENCE_ROUTES = {
+    stirling.S2_DEGENERATE: ("degen-falling", "falling"),
+    stirling.S1R_UNSIGNED_DEGENERATE: ("rising", "degen-rising"),
+    stirling.S1_UNSIGNED_DEGENERATE: ("rising", "degen-rising"),
+}
+
+
+def basis_id(kind: str, shift: int = 0):
+    """A ``RisingBasis`` of a rising kind, else the package's ``BasisId``."""
+    return (RisingBasis if kind in RISING_KINDS else BasisId)(kind, shift)
+
+
+def _rising(x, n: int, step):
+    """x (x + step) ... (x + (n-1) step), in Q[l], or in Q[l][x] for an ``XPoly`` x."""
+    base = x if isinstance(x, XPoly) else QL.coerce(x)
+    out = type(base).one()
+    for j in range(n):
+        out = out * (base + step * j)
+    return out
+
+
+def classical_rising(x, n: int):
+    """x(x+1)...(x+n-1)."""
+    return _rising(x, n, 1)
+
+
+def degen_rising(x, n: int):
+    """x(x+l)(x+2l)...(x+(n-1)l)."""
+    return _rising(x, n, LambdaPoly.param())
+
+
+@lru_cache(maxsize=None)
+def basis_poly(basis, k: int) -> XPoly:
+    """The k-th polynomial of ``basis``: of a ``RisingBasis`` here, of a ``BasisId`` by the
+    package's ``basis_poly``."""
+    if basis.kind not in RISING_KINDS:
+        return factorials.basis_poly(basis, k)
+    rising = classical_rising if basis.kind == "rising" else degen_rising
+    return rising(XPoly.x() + basis.shift, k)
+
+
+def coeffs_in_basis(p: XPoly, basis) -> list:
+    """The deg p + 1 coefficients of p in ``basis``, top degree first removed: every basis here
+    is monic in x."""
+    coeffs = [LambdaPoly.zero()] * (p.degree + 1)
+    for k in range(p.degree, -1, -1):
+        coeffs[k] = p.coeff(k)
+        p = p - basis_poly(basis, k) * coeffs[k]
+    assert p.is_zero()
+    return coeffs
+
+
+def from_basis(coeffs, basis) -> XPoly:
     """Evaluate the linear combination sum(c_k * basis_k)."""
     out = XPoly.zero()
     for k, c in enumerate(coeffs):
@@ -152,6 +213,23 @@ def from_basis(coeffs, basis: BasisId) -> XPoly:
         if not lp.is_zero():
             out = out + basis_poly(basis, k) * lp
     return out
+
+
+def row_by_basis(family: stirling.StirlingFamily, n: int) -> tuple:
+    """Row n of ``family``'s triangle by its defining basis expansion: here for the three
+    families ``triangle`` builds by recurrence, so it shares no arithmetic with them, and by
+    the package's ``stirling._row_by_basis`` for the other five."""
+    if family.id not in _RECURRENCE_ROUTES:
+        return stirling._row_by_basis(family, n)
+    source, target = _RECURRENCE_ROUTES[family.id]
+    return tuple(coeffs_in_basis(basis_poly(basis_id(source, family.r), n), basis_id(target)))
+
+
+def stirling_by_basis(family: stirling.StirlingFamily, n: int, k: int) -> LambdaPoly:
+    """Entry (n, k) by ``row_by_basis``; zero outside the triangle."""
+    if n < 0:
+        raise ValueError("negative index")
+    return row_by_basis(family, n)[k] if 0 <= k <= n else LambdaPoly.zero()
 
 
 def degen_transform(f: XPoly) -> XPoly:
@@ -211,7 +289,7 @@ def theorem2_sides(f: XPoly, g: TruncSeries, r: int, order: int):
 
 @lru_cache(maxsize=None)
 def _s2r_by_basis(r: int, n: int, k: int) -> LambdaPoly:
-    return stirling.stirling_by_basis(stirling.StirlingFamily(stirling.S2R_DEGENERATE, r), n, k)
+    return stirling_by_basis(stirling.StirlingFamily(stirling.S2R_DEGENERATE, r), n, k)
 
 
 def s2r_entry(r: int, n: int, k: int) -> LambdaPoly:

@@ -28,7 +28,7 @@ from qlambda.render import parse_lambda_poly, parse_series, parse_xpoly
 
 from oracles import (cycle_counts, harmonic_sum, ordered_partition_counts,
                      stirling2_counts)
-from routes import triangle_by_gf
+from routes import row_by_basis, triangle_by_gf
 
 CLI = [sys.executable, "-m", "qlambda"]
 
@@ -126,7 +126,7 @@ def test_criterion_9_three_way_stirling_agreement():
             by_rows = st.triangle(fam, nmax)
             by_gf = triangle_by_gf(fam, nmax)
             for n in range(nmax + 1):
-                by_basis = st._row_by_basis(fam, n)
+                by_basis = row_by_basis(fam, n)
                 for k in range(n + 1):
                     assert by_basis[k] == by_gf.entry(n, k), (fam, n, k)
                     assert by_basis[k] == by_rows.entry(n, k), (fam, n, k)

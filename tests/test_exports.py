@@ -11,7 +11,7 @@ from qlambda.tables import Tables
 ORACLE_ONLY = ("series_by_gf", "poly_by_gf", "triangle_by_gf", "_gf_parts", "classical_log1p",
                "degen_transform", "degen_transform_value", "from_basis", "classical_harmonic",
                "lift_to_xpoly", "euler_apply", "rhs_theorem1", "stirling2_by_recurrence",
-               "gen_binomial")
+               "gen_binomial", "stirling_by_basis", "classical_rising", "degen_rising")
 
 
 def test_every_exported_name_resolves():

@@ -11,7 +11,7 @@ import pytest
 
 from qlambda import cli, factorials, fubini_bell, identities, operators
 from qlambda import stirling as st
-from qlambda.factorials import classical_falling, degen_falling
+from qlambda.factorials import classical_falling
 from qlambda.fubini_bell import (FUBINI_DEGENERATE, RFUBINI_DEGENERATE, PolyFamily,
                                  family_series, poly_by_sum, rfubini_numbers)
 from qlambda.harmonic import degen_harmonic, harmonic_row
@@ -117,6 +117,24 @@ def test_single_harmonic_checks_build_each_point_row_once(monkeypatch):
         assert len(set(builds)) == len(builds) == sum(16 + k for k in range(1, 9)) == 164
 
 
+def test_only_s2r_faults_raise_the_points_of_the_checks_that_read_them(monkeypatch):
+    # l(l-1)...(l-19) at S_1(3, 2) is zero at l = 0..19: thm3 and thm8's entries read it and
+    # take l = 0..20; cor7 at (3, 2) reads no triangle and keeps its l = 0..4
+    builds = []
+
+    def counting(nmax, at=None):
+        builds.append(at)
+        return harmonic_row(nmax, at)
+
+    monkeypatch.setattr(identities, "harmonic_row", counting)
+    delta = classical_falling(LambdaPoly.param(), 20)
+    with use(Tables({(st.S2R_DEGENERATE, 1, 3, 2): delta})):
+        assert check_cor7(3, 2).passed
+        assert builds == list(range(5))
+        assert not check_thm3(3, 1, 8).passed and not check_thm8(3, 1, 8).passed
+        assert check_thm3(3, 0, 8).passed  # r = 0 has no fault
+
+
 def _scale(nmax, at):
     """The scale lcm(1..N) of the harmonic row the checks read at the number ``at`` for l, N
     its top index: ``nmax`` outside a run, the plan's inside one."""
@@ -181,17 +199,17 @@ def test_a_harmonic_error_that_vanishes_at_all_but_the_last_point_is_seen(monkey
     lhs = routes.harmonic_sums_by_product(n, k)[k][n]
     assert check_cor7(n, k).counterexample == first_mismatch(lhs, rhs, "values") is not None
     # thm8: H_8 moves T_0 at t^8 away from Theorem 6's closed form C(8, k) H_8, k >= 1, whose
-    # sides are of degree <= 7 in l; the full series then decide
+    # sides are of degree <= 7 in l; T_1 reads H_0..H_7 there, so every instance fails at T_1
     bounds = _SMALL
     order = bounds.thm8_order
     monkeypatch.setattr(identities, "harmonic_row", _moved_row(order, vanishing(order - 1)))
     terms = routes.harmonic_terms_by_product(order, bounds.thm8_mmax)
-    terms[0] = TruncSeries(QL, terms[0].coeffs[:order] + (terms[0].coeffs[order]
-                                                          + vanishing(order - 1),))
+    moved = terms[0].coeffs[order] + vanishing(order - 1)
+    expected = first_mismatch(terms[1].coeffs[order], moved * order,
+                              f"T_1: coefficient of t^{order}")
     reports = run_suite({"thm8"}, bounds, tables=Tables())
-    expected = _thm8_full_series_reports(bounds, terms)
-    assert [rep.to_json() for rep in reports] == [rep.to_json() for rep in expected]
-    assert not all(rep.passed for rep in reports)
+    assert len(reports) == (bounds.thm8_mmax + 1) * (bounds.thm8_rmax + 1)
+    assert all(rep.counterexample == expected is not None for rep in reports)
 
 
 def test_thm8_instances():
@@ -612,23 +630,7 @@ def test_thm8_builds_its_series_once_per_run(monkeypatch):
         assert calls == list(range(bounds.thm8_order + bounds.thm8_mmax))
 
 
-def _thm8_full_series_reports(bounds, terms):
-    """thm8's reports from the full series, with T_k = ``terms[k]``, sorted as run_suite sorts."""
-    expected = []
-    for m in range(bounds.thm8_mmax + 1):
-        for r in range(bounds.thm8_rmax + 1):  # the full series, from single values
-            fam = st.StirlingFamily(st.S2R_DEGENERATE, r)
-            lhs = TruncSeries(QL, (degen_harmonic(n) * degen_falling(n + r, m)
-                                   for n in range(bounds.thm8_order + 1)))
-            rhs = TruncSeries.zero(QL, bounds.thm8_order)
-            for k in range(m + 1):
-                rhs = rhs + terms[k].scale(st.stirling_value(fam, m, k) * math.factorial(k))
-            params = {"m": m, "r": r, "order": bounds.thm8_order}
-            expected.append(make_report("thm8", params, first_mismatch(lhs, rhs, "series")))
-    return sorted(expected, key=lambda rep: json.dumps(dict(rep.params), sort_keys=True))
-
-
-def test_thm8_falls_back_to_the_series_when_the_closed_form_fails(monkeypatch):
+def test_thm8_fails_every_instance_when_the_closed_form_fails(monkeypatch):
     bounds = SuiteBounds()._replace(thm8_mmax=4, thm8_rmax=2, thm8_order=8)
     order, mmax = bounds.thm8_order, bounds.thm8_mmax
     terms = identities.harmonic_terms
@@ -640,15 +642,17 @@ def test_thm8_falls_back_to_the_series_when_the_closed_form_fails(monkeypatch):
 
     assert identities._open_terms(order, mmax) is None  # the closed form holds
     monkeypatch.setattr(identities, "harmonic_terms", broken)
-    moved = [tuple(c + LambdaPoly([0, 1]) if (k, n) == (2, 5) else c
-                   for n, c in enumerate(term.coeffs))
-             for k, term in enumerate(routes.harmonic_terms_by_product(order, mmax))]
-    assert identities._open_terms(order, mmax) == moved  # interpolated from the point values
+    oracle = routes.harmonic_terms_by_product(order, mmax)
+    moved, closed = oracle[2].coeffs[5] + LambdaPoly([0, 1]), oracle[0].coeffs[5] * 10
+    # the first (k, n) where T_k breaks C(n, k) H_n, interpolated from the point values
+    assert identities._open_terms(order, mmax) == (2, 5, moved, closed)
+    expected = first_mismatch(moved, closed, "T_2: coefficient of t^5")
     reports = run_suite({"thm8"}, bounds, tables=Tables())
-    expected = _thm8_full_series_reports(bounds, [TruncSeries(QL, t) for t in moved])
-    assert [rep.to_json() for rep in reports] == [rep.to_json() for rep in expected]
-    # the broken T_2 reaches every m >= 2 whose S_r(m, 2) is nonzero
-    assert sum(not rep.passed for rep in reports) == (mmax - 1) * (bounds.thm8_rmax + 1)
+    assert len(reports) == (mmax + 1) * (bounds.thm8_rmax + 1)
+    assert all(rep.counterexample == expected is not None for rep in reports)
+    # a single check reads the terms to its own m: those to m < 2 keep the closed form
+    for m in range(mmax + 1):
+        assert check_thm8(m, 1, order).counterexample == (expected if m >= 2 else None), m
 
 
 def test_a_clean_harmonic_run_takes_no_lambda_poly_product(monkeypatch):

@@ -112,9 +112,17 @@ MUTANTS = {
         ("tests/test_operators.py::test_theorem2_check_agrees_with_the_derivative_oracle",),
     ),
     "thm8 takes the closed form unchecked": (
-        IDENTITIES, "if first_difference(sides, order - 1) is None:", "if True:",
+        IDENTITIES, "found = first_difference(sides, order - 1)", "found = None",
+        ("tests/test_identities.py::test_thm8_fails_every_instance_when_the_closed_form_fails",),
+    ),
+    "an instance passes despite a failed closed form": (
+        IDENTITIES, "if open_term is not None:", "if False:",
+        ("tests/test_identities.py::test_thm8_fails_every_instance_when_the_closed_form_fails",),
+    ),
+    "harmonic checks count S2r faults": (
+        OPERATORS, " if fid == family]", "]",
         ("tests/test_identities.py::"
-         "test_thm8_falls_back_to_the_series_when_the_closed_form_fails",),
+         "test_only_s2r_faults_raise_the_points_of_the_checks_that_read_them",),
     ),
     "bracket summed one time fewer": (
         IDENTITIES, "row[k] * math.comb(n + k, k)", "row[k] * math.comb(n + k - 1, k - 1)",
@@ -185,8 +193,8 @@ MUTANTS = {
     ),
     "fault delta skipped at points": (STIRLING, "else delta.subs(at))", "else 0)", POINTS),
     "one harmonic point fewer": (
-        OPERATORS, "sides(at) for at in l_points(degree, extra)",
-        "sides(at) for at in l_points(degree - 1, extra)",
+        OPERATORS, "sides(at) for at in l_points(degree, extra, family)",
+        "sides(at) for at in l_points(degree - 1, extra, family)",
         ("tests/test_identities.py::"
          "test_a_harmonic_error_that_vanishes_at_all_but_the_last_point_is_seen",),
     ),
