@@ -20,7 +20,7 @@ from .fubini_bell import (BELL_DEGENERATE, FUBINI_CLASSICAL, FUBINI_DEGENERATE,
                           RBELL_DEGENERATE, RFUBINI_DEGENERATE, PolyFamily,
                           family_series, poly_by_sum)
 from .gfun import degen_exp, degen_log1p
-from .harmonic import degen_harmonic, harmonic_gf, hyperharmonic_row
+from .harmonic import harmonic_gf, harmonic_row, hyperharmonic_row
 from .identities import CHECK_IDS, SuiteBounds, run_suite, suite_json
 from .kernel import LambdaPoly, TruncSeries, XPoly
 from .render import parse_rational, parse_value, to_cells, to_json
@@ -152,7 +152,7 @@ def cmd_table(args) -> int:
     elif short == "harmonic":
         if r:
             raise UsageError("family harmonic does not take --r")
-        key, r, body = "values", 1, [degen_harmonic(n) for n in range(nmax + 1)]
+        key, r, body = "values", 1, harmonic_row(nmax)
     elif short == "hyperharmonic":
         if r < 1:
             raise UsageError("hyperharmonic requires --r >= 1")

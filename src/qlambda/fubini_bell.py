@@ -2,9 +2,10 @@
 
 Each family is a finite weighted sum over a Stirling triangle (Bell
 families unweighted, Fubini families with the k! weight), and its
-generating series in t has that sum over n! as its t^n coefficient; both
-read one memoized triangle.  The generating-function route (a series
-reciprocal or a Bell composition) is a test oracle only.
+generating series in t has that sum over n! as its t^n coefficient.  Both
+read one triangle; a polynomial reads the run's inside a suite run
+(``tables.shared``).  The generating-function route (a series reciprocal
+or a Bell composition) is a test oracle only.
 
 ``rfubini_numbers`` is the package's only numeric (non-symbolic)
 computation: a partial sum with a certified geometric tail bound,
@@ -20,6 +21,7 @@ from fractions import Fraction
 
 from . import stirling
 from .kernel import QLX, TruncSeries, XPoly
+from .tables import shared
 
 BELL_DEGENERATE = "bell-degenerate"
 RBELL_DEGENERATE = "rbell-degenerate"
@@ -69,7 +71,8 @@ def poly_by_sum(family: PolyFamily, n: int) -> XPoly:
     """Finite Stirling-weighted sum; Fubini families carry the k! weight."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    return _row_poly(family, stirling.triangle(_triangle_family(family), n).rows[n])
+    fam = _triangle_family(family)
+    return _row_poly(family, shared(("triangle", *fam), stirling.triangle, fam, n).rows[n])
 
 
 def family_series(family: PolyFamily, order: int) -> TruncSeries:

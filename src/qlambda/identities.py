@@ -154,10 +154,11 @@ def check_thm5(n: int, r: int) -> CheckReport:
     fam_r, fam_1 = (stirling.StirlingFamily(stirling.S1R_UNSIGNED_DEGENERATE, q) for q in (r, 1))
     split = (LambdaPoly.param() * 2 * stirling.stirling_value(fam_1, n, 2)
              + stirling.unsigned_first_kind(n + 1, 2))
+    harmonic = shared(("harmonic", None), harmonic_row, n)[n]
     for lhs, rhs, label in (
             (degen_hyperharmonic(n, r) * math.factorial(n), stirling.stirling_value(fam_r, n, 1),
              "column identity"),
-            (degen_harmonic(n) * math.factorial(n), split, "harmonic split"),
+            (harmonic * math.factorial(n), split, "harmonic split"),
             (stirling.stirling_value(fam_1, n, 1), split, "column two-term split")):
         bad = first_mismatch(lhs, rhs, label)
         if bad is not None:
@@ -272,7 +273,7 @@ def _plan(ids, bounds: SuiteBounds) -> list:
     whose named g are nonzero at j >= 1; the plan checks faults against their S2r rows, but
     builds no S2r triangle.  thm6, cor7 and thm8's terms read one harmonic row per point, to
     the largest index read, and the brackets and harmonic sums at the points their degree in l
-    needs, which no fault raises.
+    needs, which no fault raises.  thm5 reads one harmonic row in Q[l] (at None), to its nmax.
     """
     b, tops, polys, reach, block_rs, brackets, later = bounds, {}, [], [], set(), {}, []
     s2r, thm3_rs, sums = stirling.S2R_DEGENERATE, set(), ()
@@ -311,6 +312,7 @@ def _plan(ids, bounds: SuiteBounds) -> list:
         elif check_id == "thm5" and min(b.thm5_nmax, b.thm5_rmax) >= 1:
             read(stirling.S1R_UNSIGNED_DEGENERATE, range(1, b.thm5_rmax + 1), b.thm5_nmax)
             read(stirling.S1_UNSIGNED_DEGENERATE, (0,), b.thm5_nmax + 1)
+            later.append((("harmonic", None), harmonic_row, b.thm5_nmax))
         elif check_id == "thm6" and b.thm6_kmax >= 1:
             order, kmax = b.thm6_order, b.thm6_kmax
             if kmax > order:

@@ -4,16 +4,14 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple, Optional
 
-from .kernel import LambdaPoly, TruncSeries, XPoly
-from .render import lambda_poly_ascii, xpoly_ascii
+from .kernel import LambdaPoly, XPoly
+from .render import lambda_poly_ascii
 
 
 def render_value(value) -> str:
     """Canonical one-line rendering for counterexample payloads."""
     if isinstance(value, LambdaPoly):
         return lambda_poly_ascii(value)
-    if isinstance(value, XPoly):
-        return xpoly_ascii(value)
     return str(value)
 
 
@@ -60,14 +58,8 @@ def make_report(check_id: str, params: Mapping[str, object],
 def first_mismatch(lhs, rhs, label: str) -> Optional[Counterexample]:
     """Compare two kernel values; name the first divergent coefficient.
 
-    Accepts a pair of TruncSeries (same ring/order), XPoly, or LambdaPoly.
+    Accepts a pair of XPoly, or of LambdaPoly or rational values.
     """
-    if isinstance(lhs, TruncSeries):
-        for n in range(lhs.order + 1):
-            if lhs.coeffs[n] != rhs.coeffs[n]:
-                return Counterexample(f"{label}: coefficient of t^{n}",
-                                      render_value(lhs.coeffs[n]), render_value(rhs.coeffs[n]))
-        return None
     if isinstance(lhs, XPoly):
         top = max(lhs.degree, rhs.degree)
         for k in range(top + 1):

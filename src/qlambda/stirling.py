@@ -1,4 +1,4 @@
-"""Stirling-number families over Q[l]: eight triangles, one memoized route each.
+"""Stirling-number families over Q[l]: eight triangles, one route each.
 
 Every family is defined by a basis expansion.  Five are built that way;
 three by Carlitz's row recurrence S(n+1, k) = S(n, k-1) + (a k + b n + r)
@@ -8,11 +8,11 @@ generating-function route live in ``tests/routes.py`` as independent
 oracles.  Values are polynomials in l; the classical families are
 degree-0 polynomials.
 
-``triangle`` memoizes whole triangles per (family id, r) in the current
-``tables.Tables``; completed triangles are immutable, so concurrent
-readers share one object.  A ``Tables`` built with faults adds each fault
-to its own triangles only, so the identity suite can prove it notices a
-corrupted table without touching anyone else's.  ``s2r_rows`` takes the
+``triangle`` builds a whole triangle each call, a pure function of its
+arguments and the current ``tables.Tables``' faults, which it adds to the
+rows it builds, so the identity suite can prove it notices a corrupted
+table without touching anyone else's.  ``stirling_value`` reads the run's
+triangle inside a suite run (``tables.shared``).  ``s2r_rows`` takes the
 S2r recurrence at a number for l, faults included, for the checks that
 decide at points of l.
 """
@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .factorials import BasisId, basis_poly, to_basis
 from .kernel import LambdaPoly
-from .tables import current
+from .tables import current, shared
 
 S1_CLASSICAL = "S1-classical"
 S2_CLASSICAL = "S2-classical"
@@ -148,25 +148,16 @@ def s2r_rows(r: int, nmax: int, at) -> tuple:
 
 
 def triangle(family: StirlingFamily, nmax: int) -> Triangle:
-    """All entries 0 <= k <= n <= nmax by the family's cheapest route (memoized)."""
+    """All entries 0 <= k <= n <= nmax by the family's route, the current faults added."""
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    tables = current()
-    key = (family.id, family.r)
-    with tables.lock:
-        cached = tables.triangles.get(key)
-        if cached is None or cached.nmax < nmax:
-            built = Triangle(family, nmax, _faulted(_build_rows(family, nmax), key))
-            cached = tables.remember(key, built)
-    if cached.nmax == nmax:
-        return cached
-    return Triangle(family, nmax, cached.rows[: nmax + 1])
+    return Triangle(family, nmax, _faulted(_build_rows(family, nmax), (family.id, family.r)))
 
 
 def stirling_value(family: StirlingFamily, n: int, k: int) -> LambdaPoly:
-    """Triangle entry through the memoized triangle (the route other modules use)."""
+    """Triangle entry, off the run's triangle inside a suite run, else off one to row n."""
     if n < 0:
         raise ValueError("negative index")
     if k < 0 or k > n:
         return LambdaPoly.zero()
-    return triangle(family, n).entry(n, k)
+    return shared(("triangle", *family), triangle, family, n).entry(n, k)

@@ -1,45 +1,25 @@
-"""The memo tables every check reads, owned by one object.
+"""The triangle faults a computation runs under, and the values a suite run shares.
 
-A ``Tables`` holds the Stirling triangles and the degenerate harmonic
-row behind one lock, plus the triangle faults it was built with; the
-faults never change.  Code finds the instance in force with
-``current()``: a shared, fault-free default, or whatever a
-``use(tables)`` block installed for its thread or task.  A faulted
-instance shares no store with the default, so a self-test cannot corrupt
-a concurrent library user.  A suite run's shared values, built once from
-its plan by ``run``, are read with ``shared``.
+A ``Tables`` holds only triangle faults, fixed when it is built.  Code
+finds the instance in force with ``current()``: a shared, fault-free
+default, or whatever a ``use(tables)`` block installed for its thread or
+task.  Nothing here is a memo: a faulted instance changes only what is
+built under it, so a self-test cannot corrupt a concurrent library user.
+A suite run's shared values, built once from its plan by ``run``, are read
+with ``shared``; outside a run each reader builds what it asks for.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 
-from .kernel import LambdaPoly
-
-# Keys in the triangle store, the oldest going first.
-MAX_KEYS = 64
-
 
 class Tables:
-    """Memo stores for triangles and the harmonic row, plus fixed triangle faults."""
+    """Fixed triangle faults."""
 
     def __init__(self, faults=None):
         self.faults = dict(faults or {})  # (family id, r, n, k) -> LambdaPoly added there
-        self.lock = threading.RLock()
-        self.triangles = {}  # (family id, r) -> stirling.Triangle
-        self.harmonic = [LambdaPoly.zero(), LambdaPoly.one()]  # H_0, H_1, ... as far as read
-
-    def remember(self, key, triangle):
-        """Store ``triangle`` under ``key``, evicting the oldest key when full."""
-        with self.lock:
-            store = self.triangles
-            store.pop(key, None)
-            if len(store) >= MAX_KEYS:
-                del store[next(iter(store))]
-            store[key] = triangle
-        return triangle
 
 
 _CURRENT: ContextVar[Tables] = ContextVar("qlambda_tables", default=Tables())

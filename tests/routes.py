@@ -21,9 +21,11 @@ every index to the order, on g-free tables of their own
 (``theorem2_tables``), where the package compares the first m + 1 at
 points of l.  They use the kernel's arithmetic and the named series of
 ``gfun``, never ``fubini_bell``'s sums, and no triangle except through
-single ``stirling_value`` entries or the S2r basis expansion plus the
+entries of one ``stirling.triangle`` or the S2r basis expansion plus the
 fault there (``s2r_entry``), so a faulted ``Tables`` reaches both routes
-and agreement with the package is a cross-check.  No command shifts or
+and agreement with the package is a cross-check.  No check compares two
+series, so ``series_mismatch`` names the first divergent coefficient of
+two series here, in ``first_mismatch``'s words.  No command shifts or
 differentiates a series or a polynomial, so ``shift``, ``derive`` and
 ``derivative``, which the oracles take, are plain functions here rather
 than kernel methods.
@@ -46,7 +48,7 @@ from qlambda.gfun import classical_exp, degen_exp, degen_log1p, degen_log_one_mi
 from qlambda.harmonic import degen_harmonic, degen_hyperharmonic, harmonic_gf
 from qlambda.kernel import QL, QLX, LambdaPoly, SeriesOrderError, TruncSeries, XPoly
 from qlambda.operators import OperatorSpec, Theorem2Blocks
-from qlambda.report import Counterexample, first_mismatch, make_report
+from qlambda.report import Counterexample, first_mismatch, make_report, render_value
 from qlambda.tables import current
 
 
@@ -55,6 +57,16 @@ def shift(series: TruncSeries, k: int) -> TruncSeries:
     if k < 0:
         raise SeriesOrderError("negative shift")
     return TruncSeries(series.ring, (series.ring.zero,) * k + series.coeffs)
+
+
+def series_mismatch(lhs: TruncSeries, rhs: TruncSeries, label: str):
+    """The counterexample at the first coefficient where two series of one order differ,
+    located ``"<label>: coefficient of t^n"`` as ``first_mismatch`` locates one, or None."""
+    for n, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
+        if a != b:
+            return Counterexample(f"{label}: coefficient of t^{n}", render_value(a),
+                                  render_value(b))
+    return None
 
 
 def derive(series: TruncSeries) -> TruncSeries:
@@ -260,7 +272,7 @@ def theorem2_sides(f: XPoly, g: TruncSeries, r: int, order: int):
     degenerate transform of f, the shifted one through x^r times an r-th
     derivative.  Requires g tracked to at least order + deg f.
     """
-    fam = stirling.StirlingFamily(stirling.S2R_DEGENERATE, r)
+    tri = stirling.triangle(stirling.StirlingFamily(stirling.S2R_DEGENERATE, r), max(f.degree, 0))
     zero = TruncSeries.zero(QL, order)
     d, xg = g, []  # xg[k] is x^k g^(k)
     for k in range(f.degree + 1):
@@ -271,9 +283,9 @@ def theorem2_sides(f: XPoly, g: TruncSeries, r: int, order: int):
     lhs, lhs2 = zero, zero
     for n, a in terms:
         for k in range(n + 1):
-            lhs = lhs + xg[k].scale(stirling.stirling_value(fam, n, k) * a)
+            lhs = lhs + xg[k].scale(tri.entry(n, k) * a)
             if n >= r and k >= r:
-                lhs2 = lhs2 + xg[k].scale(stirling.stirling_value(fam, n - r, k - r) * a)
+                lhs2 = lhs2 + xg[k].scale(tri.entry(n - r, k - r) * a)
     rhs = TruncSeries(QL, (g.coeffs[j] * sum((a * degen_falling(j + r, n) for n, a in terms),
                                              LambdaPoly.zero()) for j in range(order + 1)))
     rhs2 = zero
@@ -338,12 +350,19 @@ def euler_apply(spec: OperatorSpec, f):
     return XPoly(coeffs) if poly else TruncSeries(QL, coeffs)
 
 
-def rhs_theorem1(spec: OperatorSpec, f):
+def s2r_triangle(spec: OperatorSpec) -> stirling.Triangle:
+    """The S2r triangle that ``spec``'s expansion weighs by, r = spec.r, to row spec.m."""
+    return stirling.triangle(stirling.StirlingFamily(stirling.S2R_DEGENERATE, spec.r), spec.m)
+
+
+def rhs_theorem1(spec: OperatorSpec, f, tri=None):
     """The Stirling-weighted derivative expansion equal to ``euler_apply``.
 
-    The l-th term reads the l-th derivative of f, taken from the (l-1)-th.
+    The l-th term reads the l-th derivative of f, taken from the (l-1)-th.  The weights are
+    entries of ``tri``, built here when not given (``s2r_triangle``), so a caller expanding
+    many f builds it once.
     """
-    fam = stirling.StirlingFamily(stirling.S2R_DEGENERATE, spec.r)
+    tri = tri or s2r_triangle(spec)
     poly = isinstance(f, XPoly)
     out = XPoly.zero() if poly else TruncSeries.zero(
         QL, f.order + (spec.r if spec.mode == "plain" else 0))
@@ -352,9 +371,9 @@ def rhs_theorem1(spec: OperatorSpec, f):
         if l:
             d = derivative(d) if poly else derive(d)
         if spec.mode == "plain":
-            weight, shift_by = stirling.stirling_value(fam, spec.m, l), l + spec.r
+            weight, shift_by = tri.entry(spec.m, l), l + spec.r
         elif l >= spec.r:
-            weight, shift_by = stirling.stirling_value(fam, spec.m - spec.r, l - spec.r), l
+            weight, shift_by = tri.entry(spec.m - spec.r, l - spec.r), l
         else:
             continue
         out = out + (XPoly((QL.zero,) * shift_by + (d * weight).coeffs) if poly
@@ -396,9 +415,12 @@ def summed_brackets_by_product(order: int, kmax: int) -> list:
     """thm6's and thm8's summed brackets H_k C(n + k, k) - C(k - l, k) L_{k+1}(n), k <= kmax,
     to ``order``: L_{k+1} is log_l(1-t) summed k + 1 times, -``harmonic_gf(k + 1, order)``,
     and C(k - l, k) multiplies each of its coefficients."""
-    return [tuple(degen_harmonic(k) * math.comb(n + k, k) + shifted_binomial(k) * c
-                  for n, c in enumerate(harmonic_gf(k + 1, order).coeffs))
-            for k in range(kmax + 1)]
+    out = []
+    for k in range(kmax + 1):
+        h, weight = degen_harmonic(k), shifted_binomial(k)
+        out.append(tuple(h * math.comb(n + k, k) + weight * c
+                         for n, c in enumerate(harmonic_gf(k + 1, order).coeffs)))
+    return out
 
 
 def harmonic_sums_by_product(nmax: int, kmax: int) -> list:
@@ -513,17 +535,18 @@ def every_index_reports(ids, bounds, seed: int) -> list:
                                        for n in ns))
                 rhs = TruncSeries(QL, (degen_falling(n + r, m) for n in ns))
                 out.append(make_report("thm3", {"m": m, "r": r, "order": b.thm3_order},
-                                       first_mismatch(lhs, rhs, "series")))
+                                       series_mismatch(lhs, rhs, "series")))
     if "thm8" in ids:
         ns = range(b.thm8_order + 1)
         terms = harmonic_terms_by_product(b.thm8_order, b.thm8_mmax)
+        harmonic = [degen_harmonic(n) for n in ns]
         for m in range(b.thm8_mmax + 1):
             for r in range(b.thm8_rmax + 1):
-                lhs = TruncSeries(QL, (degen_harmonic(n) * degen_falling(n + r, m) for n in ns))
+                lhs = TruncSeries(QL, (harmonic[n] * degen_falling(n + r, m) for n in ns))
                 rhs = TruncSeries.zero(QL, b.thm8_order)
                 for k in range(m + 1):
                     rhs = rhs + terms[k].scale(s2r_entry(r, m, k) * math.factorial(k))
                 out.append(make_report("thm8", {"m": m, "r": r, "order": b.thm8_order},
-                                       first_mismatch(lhs, rhs, "series")))
+                                       series_mismatch(lhs, rhs, "series")))
     return sorted(out, key=lambda rep: (rep.check_id, json.dumps(dict(rep.params),
                                                                  sort_keys=True)))

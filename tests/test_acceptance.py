@@ -134,8 +134,8 @@ def test_criterion_9_three_way_stirling_agreement():
 
 def test_criterion_10_classical_limit_oracles():
     with criterion(10, "classical limits vs brute-force enumeration, n<=7", 20):
-        f2d = st.StirlingFamily(st.S2_DEGENERATE)
-        f1u = st.StirlingFamily(st.S1_UNSIGNED_DEGENERATE)
+        f2d = st.triangle(st.StirlingFamily(st.S2_DEGENERATE), 7)
+        f1u = st.triangle(st.StirlingFamily(st.S1_UNSIGNED_DEGENERATE), 7)
         for n in range(8):
             parts = stirling2_counts(n)
             ordered = ordered_partition_counts(n)
@@ -144,8 +144,8 @@ def test_criterion_10_classical_limit_oracles():
             fubini = poly_by_sum(PolyFamily(FUBINI_DEGENERATE), n)
             classical = poly_by_sum(PolyFamily(FUBINI_CLASSICAL), n)
             for k in range(n + 1):
-                assert st.stirling_value(f2d, n, k).subs(0) == parts.get(k, 0)
-                assert st.stirling_value(f1u, n, k).subs(0) == cycles.get(k, 0)
+                assert f2d.entry(n, k).subs(0) == parts.get(k, 0)
+                assert f1u.entry(n, k).subs(0) == cycles.get(k, 0)
                 assert bell.coeff(k).subs(0) == parts.get(k, 0)
                 assert fubini.coeff(k).subs(0) == ordered.get(k, 0)
                 assert classical.coeff(k) == LambdaPoly.const(ordered.get(k, 0))

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from qlambda import fubini_bell, stirling
 from qlambda.fubini_bell import (BELL_DEGENERATE, FUBINI_CLASSICAL, FUBINI_DEGENERATE,
                                  POLY_FAMILY_IDS, RBELL_DEGENERATE, RFUBINI_DEGENERATE,
                                  PolyFamily, family_series, poly_by_sum, rfubini_numbers)
 from qlambda.factorials import degen_falling
 from qlambda.gfun import classical_exp
 from qlambda.kernel import QL, LambdaPoly, TruncSeries, XPoly
+from qlambda.tables import run
 
 from oracles import ordered_partition_counts, stirling2_counts
 from routes import poly_by_gf, series_by_gf
@@ -35,15 +37,19 @@ def test_gf_examples():
 
 
 def test_sum_gf_agreement_all_families():
-    # the package's series (from the triangle) against the composition/reciprocal route
+    # the package's series (from the triangle) against the composition/reciprocal route; the
+    # polynomials read rows of one triangle, the run's
     order = 12
     for fid in POLY_FAMILY_IDS:
         for r in range(4) if fid in (RBELL_DEGENERATE, RFUBINI_DEGENERATE) else (0,):
             fam = PolyFamily(fid, r)
             by_gf = series_by_gf(fam, order)
             assert family_series(fam, order) == by_gf, (fid, r)
+            tri = fubini_bell._triangle_family(fam)
+            with run([(("triangle", *tri), stirling.triangle, tri, order)]):
+                polys = [poly_by_sum(fam, n) for n in range(order + 1)]
             for n in range(order + 1):
-                assert poly_by_sum(fam, n) == by_gf.coeff(n) * math.factorial(n), (fid, r, n)
+                assert polys[n] == by_gf.coeff(n) * math.factorial(n), (fid, r, n)
 
 
 def test_r_zero_reduction():

@@ -9,9 +9,10 @@ from fractions import Fraction
 import pytest
 
 from qlambda import stirling as st
-from qlambda.harmonic import degen_harmonic, degen_hyperharmonic, harmonic_gf, hyperharmonic_row
+from qlambda.harmonic import (degen_harmonic, degen_hyperharmonic, harmonic_gf, harmonic_row,
+                               hyperharmonic_row)
 from qlambda.kernel import LambdaPoly
-from qlambda.tables import MAX_KEYS, Tables, use
+from qlambda.tables import Tables, run, use
 
 from oracles import harmonic_sum, hyperharmonic_sum
 
@@ -72,9 +73,9 @@ def test_degree_grows_linearly():
         assert degen_harmonic(n).degree == n - 1
 
 
-def _partial_sums(n, r):
-    """Order r as r - 1 partial sums of the degenerate harmonic row."""
-    row = [degen_harmonic(j) for j in range(n + 1)]
+def _partial_sums(harmonic, n, r):
+    """Order r as r - 1 partial sums of the degenerate harmonic row ``harmonic[:n + 1]``."""
+    row = harmonic[:n + 1]
     for _ in range(r - 1):
         row = list(itertools.accumulate(row))
     return row[n]
@@ -83,21 +84,22 @@ def _partial_sums(n, r):
 def test_binomial_convolution_equals_iterated_partial_sums():
     cases = [(n, r) for n in range(21) for r in range(1, 13)]
     cases += [(2, 5000)] + [(4, r) for r in (65, 66, 67)]
-    with use(Tables()):
+    harmonic = [degen_harmonic(j) for j in range(21)]
+    with run([(("harmonic", None), harmonic_row, 20)]):  # each reads the run's row
         for n, r in cases:
-            assert degen_hyperharmonic(n, r) == _partial_sums(n, r), (n, r)
+            assert degen_hyperharmonic(n, r) == _partial_sums(harmonic, n, r), (n, r)
 
 
 def test_large_order_rows_are_built_without_recursion():
     # one binomial convolution of the harmonic row, r far past the recursion limit
     with use(Tables()):
         assert degen_hyperharmonic(2, 5000) == LambdaPoly([Fraction(10001, 2), Fraction(-1, 2)])
-        for r in (MAX_KEYS, MAX_KEYS + 1, MAX_KEYS + 3):  # longer convolutions at large r
+        for r in (64, 65, 67):  # longer convolutions at large r
             assert degen_hyperharmonic(4, r).subs(0) == hyperharmonic_sum(4, r), r
 
 
 def test_hyperharmonic_row_matches_each_value():
-    # 2r <= nmax takes prefix sums, 2r > nmax the per-value convolution
+    # the row's prefix sums against each value's convolution, 2r > nmax included
     for nmax in range(13):
         for r in range(1, 6):
             with use(Tables()):
@@ -109,13 +111,14 @@ def test_hyperharmonic_row_matches_each_value():
 
 def test_rows_grow_consistently_under_threads():
     tables = Tables()
-    expect = [degen_hyperharmonic(n, r) for r in (1, 2, 3) for n in range(13)]
+    expect = {(n, r): degen_hyperharmonic(n, r) for r in (1, 2, 3) for n in range(13)}
+    got = []
 
     def grab(seed):
         with use(tables):
             for step in range(24):
                 n, r = (seed * 5 + step * 7) % 13, 1 + (seed + step) % 3
-                degen_hyperharmonic(n, r)
+                got.append(((n, r), degen_hyperharmonic(n, r)))
 
     threads = [threading.Thread(target=grab, args=(i,)) for i in range(6)]
     interval = sys.getswitchinterval()
@@ -128,6 +131,5 @@ def test_rows_grow_consistently_under_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    with use(tables):  # a lost or doubled append shifts a row
-        assert [degen_hyperharmonic(n, r) for r in (1, 2, 3) for n in range(13)] == expect
-    assert len(tables.harmonic) == 13
+    assert len(got) == 6 * 24
+    assert all(value == expect[key] for key, value in got)

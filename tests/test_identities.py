@@ -5,15 +5,16 @@ import math
 import random
 import re
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from qlambda import cli, factorials, fubini_bell, identities, operators
+from qlambda import cli, factorials, fubini_bell, harmonic, identities, operators
 from qlambda import stirling as st
 from qlambda.factorials import classical_falling
-from qlambda.fubini_bell import (FUBINI_DEGENERATE, RFUBINI_DEGENERATE, PolyFamily,
-                                 family_series, poly_by_sum, rfubini_numbers)
+from qlambda.fubini_bell import (FUBINI_DEGENERATE, RFUBINI_DEGENERATE, PolyFamily, poly_by_sum,
+                                 rfubini_numbers)
 from qlambda.harmonic import degen_harmonic, harmonic_row
 from qlambda.identities import (SuiteBounds, check_cor7, check_thm3, check_thm3_numeric,
                                 check_thm4, check_thm5, check_thm6, check_thm8, run_suite,
@@ -172,7 +173,7 @@ def test_thm6_names_the_derivative_passes_counterexample(monkeypatch):
         for _ in range(k):  # the oracle: k termwise derivatives
             derived = routes.derive(derived)
         closed = routes.thm6_closed_by_convolution(k, order)
-        expected = first_mismatch(derived, closed, "derivative series")
+        expected = routes.series_mismatch(derived, closed, "derivative series")
         assert expected.location == f"derivative series: coefficient of t^{11 - k}"
         rep = check_thm6(k, order)
         assert rep.counterexample.to_json() == expected.to_json(), k
@@ -189,8 +190,8 @@ def test_a_harmonic_error_that_vanishes_at_all_but_the_last_point_is_seen(monkey
     derived = TruncSeries(QL, identities.harmonic_row(order + k))
     for _ in range(k):
         derived = routes.derive(derived)
-    expected = first_mismatch(derived, routes.thm6_closed_by_convolution(k, order),
-                              "derivative series")
+    expected = routes.series_mismatch(derived, routes.thm6_closed_by_convolution(k, order),
+                                      "derivative series")
     assert expected.location == "derivative series: coefficient of t^8"
     assert check_thm6(k, order).counterexample == expected
     n, k = 4, 3  # cor7: H_7 is read only by the right side; D = n + k - 1
@@ -709,26 +710,50 @@ def test_runs_read_one_falling_table_and_derive_once_per_step(monkeypatch):
                 assert calls["derivative"] - before <= m, (m, r, mode)
 
 
-def _stores(tables):
-    return dict(tables.triangles), list(tables.harmonic)
-
-
 def test_run_suite_with_own_tables_leaves_the_default_alone():
+    # nothing outlives a run: both instances still hold only their faults, and a read after
+    # the run builds its own value, the run's store gone
     default = current()
-    before = _stores(default)
     own = Tables()
     bounds = SuiteBounds(thm1_mmax=4, thm1_rmax=2, thm1_jmax=4, thm5_nmax=5, thm5_rmax=3,
                          cor7_nmax=4, cor7_kmax=4)
     reports = run_suite({"thm1", "thm5", "cor7"}, bounds, seed=0, tables=own)
     assert reports and all(r.passed for r in reports)
-    with use(own):
-        family_series(PolyFamily(FUBINI_DEGENERATE), 5)
     assert current() is default
-    assert _stores(default) == before
-    assert (st.S2R_DEGENERATE, 2) not in own.triangles  # thm1 decides at points of l
-    assert (st.S1R_UNSIGNED_DEGENERATE, 3) in own.triangles
-    assert len(own.harmonic) > 5
-    assert own.triangles[(st.S2_DEGENERATE, 0)].nmax == 5
+    assert vars(own) == vars(default) == {"faults": {}}
+    with use(own):
+        for key in (("triangle", st.S1R_UNSIGNED_DEGENERATE, 3), ("harmonic", None),
+                    ("harmonic", 0)):
+            assert shared(key, str, "built") == "built", key
+
+
+def test_concurrent_faulted_runs_equal_the_sequential_runs():
+    # four threads, three of them on faulted Tables, each running the same grid twice
+    bounds = SuiteBounds(thm1_mmax=4, thm1_rmax=2, thm1_jmax=4, thm4_nmax=5, thm5_nmax=5,
+                         thm5_rmax=2)
+    faults = [{}, {(st.S2R_DEGENERATE, 1, 3, 2): LambdaPoly.one()},
+              {(st.S2_DEGENERATE, 0, 4, 2): LambdaPoly([0, 1])},
+              {(st.S1R_UNSIGNED_DEGENERATE, 1, 2, 1): LambdaPoly.const(Fraction(1, 3))}]
+    ids = {"thm1", "thm4", "thm5"}
+    expect = [suite_json(run_suite(ids, bounds, tables=Tables(f))) for f in faults]
+    assert [all(rep["passed"] for rep in json.loads(e)) for e in expect] == [True] + [False] * 3
+    got = {}
+
+    def runs(i):
+        got[i] = [suite_json(run_suite(ids, bounds, tables=Tables(faults[i]))) for _ in range(2)]
+
+    threads = [threading.Thread(target=runs, args=(i,)) for i in range(len(faults))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [got[i] for i in range(len(faults))] == [[e, e] for e in expect]
 
 
 def test_check_report_invariant():
@@ -756,6 +781,7 @@ _BUILDERS = {
     (identities, "_binomial_sums"): lambda base, kmax, at: (len(base), at),
     (identities, "harmonic_terms"): lambda order, kmax, at: (order, at),
     (fubini_bell, "poly_by_sum"): lambda family, n: (family, n),
+    (harmonic, "harmonic_row"): lambda nmax, at=None: at,
 }
 
 

@@ -22,8 +22,8 @@ from qlambda.report import first_mismatch, make_report
 from qlambda.tables import Tables, run, use
 
 from routes import (degen_transform, degen_transform_value, derivative, derive, euler_apply,
-                    rhs_theorem1, s2r_entry, shift, shifted_tables_by_sums, theorem2_sides,
-                    theorem2_tables)
+                    rhs_theorem1, s2r_entry, s2r_triangle, series_mismatch, shift,
+                    shifted_tables_by_sums, theorem2_sides, theorem2_tables)
 
 X = XPoly.x()
 
@@ -70,9 +70,10 @@ def _theorem1_oracle(m, r, mode, jmax):
     """theorem1_check's report, from applying the operator and summing derivatives."""
     spec = OperatorSpec(m, r, mode)
     params = {"m": m, "r": r, "mode": mode, "jmax": jmax}
+    tri = s2r_triangle(spec)
     for j in range(jmax + 1):
         f = XPoly.monomial(1, j)
-        bad = first_mismatch(euler_apply(spec, f), rhs_theorem1(spec, f), f"operand x^{j}")
+        bad = first_mismatch(euler_apply(spec, f), rhs_theorem1(spec, f, tri), f"operand x^{j}")
         if bad is not None:
             return make_report("thm1", params, bad)
     return make_report("thm1", params, None)
@@ -147,13 +148,12 @@ def _g_for(name, order):
     return (-degen_log_one_minus(order)) * inv_one_minus(order)
 
 
-def _rhs_rederiving(spec, f):
+def _rhs_rederiving(spec, f, tri):
     """``rhs_theorem1`` as it was first written: each term derives again from f."""
-    fam = st.StirlingFamily(st.S2R_DEGENERATE, spec.r)
     if spec.mode == "plain":
-        terms = [(st.stirling_value(fam, spec.m, l), l, l + spec.r) for l in range(spec.m + 1)]
+        terms = [(tri.entry(spec.m, l), l, l + spec.r) for l in range(spec.m + 1)]
     else:
-        terms = [(st.stirling_value(fam, spec.m - spec.r, l - spec.r), l, l)
+        terms = [(tri.entry(spec.m - spec.r, l - spec.r), l, l)
                  for l in range(spec.r, spec.m + 1)]
     poly = isinstance(f, XPoly)
     out = XPoly.zero() if poly else TruncSeries.zero(
@@ -176,8 +176,10 @@ def test_rhs_theorem1_matches_rederiving_from_f():
         for r in range(min(m, 3) + 1):
             for mode in ("plain", "shifted"):
                 spec = OperatorSpec(m, r, mode)
+                tri = s2r_triangle(spec)
                 for f in operands:
-                    assert rhs_theorem1(spec, f) == _rhs_rederiving(spec, f), (m, r, mode, f)
+                    assert rhs_theorem1(spec, f, tri) == _rhs_rederiving(spec, f, tri), \
+                        (m, r, mode, f)
 
 
 def test_theorem2_examples():
@@ -331,7 +333,7 @@ def _random_rational_series(rng, order):
 def _oracle_report(f, g, r, order):
     params = {"r": r, "order": order, "deg_f": f.degree}
     for label, (lhs, rhs) in zip(("main form", "shifted form"), theorem2_sides(f, g, r, order)):
-        bad = first_mismatch(lhs, rhs, label)
+        bad = series_mismatch(lhs, rhs, label)
         if bad is not None:
             return make_report("thm2", params, bad)
     return make_report("thm2", params, None)

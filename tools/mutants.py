@@ -158,6 +158,14 @@ MUTANTS = {
         IDENTITIES, "theorem2_blocks, r, index, degmax, at)",
         "theorem2_blocks, r, index - 1, degmax, at)", PLANNED,
     ),
+    "a reader builds its own triangle inside a run": (
+        STIRLING, "shared((\"triangle\", *family), triangle, family, n)", "triangle(family, n)",
+        PLANNED,
+    ),
+    "thm5 builds its own harmonic row inside a run": (
+        IDENTITIES, "shared((\"harmonic\", None), harmonic_row, n)[n]", "harmonic_row(n)[n]",
+        PLANNED,
+    ),
     "a check builds its own blocks inside a run": (
         OPERATORS, "shared((\"blocks\", r, at), theorem2_blocks, r, order, m, at)",
         "theorem2_blocks(r, order, m, at)", PLANNED,

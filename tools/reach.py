@@ -43,8 +43,7 @@ ALLOWED = {
                     _MAKE),
     **dict.fromkeys(("kernel.LambdaPoly.__repr__", "kernel.XPoly.__repr__",
                      "kernel.TruncSeries.__repr__", "operators.Theorem2Blocks.__repr__"), _REPR),
-    "render.xpoly_ascii": "renders an x-polynomial for XPoly's repr and for a counterexample "
-                          "between x-polynomials, which no check names",
+    "render.xpoly_ascii": "renders an x-polynomial for XPoly's repr, which no command prints",
     **dict.fromkeys(("kernel._DensePoly.__reduce__", "kernel.TruncSeries.__reduce__",
                      "kernel._PolyRing.__reduce__", "kernel._RationalRing.__reduce__"), _PICKLE),
     **dict.fromkeys(("kernel._DensePoly.__setattr__", "kernel.TruncSeries.__setattr__"), _FROZEN),
@@ -62,8 +61,6 @@ ALLOWED = {
         "TruncSeries.one", "TruncSeries.var", "TruncSeries.zero")), _RING),
     "identities._scale": "names a thm6, cor7 or thm8-term counterexample, and no --fault "
                          "reaches a harmonic value",
-    "harmonic.hyperharmonic_row.<locals>.<listcomp>": "the per-value side (2r > nmax): no menu "
-                                                      "command takes it until cli-mix gains one",
     "render.parse_series.<locals>.<listcomp>": "eval of a series over Q[l][x]; no menu command "
                                                "sends one",
 }
