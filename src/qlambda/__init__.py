@@ -12,7 +12,7 @@ from .identities import CHECK_IDS, SuiteBounds, run_suite, suite_json
 from .kernel import QL, QLX, QQ, LambdaPoly, SeriesOrderError, TruncSeries, XPoly
 from .operators import OperatorSpec, theorem1_check, theorem2_blocks, theorem2_check
 from .report import CheckReport, Counterexample
-from .stirling import StirlingFamily, Triangle, stirling_value, triangle, unsigned_first_kind
+from .stirling import StirlingFamily, Triangle, triangle
 from .tables import Tables
 
 __version__ = "0.1.0"
@@ -22,6 +22,6 @@ __all__ = [
     "PolyFamily", "QL", "QLX", "QQ", "SeriesOrderError", "StirlingFamily", "SuiteBounds", "Tables",
     "Triangle", "TruncSeries", "XPoly", "classical_falling", "degen_falling", "degen_harmonic",
     "degen_hyperharmonic", "family_series", "harmonic_gf", "poly_by_sum", "rfubini_numbers",
-    "run_suite", "stirling_value", "suite_json", "theorem1_check", "theorem2_blocks",
-    "theorem2_check", "to_basis", "triangle", "unsigned_first_kind",
+    "run_suite", "suite_json", "theorem1_check", "theorem2_blocks", "theorem2_check", "to_basis",
+    "triangle",
 ]

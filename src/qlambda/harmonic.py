@@ -6,11 +6,10 @@ in the degeneracy parameter; each summand is kept in the polynomial form
 parameter ever happens and the classical value is a plain substitution
 at 0.  Hyperharmonic numbers are the iterated partial sums of the
 harmonic row: one value as one binomial convolution, a row of them as
-r - 1 prefix sums.  Nothing is stored: a row is built per call, except
-that ``degen_hyperharmonic`` reads the run's row inside a suite run
-(``tables.shared``).  Their generating function, -log_l(1-t)
-summed r times, is the independent cross-check.  At an integer l the
-same summands, scaled by lcm(1..n), give the row in ints.
+r - 1 prefix sums.  Nothing is stored: a row is built per call.  Their
+generating function, -log_l(1-t) summed r times, is the independent
+cross-check.  At an integer l the same summands, scaled by lcm(1..n),
+give the row in ints, which is all the identity checks read.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import math
 
 from .gfun import degen_log_one_minus
 from .kernel import QL, LambdaPoly, TruncSeries
-from .tables import shared
 
 
 def degen_harmonic(n: int) -> LambdaPoly:
@@ -52,7 +50,7 @@ def degen_hyperharmonic(n: int, r: int) -> LambdaPoly:
         raise ValueError("index must be >= 0")
     if r < 1:
         raise ValueError("order must be >= 1")
-    row = shared(("harmonic", None), harmonic_row, n)
+    row = harmonic_row(n)
     if r == 1:
         return row[n]
     return sum((row[j] * math.comb(n - j + r - 2, r - 2) for j in range(1, n + 1)),

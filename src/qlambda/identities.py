@@ -10,17 +10,19 @@ are drawn only to name a counterexample.  thm1, thm2, thm3 and thm8
 compare entries of its g-free tables (``operators.theorem2_blocks``),
 thm8 where its terms have Theorem 6's closed form, and an instance fails
 where they do not; they compare m + 1 indices, which certify the rest by
-degree in j.  These four, thm6 and cor7 decide at D + 1 integer values of
-l, which certify every l by degree in l, and name a counterexample by
+degree in j.  Every check decides at D + 1 integer values of l, which
+certify every l by degree in l, and names a counterexample by
 interpolating those values into Q[l] (``operators.first_difference``); D
-counts S2r faults only where a check reads S2r.  thm4 and thm5 compare in
-Q[l].  At a number for l the harmonic values a check compares come from
-one scaled row, ``harmonic_row(N, at)``, N the check's top index outside a
+counts the faults of the triangles a check reads, and no others.  thm4
+and thm5 read their triangles' rows at those numbers (``stirling.rows_at``).
+At a number for l the harmonic values a check compares come from one
+scaled row, ``harmonic_row(N, at)``, N the check's top index outside a
 run and the plan's inside one; the builders return it with their values,
 so a check outside a run builds it once per point.
 A run checks every bound and fault, then builds each value its checks
 share once, before the first check (``_plan``, ``tables.run``); outside a
-run each check builds its own.  Nothing outlives a run.
+run each check builds its own.  Every value a run shares is a value at a
+number for l.  Nothing outlives a run.
 
 Check ids: thm1 thm2 thm3 thm4 thm5 thm6 cor7 thm8.
 """
@@ -35,10 +37,9 @@ from typing import NamedTuple
 
 from . import stirling
 from .factorials import degen_falling_table
-from .fubini_bell import FUBINI_DEGENERATE, PolyFamily, poly_by_sum, rfubini_numbers
+from .fubini_bell import rfubini_numbers
 from .gfun import classical_exp, inv_one_minus
-from .harmonic import (degen_harmonic, degen_hyperharmonic, harmonic_gf, harmonic_row,
-                       running_sums)
+from .harmonic import degen_harmonic, harmonic_gf, harmonic_row, running_sums
 from .kernel import QL, LambdaPoly, TruncSeries, XPoly
 from .operators import (entry_difference, first_difference, l_points, theorem1_check,
                         theorem2_blocks, theorem2_check)
@@ -49,10 +50,16 @@ CHECK_IDS = ("thm1", "thm2", "thm3", "thm4", "thm5", "thm6", "cor7", "thm8")
 _ORDER_COVERS_M = "order must cover m (and be >= 1)"
 _ORDER_COVERS_K = "order must be >= k"
 _LAMBDAS = (Fraction(1, 3), Fraction(1, 2))  # thm3's numeric probes
+_S2D, _S1RU, _S1U = (stirling.S2_DEGENERATE, stirling.S1R_UNSIGNED_DEGENERATE,
+                     stirling.S1_UNSIGNED_DEGENERATE)
+_THM5_LABELS = ("column identity", "harmonic split", "column two-term split")
 
 
-def _poly(family: PolyFamily, n: int) -> XPoly:
-    return shared(("poly", family, n), poly_by_sum, family, n)
+def _rows(family: str, r: int, top: int, at) -> tuple:
+    """Rows 0..top of the triangle of ``family`` and r at the number ``at`` for l; in a run, the
+    run's, to the top row its checks read."""
+    return shared(("rows", family, r, at), stirling.rows_at, stirling.StirlingFamily(family, r),
+                  top, at)
 
 
 def _binomial_sums(base, kmax: int, at) -> list:
@@ -126,7 +133,7 @@ def check_thm3_numeric(m: int, r: int, lam: Fraction, tol_exponent: int) -> Chec
     params = {"kind": "numeric", "m": m, "r": r, "lambda": str(Fraction(lam)),
               "tol_exponent": tol_exponent}
     total = rfubini_numbers(m, r, lam, tol_exponent)
-    row = stirling.s2r_rows(r, m, Fraction(lam))[m]
+    row = _rows(stirling.S2R_DEGENERATE, r, m, Fraction(lam))[m]
     exact = sum(c * math.factorial(k) for k, c in enumerate(row))
     if abs(total - exact) <= Fraction(1, 10 ** tol_exponent):
         return make_report("thm3", params, None)
@@ -135,34 +142,38 @@ def check_thm3_numeric(m: int, r: int, lam: Fraction, tol_exponent: int) -> Chec
 
 
 def check_thm4(n: int) -> CheckReport:
-    """First-order differential recurrence of the weighted polynomials."""
+    """First-order differential recurrence of the weighted polynomials f_n = sum_i i! S2d(n, i)
+    x^i: coefficient i of x f_n' + x (x f_n)' - l n f_n, (i - l n) f_n[i] + i f_n[i-1], against
+    f_{n+1}[i], i <= n + 1.  Each is of degree <= n - i + 1 in l; the factor (i - l n) raises an
+    S2d fault's degree by one."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    params = {"n": n}
-    fam = PolyFamily(FUBINI_DEGENERATE)
-    fn = _poly(fam, n)
-    # coefficient i of x f' + x (x f)' - l n f
-    lhs = XPoly(fn.coeff(i) * LambdaPoly((i, -n)) + fn.coeff(i - 1) * i
-                for i in range(fn.degree + 2))
-    return make_report("thm4", params, first_mismatch(lhs, _poly(fam, n + 1), "polynomials"))
+
+    def sides(at):
+        rows = _rows(_S2D, 0, n + 1, at)
+        f, g = ([c * math.factorial(i) for i, c in enumerate(rows[m])] for m in (n, n + 1))
+        return [(i - at * n) * c + i * p for i, (c, p) in enumerate(zip(f + [0], [0] + f))], g
+    found = first_difference(sides, n, 1, (_S2D,))
+    bad = found and first_mismatch(found[1], found[2], f"polynomials: coefficient of x^{found[0]}")
+    return make_report("thm4", {"n": n}, bad)
 
 
 def check_thm5(n: int, r: int) -> CheckReport:
-    """Hyperharmonic values as first-column unsigned r-Stirling entries."""
+    """Hyperharmonic values as first-column unsigned r-Stirling entries: n! H^(r)_n against
+    S1ru_r(n, 1), then n! H_n and S1ru_1(n, 1) each against 2 l S1ru_1(n, 2) + S1u(n + 1, 2).
+    Each is of degree <= n - 1 in l; the factor l raises an S1ru fault's degree by one."""
     if n < 1 or r < 1:
         raise ValueError("n and r must be >= 1")
-    fam_r, fam_1 = (stirling.StirlingFamily(stirling.S1R_UNSIGNED_DEGENERATE, q) for q in (r, 1))
-    split = (LambdaPoly.param() * 2 * stirling.stirling_value(fam_1, n, 2)
-             + stirling.unsigned_first_kind(n + 1, 2))
-    harmonic = shared(("harmonic", None), harmonic_row, n)[n]
-    for lhs, rhs, label in (
-            (degen_hyperharmonic(n, r) * math.factorial(n), stirling.stirling_value(fam_r, n, 1),
-             "column identity"),
-            (harmonic * math.factorial(n), split, "harmonic split"),
-            (stirling.stirling_value(fam_1, n, 1), split, "column two-term split")):
-        bad = first_mismatch(lhs, rhs, label)
-        if bad is not None:
-            break
+
+    def sides(at):  # n! H^(r)_n and n! H_n are ints: an exact // by the row's scale, row[1]
+        row = shared(("harmonic", at), harmonic_row, n, at)
+        col = {q: _rows(_S1RU, q, n, at)[n] for q in dict.fromkeys((r, 1))}
+        split = 2 * at * (col[1][2] if n > 1 else 0) + _rows(_S1U, 0, n + 1, at)[n + 1][2]
+        hyper, harmonic = (h * math.factorial(n) // row[1]
+                           for h in (running_sums(row[:n + 1], r - 1)[n], row[n]))
+        return [hyper, harmonic, col[1][1]], [col[r][1], split, split]
+    found = first_difference(sides, n - 2, 1, (_S1RU, _S1U))
+    bad = found and first_mismatch(found[1], found[2], _THM5_LABELS[found[0]])
     return make_report("thm5", {"n": n, "r": r}, bad)
 
 
@@ -266,21 +277,25 @@ def _plan(ids, bounds: SuiteBounds) -> list:
     the current ``Tables`` in a row no check of theirs reads, before any arithmetic; else every
     value their checks share, as ``(key, build, *args)``, each after those it reads.
 
-    Each triangle is built once, to the top row any check reads.  thm1, thm2, thm3 and thm8
-    decide at the points ``operators.l_points(degmax, family=s2r)`` of l, on one falling table
-    and the g-free tables of each r per point, sized by the largest r, m (or deg f) and index
-    any of them reads: min(m, jmax), m, min(m + 1, order), and min(degmax + 1, order) for thm2,
-    whose named g are nonzero at j >= 1; the plan checks faults against their S2r rows, but
-    builds no S2r triangle.  thm6, cor7 and thm8's terms read one harmonic row per point, to
-    the largest index read, and the brackets and harmonic sums at the points their degree in l
-    needs, which no fault raises.  thm5 reads one harmonic row in Q[l] (at None), to its nmax.
+    Every value is one at a number for l.  thm4, thm5 and thm3's numeric sums read the rows of
+    their triangles at their own points (``("rows", family id, r, at)``), to the top row any
+    check reads.  thm1, thm2, thm3 and thm8 decide at the points ``operators.l_points(degmax,
+    families=(s2r,))`` of l, on one falling table and the g-free tables of each r per point,
+    sized by the largest r, m (or deg f) and index any of them reads: min(m, jmax), m, min(m +
+    1, order), and min(degmax + 1, order) for thm2, whose named g are nonzero at j >= 1; the
+    plan checks faults against their S2r rows, but the g-free tables build those rows.  thm5,
+    thm6, cor7 and thm8's terms read one harmonic row per point, to the largest index read, and
+    thm6, cor7 and thm8 the brackets and harmonic sums at the points their degree in l needs,
+    which no fault raises.
     """
-    b, tops, polys, reach, block_rs, brackets, later = bounds, {}, [], [], set(), {}, []
-    s2r, thm3_rs, sums = stirling.S2R_DEGENERATE, set(), ()
+    b, tops, rows, reach, block_rs, brackets, later = bounds, {}, {}, [], set(), {}, []
+    s2r, thm3_rs, sums, harmonic = stirling.S2R_DEGENERATE, set(), (), []
 
-    def read(family_id, rs, top):  # rows 0..top of the triangle of each r in rs
+    def read(family_id, rs, top, points=()):  # rows 0..top of each r's triangle, at ``points``
         for r in rs if top >= 0 else ():
             tops[family_id, r] = max(top, tops.get((family_id, r), top))
+            if points:
+                rows[family_id, r] = top, points
 
     for check_id in ids:
         if check_id == "thm1" and min(b.thm1_mmax, b.thm1_rmax) >= 0:
@@ -305,14 +320,14 @@ def _plan(ids, bounds: SuiteBounds) -> list:
                     brackets[order] = max(mmax, brackets.get(order, mmax))
                     later.append((("terms", order), _open_terms, order, mmax))
             if check_id == "thm3":  # the numeric sums, at their own values of l
-                read(s2r, range(b.thm3_numeric_rmax + 1), b.thm3_numeric_mmax)
-        elif check_id == "thm4" and b.thm4_nmax >= 0:
-            read(stirling.S2_DEGENERATE, (0,), b.thm4_nmax + 1)  # check n reads rows n, n + 1
-            polys.extend((PolyFamily(FUBINI_DEGENERATE), n) for n in range(b.thm4_nmax + 2))
+                read(s2r, range(b.thm3_numeric_rmax + 1), b.thm3_numeric_mmax, _LAMBDAS)
+        elif check_id == "thm4" and b.thm4_nmax >= 0:  # check n reads rows n, n + 1
+            read(_S2D, (0,), b.thm4_nmax + 1, l_points(b.thm4_nmax, 1, (_S2D,)))
         elif check_id == "thm5" and min(b.thm5_nmax, b.thm5_rmax) >= 1:
-            read(stirling.S1R_UNSIGNED_DEGENERATE, range(1, b.thm5_rmax + 1), b.thm5_nmax)
-            read(stirling.S1_UNSIGNED_DEGENERATE, (0,), b.thm5_nmax + 1)
-            later.append((("harmonic", None), harmonic_row, b.thm5_nmax))
+            points = l_points(b.thm5_nmax - 2, 1, (_S1RU, _S1U))
+            read(_S1RU, range(1, b.thm5_rmax + 1), b.thm5_nmax, points)
+            read(_S1U, (0,), b.thm5_nmax + 1, points)
+            harmonic.append((b.thm5_nmax, points))
         elif check_id == "thm6" and b.thm6_kmax >= 1:
             order, kmax = b.thm6_order, b.thm6_kmax
             if kmax > order:
@@ -327,17 +342,19 @@ def _plan(ids, bounds: SuiteBounds) -> list:
         if n > tops.get((family_id, r), -1):
             raise ValueError(f"no selected check reads row {n} of {family_id} at r = {r}, "
                              "where the fault is")
-    plan = [(("triangle", *key), stirling.triangle, stirling.StirlingFamily(*key), top)
-            for key, top in tops.items() if key[0] != s2r]
-    plan += [(("poly", *key), poly_by_sum, *key) for key in dict.fromkeys(polys)]
+    plan = [(("rows", *key, at), stirling.rows_at, stirling.StirlingFamily(*key), top, at)
+            for key, (top, points) in rows.items() for at in points]
     if reach:
-        points = l_points(degmax, family=s2r)
+        points = l_points(degmax, families=(s2r,))
         plan += [(("falling", at), degen_falling_table, index + rmax, degmax, at) for at in points]
         plan += [(("blocks", r, at), theorem2_blocks, r, index, degmax, at)
                  for r in sorted(block_rs | thm3_rs) for at in points]
-    nmax = max([order + kmax for order, kmax in brackets.items()] + [sum(sums)])
-    if nmax:  # H_n is of degree n - 1 in l
-        plan += [(("harmonic", at), harmonic_row, nmax, at) for at in l_points(nmax - 1)]
+    ends = [order + kmax for order, kmax in brackets.items()] + [sum(sums)]
+    harmonic += [(top, l_points(top - 1)) for top in ends if top]  # H_n: degree n - 1 in l
+    if harmonic:
+        top = max(top for top, _ in harmonic)
+        plan += [(("harmonic", at), harmonic_row, top, at)
+                 for at in max((points for _, points in harmonic), key=len)]
     plan += [(("brackets", order, at), _summed_brackets, order, kmax, at)
              for order, kmax in brackets.items() for at in l_points(order + kmax - 1)]
     if sums:

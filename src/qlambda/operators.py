@@ -27,9 +27,11 @@ the degree of an S2r fault if higher, so the checks compare the tables at the
 numbers l = 0..D (``l_points``), in Python ints.  Each side, not only their
 difference, is of degree <= D, so its values there fix it: the first
 divergent coefficient is named by interpolating both sides into Q[l] from
-the values already compared (``first_difference``).  The checks read a
-suite run's tables (``tables.shared``), else build their own; nothing is
-memoized, so a fault is always seen by the next check.
+the values already compared (``first_difference``).  Every check of the
+suite decides this way, naming the triangles whose faults raise its D
+(``l_points``).  The checks read a suite run's tables (``tables.shared``),
+else build their own; nothing is memoized, so a fault is always seen by
+the next check.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .report import CheckReport, first_mismatch, make_report
 from .tables import current, shared
 
 _MODES = ("plain", "shifted")
+_S2R = (stirling.S2R_DEGENERATE,)  # the triangles whose faults the two-series tables read
 
 
 class OperatorSpec(namedtuple("OperatorSpec", "m r mode")):
@@ -83,13 +86,13 @@ class Theorem2Blocks(namedtuple("Theorem2Blocks", "r order degmax main shifted")
 
 def theorem2_blocks(r: int, order: int, degmax: int, at) -> Theorem2Blocks:
     """The tables ``theorem2_check`` reads besides f and g, for every f of degree <= degmax, at
-    the number ``at`` for l: from the S2r recurrence taken there (``stirling.s2r_rows``), on the
+    the number ``at`` for l: from the S2r recurrence taken there (``stirling.rows_at``), on the
     run's falling table inside a run."""
     if r < 0:
         raise ValueError("r must be >= 0")
     if degmax < 0:
         raise ValueError("degmax must be >= 0")
-    rows = stirling.s2r_rows(r, degmax, at)
+    rows = stirling.rows_at(stirling.StirlingFamily(stirling.S2R_DEGENERATE, r), degmax, at)
     falling = shared(("falling", at), degen_falling_table, order + r, degmax, at)
     js, ns = range(order + 1), range(degmax + 1)
     main = (tuple(tuple(sum(rows[n][k] * math.perm(j, k) for k in range(min(n, j) + 1))
@@ -102,21 +105,21 @@ def theorem2_blocks(r: int, order: int, degmax: int, at) -> Theorem2Blocks:
     return Theorem2Blocks(r, order, degmax, main, tuple(map(shift, main)))
 
 
-def l_points(degree: int, extra: int = 0, family: str | None = None) -> range:
+def l_points(degree: int, extra: int = 0, families: tuple = ()) -> range:
     """l = 0..D, D = max(``degree``, the degree of each fault the current ``Tables`` adds to the
-    triangles of ``family``) + ``extra``: values of degree <= D in l agree in Q[l] when they
+    triangles of ``families``) + ``extra``: values of degree <= D in l agree in Q[l] when they
     agree at these D + 1 points, and are fixed by their values there.  Values that read no
-    triangle name no ``family``, so no fault raises their D."""
-    degrees = [delta.degree for (fid, *_), delta in current().faults.items() if fid == family]
+    triangle name no family, so no fault raises their D."""
+    degrees = [delta.degree for (fid, *_), delta in current().faults.items() if fid in families]
     return range(max([degree, *degrees]) + extra + 1)
 
 
-def first_difference(sides, degree: int, extra: int = 0, family: str | None = None):
+def first_difference(sides, degree: int, extra: int = 0, families: tuple = ()):
     """None if the value lists ``sides(at)`` = (lhs, rhs) agree at each l of ``l_points(degree,
-    extra, family)``; else (i, lhs_i, rhs_i) at the first index where they differ, each
+    extra, families)``; else (i, lhs_i, rhs_i) at the first index where they differ, each
     interpolated into Q[l] from its values there: exact where each side, not only their
     difference, has degree <= D."""
-    points = [sides(at) for at in l_points(degree, extra, family)]
+    points = [sides(at) for at in l_points(degree, extra, families)]
     for i, pairs in enumerate(zip(*(zip(*point) for point in points))):
         if any(left != right for left, right in pairs):
             return i, *(LambdaPoly.interpolate(values) for values in zip(*pairs))
@@ -127,8 +130,7 @@ def entry_difference(r: int, order: int, m: int, js, form: str = "main"):
     """``first_difference`` of the two tables of ``form`` (mix, falling) at entries [m][j], j in
     ``js``, of degree <= m in l, or an S2r fault's: None, or (j, mix entry, falling entry)."""
     found = first_difference(lambda at: [[t[m][j] for j in js] for t in getattr(
-        shared(("blocks", r, at), theorem2_blocks, r, order, m, at), form)], m,
-        family=stirling.S2R_DEGENERATE)
+        shared(("blocks", r, at), theorem2_blocks, r, order, m, at), form)], m, families=_S2R)
     return found and (js[found[0]], *found[1:])
 
 
@@ -180,8 +182,7 @@ def theorem2_check(f: XPoly, g: TruncSeries, r: int, order: int) -> CheckReport:
         coeffs = [(n, a.subs(at)) for n, a in terms]
         return [[v for form in (blocks.main, blocks.shifted) for v in sums(form[side], coeffs)]
                 for side in (0, 1)]
-    found = first_difference(sides, degmax, max((a.degree for _, a in terms), default=0),
-                             stirling.S2R_DEGENERATE)
+    found = first_difference(sides, degmax, max((a.degree for _, a in terms), default=0), _S2R)
     if found is None:
         return make_report("thm2", params, None)
     i, left, right = found

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple, Optional
 
-from .kernel import LambdaPoly, XPoly
+from .kernel import LambdaPoly
 from .render import lambda_poly_ascii
 
 
@@ -56,17 +56,8 @@ def make_report(check_id: str, params: Mapping[str, object],
 
 
 def first_mismatch(lhs, rhs, label: str) -> Optional[Counterexample]:
-    """Compare two kernel values; name the first divergent coefficient.
-
-    Accepts a pair of XPoly, or of LambdaPoly or rational values.
-    """
-    if isinstance(lhs, XPoly):
-        top = max(lhs.degree, rhs.degree)
-        for k in range(top + 1):
-            if lhs.coeff(k) != rhs.coeff(k):
-                return Counterexample(f"{label}: coefficient of x^{k}",
-                                      render_value(lhs.coeff(k)), render_value(rhs.coeff(k)))
-        return None
+    """The counterexample at ``label`` if two LambdaPoly or rational values differ, else None;
+    a check names the divergent coefficient in ``label``."""
     if lhs != rhs:
         return Counterexample(label, render_value(lhs), render_value(rhs))
     return None

@@ -11,12 +11,11 @@ degree-0 polynomials.
 ``triangle`` builds a whole triangle each call, a pure function of its
 arguments and the current ``tables.Tables``' faults, which it adds to the
 rows it builds, so the identity suite can prove it notices a corrupted
-table without touching anyone else's.  ``stirling_value`` reads the run's
-triangle inside a suite run (``tables.shared``).  ``s2r_rows`` takes the
-S2r recurrence at a number for l, faults included, for the checks that
-decide at points of l.
+table without touching anyone else's.  ``rows_at`` takes the same rows at
+a number for l, by the recurrence, for the three recurrence families and
+for S2r (S2-degenerate's recurrence with r), faults included: the checks
+decide at points of l and read nothing else of this module.
 """
-
 from __future__ import annotations
 
 from collections import namedtuple
@@ -24,7 +23,7 @@ from typing import NamedTuple
 
 from .factorials import BasisId, basis_poly, to_basis
 from .kernel import LambdaPoly
-from .tables import current, shared
+from .tables import current
 
 S1_CLASSICAL = "S1-classical"
 S2_CLASSICAL = "S2-classical"
@@ -119,11 +118,6 @@ def _rows_by_recurrence(family_id: str, r: int, nmax: int, at=None) -> tuple:
     return tuple(rows)
 
 
-def unsigned_first_kind(n: int, k: int) -> LambdaPoly:
-    """Unsigned degenerate first kind: the rising factorial in the degenerate rising basis."""
-    return stirling_value(StirlingFamily(S1_UNSIGNED_DEGENERATE), n, k)
-
-
 def _build_rows(family: StirlingFamily, nmax: int) -> tuple[tuple[LambdaPoly, ...], ...]:
     if family.id in _RECURRENCES:
         return _rows_by_recurrence(family.id, family.r, nmax)
@@ -140,24 +134,17 @@ def _faulted(rows, key, at=None) -> tuple:
     return tuple(map(tuple, rows))
 
 
-def s2r_rows(r: int, nmax: int, at) -> tuple:
-    """Rows 0..nmax of the S2r triangle at the number ``at`` for l, by Carlitz's recurrence
-    S(n+1, k) = S(n, k-1) + (k - l n + r) S(n, k), S2-degenerate's with r; faults are added
-    once every row is built, as ``triangle`` adds them, so none is carried into later rows."""
-    return _faulted(_rows_by_recurrence(S2_DEGENERATE, r, nmax, at), (S2R_DEGENERATE, r), at)
+def rows_at(family: StirlingFamily, nmax: int, at) -> tuple:
+    """Rows 0..nmax of ``family``'s triangle at the number ``at`` for l, by Carlitz's recurrence:
+    a family of ``_RECURRENCES``, or S2r, S2-degenerate's with r.  Faults are added once every
+    row is built, as ``triangle`` adds them, so none is carried into later rows."""
+    rule = S2_DEGENERATE if family.id == S2R_DEGENERATE else family.id
+    return _faulted(_rows_by_recurrence(rule, family.r, nmax, at), family, at)
 
 
 def triangle(family: StirlingFamily, nmax: int) -> Triangle:
     """All entries 0 <= k <= n <= nmax by the family's route, the current faults added."""
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    return Triangle(family, nmax, _faulted(_build_rows(family, nmax), (family.id, family.r)))
+    return Triangle(family, nmax, _faulted(_build_rows(family, nmax), family))
 
-
-def stirling_value(family: StirlingFamily, n: int, k: int) -> LambdaPoly:
-    """Triangle entry, off the run's triangle inside a suite run, else off one to row n."""
-    if n < 0:
-        raise ValueError("negative index")
-    if k < 0 or k > n:
-        return LambdaPoly.zero()
-    return shared(("triangle", *family), triangle, family, n).entry(n, k)

@@ -5,8 +5,9 @@ finds the instance in force with ``current()``: a shared, fault-free
 default, or whatever a ``use(tables)`` block installed for its thread or
 task.  Nothing here is a memo: a faulted instance changes only what is
 built under it, so a self-test cannot corrupt a concurrent library user.
-A suite run's shared values, built once from its plan by ``run``, are read
-with ``shared``; outside a run each reader builds what it asks for.
+A suite run's shared values, each one at a number for l, are built once
+from its plan by ``run`` and read by the checks with ``shared``; outside a
+run each check builds what it asks for.
 """
 
 from __future__ import annotations

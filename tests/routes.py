@@ -23,9 +23,13 @@ points of l.  They use the kernel's arithmetic and the named series of
 ``gfun``, never ``fubini_bell``'s sums, and no triangle except through
 entries of one ``stirling.triangle`` or the S2r basis expansion plus the
 fault there (``s2r_entry``), so a faulted ``Tables`` reaches both routes
-and agreement with the package is a cross-check.  No check compares two
-series, so ``series_mismatch`` names the first divergent coefficient of
-two series here, in ``first_mismatch``'s words.  No command shifts or
+and agreement with the package is a cross-check.  Every check decides at
+points of l, so thm4 and thm5 are rebuilt here in Q[l] (``thm4_reports``,
+``thm5_report``) from ``stirling_value`` and ``unsigned_first_kind``,
+entries of one triangle each, which no command reads any more.  No check
+compares two series or two x-polynomials, so ``series_mismatch`` and
+``xpoly_mismatch`` name the first divergent coefficient of two of them
+here, in ``first_mismatch``'s words.  No command shifts or
 differentiates a series or a polynomial, so ``shift``, ``derive`` and
 ``derivative``, which the oracles take, are plain functions here rather
 than kernel methods.
@@ -67,6 +71,14 @@ def series_mismatch(lhs: TruncSeries, rhs: TruncSeries, label: str):
             return Counterexample(f"{label}: coefficient of t^{n}", render_value(a),
                                   render_value(b))
     return None
+
+
+def xpoly_mismatch(lhs: XPoly, rhs: XPoly, label: str):
+    """The counterexample at the first coefficient where two x-polynomials differ, located
+    ``"<label>: coefficient of x^k"``, or None."""
+    return next(filter(None, (first_mismatch(lhs.coeff(k), rhs.coeff(k),
+                                             f"{label}: coefficient of x^{k}")
+                              for k in range(max(lhs.degree, rhs.degree) + 1))), None)
 
 
 def derive(series: TruncSeries) -> TruncSeries:
@@ -242,6 +254,20 @@ def stirling_by_basis(family: stirling.StirlingFamily, n: int, k: int) -> Lambda
     if n < 0:
         raise ValueError("negative index")
     return row_by_basis(family, n)[k] if 0 <= k <= n else LambdaPoly.zero()
+
+
+def stirling_value(family: stirling.StirlingFamily, n: int, k: int) -> LambdaPoly:
+    """Entry (n, k) of one ``stirling.triangle`` to row n; zero outside the triangle."""
+    if n < 0:
+        raise ValueError("negative index")
+    if k < 0 or k > n:
+        return LambdaPoly.zero()
+    return stirling.triangle(family, n).entry(n, k)
+
+
+def unsigned_first_kind(n: int, k: int) -> LambdaPoly:
+    """Unsigned degenerate first kind: the rising factorial in the degenerate rising basis."""
+    return stirling_value(stirling.StirlingFamily(stirling.S1_UNSIGNED_DEGENERATE), n, k)
 
 
 def degen_transform(f: XPoly) -> XPoly:
@@ -434,6 +460,29 @@ def thm4_lhs_by_derivatives(f: XPoly, n: int) -> XPoly:
     """thm4's left side x f' + x (x f)' - l n f, by ``XPoly`` products and derivatives."""
     x = XPoly.x()
     return x * derivative(f) + x * derivative(x * f) - f * (LambdaPoly.param() * n)
+
+
+def thm4_reports(nmax: int) -> list:
+    """thm4's reports for n <= nmax in Q[l]: the Fubini polynomials sum_k k! S2d(n, k) x^k off
+    one triangle, each left side by ``thm4_lhs_by_derivatives``."""
+    rows = stirling.triangle(stirling.StirlingFamily(stirling.S2_DEGENERATE), nmax + 1).rows
+    polys = [XPoly(c * math.factorial(k) for k, c in enumerate(row)) for row in rows]
+    return [make_report("thm4", {"n": n}, xpoly_mismatch(thm4_lhs_by_derivatives(polys[n], n),
+                                                          polys[n + 1], "polynomials"))
+            for n in range(nmax + 1)]
+
+
+def thm5_report(n: int, r: int):
+    """thm5's report at (n, r) in Q[l]: the unsigned triangles' entries against
+    ``degen_hyperharmonic`` and ``degen_harmonic``, the first failing comparison named."""
+    fam_r, fam_1 = (stirling.StirlingFamily(stirling.S1R_UNSIGNED_DEGENERATE, q) for q in (r, 1))
+    split = LambdaPoly.param() * 2 * stirling_value(fam_1, n, 2) + unsigned_first_kind(n + 1, 2)
+    pairs = ((degen_hyperharmonic(n, r) * math.factorial(n), stirling_value(fam_r, n, 1),
+              "column identity"),
+             (degen_harmonic(n) * math.factorial(n), split, "harmonic split"),
+             (stirling_value(fam_1, n, 1), split, "column two-term split"))
+    return make_report("thm5", {"n": n, "r": r},
+                       next(filter(None, (first_mismatch(*pair) for pair in pairs)), None))
 
 
 def harmonic_terms_by_product(order: int, kmax: int) -> list[TruncSeries]:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from qlambda import cli, factorials, fubini_bell, harmonic, identities, operators
+from qlambda import cli, factorials, harmonic, identities, operators
 from qlambda import stirling as st
 from qlambda.factorials import classical_falling
 from qlambda.fubini_bell import (FUBINI_DEGENERATE, RFUBINI_DEGENERATE, PolyFamily, poly_by_sum,
@@ -116,6 +116,30 @@ def test_single_harmonic_checks_build_each_point_row_once(monkeypatch):
         builds.clear()
         assert all(check_thm6(k, 16).passed for k in range(1, 9))
         assert len(set(builds)) == len(builds) == sum(16 + k for k in range(1, 9)) == 164
+
+
+def test_a_single_thm5_check_builds_each_row_once_per_point(monkeypatch):
+    # outside a run, thm5 at (n, r) reads the harmonic row, the rows of S1ru at r and at 1 and
+    # those of S1u at l = 0..n - 1, each built once per point, r = 1 included
+    builds = []
+
+    def counting(name, build):
+        def counted(*args):
+            builds.append((name, *args))
+            return build(*args)
+        return counted
+
+    monkeypatch.setattr(identities, "harmonic_row", counting("harmonic", harmonic_row))
+    monkeypatch.setattr(st, "rows_at", counting("rows", st.rows_at))
+    with use(Tables()):
+        for n, r in ((1, 1), (6, 1), (6, 3), (12, 4)):
+            builds.clear()
+            assert check_thm5(n, r).passed
+            reads = [("harmonic", n)] + [("rows", st.StirlingFamily(st.S1R_UNSIGNED_DEGENERATE, q),
+                                         n) for q in {r, 1}]
+            reads.append(("rows", st.StirlingFamily(st.S1_UNSIGNED_DEGENERATE), n + 1))
+            assert sorted(builds, key=repr) == sorted(((*read, at) for read in reads
+                                                       for at in range(n)), key=repr), (n, r)
 
 
 def test_only_s2r_faults_raise_the_points_of_the_checks_that_read_them(monkeypatch):
@@ -474,6 +498,16 @@ def test_a_fault_that_vanishes_at_all_but_the_last_point_is_seen():
     assert failed == set(_CERTIFIED)
     assert any(rep["params"] == {"m": 3, "r": 1, "mode": "plain", "jmax": 7}
                for rep in reports if rep["check"] == "thm1" and not rep["passed"])
+    # thm4 and thm5 count the faults of the triangles they read, so they too take l = 0..8 or
+    # more: at S2d(3, 2) the delta moves thm4 at n = 2 and 3, at S1ru(2; 5, 1) thm5 at (5, 2)
+    faults = {(st.S2_DEGENERATE, 0, 3, 2): delta, (st.S1R_UNSIGNED_DEGENERATE, 2, 5, 1): delta}
+    with use(Tables(faults)):
+        thm4 = [check_thm4(n) for n in range(6)]
+        assert [rep.to_json() for rep in thm4] == [rep.to_json() for rep in routes.thm4_reports(5)]
+        assert [rep.passed for rep in thm4] == [True, True, False, False, True, True]
+        thm5 = {(n, r): check_thm5(n, r) for n in range(1, 7) for r in range(1, 4)}
+        assert all(rep.to_json() == routes.thm5_report(*key).to_json() for key, rep in thm5.items())
+        assert [key for key, rep in thm5.items() if not rep.passed] == [(5, 2)]
 
 
 def _numeric_by_polynomials(bounds):
@@ -500,14 +534,16 @@ _VERIFY_FAULTS = ("stirling2r:1:3:2", "stirling2r:3:6:5", "stirling2d:0:4:2",
 @pytest.mark.parametrize("fault", (None,) + _VERIFY_FAULTS, ids=str)
 def test_verify_all_reports_equal_the_every_index_loops(fault, capsys):
     # thm1, thm2, thm3 and thm8 by every index in Q[l], thm3's numeric sums from the
-    # polynomials, the other ids one check at a time outside a run
+    # polynomials, thm4 and thm5 in Q[l], thm6 and cor7 one check at a time outside a run
     code = cli.main(["verify", "--suite", "all"] + ([] if fault is None else ["--fault", fault]))
     reports = json.loads(capsys.readouterr().out)
     bounds, faults = SuiteBounds(), cli._fault_tables(fault).faults if fault else {}
     with use(Tables(faults)):
         expected = routes.every_index_reports(_CERTIFIED, bounds, 0) + _numeric_by_polynomials(
-            bounds)
-        for check_id in ("thm4", "thm5", "thm6", "cor7"):
+            bounds) + routes.thm4_reports(bounds.thm4_nmax)
+        expected += [routes.thm5_report(n, r) for n in range(1, bounds.thm5_nmax + 1)
+                     for r in range(1, bounds.thm5_rmax + 1)]
+        for check_id in ("thm6", "cor7"):
             expected += identities._RUNNERS[check_id](bounds, 0)
     expected.sort(key=lambda rep: (rep.check_id, json.dumps(dict(rep.params), sort_keys=True,
                                                             default=str)))
@@ -586,28 +622,38 @@ def test_shared_series_give_the_unshared_reports(fault):
 
 
 def test_each_grid_builds_each_triangle_once(monkeypatch):
-    builds = []
-    build_rows = st._build_rows
+    # every check decides at points of l: a run builds no triangle in Q[l], and the rows of
+    # each triangle it reads once per point
+    builds, rows = [], []
+    build_rows, rows_at = st._build_rows, st.rows_at
 
     def counting(family, nmax):
         builds.append((family.id, family.r))
         return build_rows(family, nmax)
 
+    def counting_rows(family, nmax, at):
+        rows.append((family, at))
+        return rows_at(family, nmax, at)
+
     monkeypatch.setattr(st, "_build_rows", counting)
+    monkeypatch.setattr(st, "rows_at", counting_rows)
     bounds = SuiteBounds()
     assert all(rep.passed for rep in run_suite({"thm5"}, bounds, tables=Tables()))
-    assert len(builds) == len(set(builds)) == bounds.thm5_rmax + 1
-    builds.clear()
+    assert len(rows) == len(set(rows)) == (bounds.thm5_rmax + 1) * bounds.thm5_nmax  # l < nmax
+    assert {family.id for family, _ in rows} == {st.S1R_UNSIGNED_DEGENERATE,
+                                                 st.S1_UNSIGNED_DEGENERATE}
+    rows.clear()
     assert all(rep.passed for rep in run_suite({"thm4"}, bounds, tables=Tables()))
-    assert builds == [(st.S2_DEGENERATE, 0)]
-    for check_id in ("thm1", "thm2", "thm3", "thm8"):  # decided at points of l: no triangle
-        builds.clear()
+    assert rows == [(st.StirlingFamily(st.S2_DEGENERATE), at)
+                    for at in range(bounds.thm4_nmax + 2)]
+    for check_id in ("thm1", "thm2", "thm3", "thm8"):
         assert all(rep.passed for rep in run_suite({check_id}, bounds, tables=Tables()))
-        assert builds == [], check_id
-    # a counterexample is named by interpolating the point values: no S2r triangle in Q[l]
-    builds.clear()
-    faulted = Tables({(st.S2R_DEGENERATE, 1, 3, 2): LambdaPoly.one()})
-    assert not all(rep.passed for rep in run_suite({"thm1"}, bounds, tables=faulted))
+    # a counterexample is named by interpolating the point values: no triangle in Q[l]
+    for fault in ((st.S2R_DEGENERATE, 1, 3, 2), (st.S2_DEGENERATE, 0, 4, 2),
+                  (st.S1R_UNSIGNED_DEGENERATE, 1, 2, 1)):
+        faulted = Tables({fault: LambdaPoly.one()})
+        assert not all(rep.passed for rep in run_suite(identities.CHECK_IDS, bounds,
+                                                        tables=faulted))
     assert builds == []
 
 
@@ -722,8 +768,7 @@ def test_run_suite_with_own_tables_leaves_the_default_alone():
     assert current() is default
     assert vars(own) == vars(default) == {"faults": {}}
     with use(own):
-        for key in (("triangle", st.S1R_UNSIGNED_DEGENERATE, 3), ("harmonic", None),
-                    ("harmonic", 0)):
+        for key in (("rows", st.S1R_UNSIGNED_DEGENERATE, 3, 0), ("harmonic", 0)):
             assert shared(key, str, "built") == "built", key
 
 
@@ -775,12 +820,11 @@ def _rebind(monkeypatch, original, replacement):
 
 # builder -> the key of what it builds, from its arguments
 _BUILDERS = {
-    (st, "_build_rows"): lambda family, nmax: (family.id, family.r),
+    (st, "rows_at"): lambda family, nmax, at: (family, at),
     (factorials, "degen_falling_table"): lambda amax, mmax, at: at,
     (operators, "theorem2_blocks"): lambda r, order, degmax, at: (r, at),
     (identities, "_binomial_sums"): lambda base, kmax, at: (len(base), at),
     (identities, "harmonic_terms"): lambda order, kmax, at: (order, at),
-    (fubini_bell, "poly_by_sum"): lambda family, n: (family, n),
     (harmonic, "harmonic_row"): lambda nmax, at=None: at,
 }
 
@@ -805,9 +849,13 @@ def test_a_run_builds_every_shared_value_once_before_any_check(monkeypatch):
     keys = [build[:2] for build in builds]
     assert len(keys) == len(set(keys))
     assert {name for name, _ in keys} == {name for _, name in _BUILDERS}
-    poly_keys = {key for name, key in keys if name == "poly_by_sum"}
-    assert len(poly_keys) == 17  # thm4's n <= 16; thm3 decides at points of l
+    rows = {key for name, key in keys if name == "rows_at"}
+    # thm4 reads S2d at l = 0..16, thm5 S1ru (r <= 4) and S1u at l = 0..11, thm3's numeric sums
+    # S2r (r <= 2) at their two values of l, and thm1, thm2, thm3 and thm8 S2r (r <= 4) at
+    # l = 0..8, through the g-free tables
+    assert len(rows) == 17 + 5 * 12 + 3 * 2 + 5 * 9
     assert all(key[1] is not None for name, key in keys if name == "theorem2_blocks")
+    assert None not in {key for name, key in keys if name == "harmonic_row"}  # none in Q[l]
 
 
 def _outside_a_run(check_id, bounds, seed, tables):

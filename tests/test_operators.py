@@ -18,12 +18,12 @@ from qlambda.identities import SuiteBounds, check_thm8
 from qlambda.kernel import QL, LambdaPoly, TruncSeries, XPoly
 from qlambda.operators import (OperatorSpec, l_points, theorem1_check, theorem2_blocks,
                                theorem2_check)
-from qlambda.report import first_mismatch, make_report
+from qlambda.report import make_report
 from qlambda.tables import Tables, run, use
 
 from routes import (degen_transform, degen_transform_value, derivative, derive, euler_apply,
                     rhs_theorem1, s2r_entry, s2r_triangle, series_mismatch, shift,
-                    shifted_tables_by_sums, theorem2_sides, theorem2_tables)
+                    shifted_tables_by_sums, theorem2_sides, theorem2_tables, xpoly_mismatch)
 
 X = XPoly.x()
 
@@ -73,7 +73,7 @@ def _theorem1_oracle(m, r, mode, jmax):
     tri = s2r_triangle(spec)
     for j in range(jmax + 1):
         f = XPoly.monomial(1, j)
-        bad = first_mismatch(euler_apply(spec, f), rhs_theorem1(spec, f, tri), f"operand x^{j}")
+        bad = xpoly_mismatch(euler_apply(spec, f), rhs_theorem1(spec, f, tri), f"operand x^{j}")
         if bad is not None:
             return make_report("thm1", params, bad)
     return make_report("thm1", params, None)
@@ -261,7 +261,7 @@ def test_point_tables_equal_the_q_l_tables_there(r, n, at, fault):
     order = n + 2
     with use(Tables({(st.S2R_DEGENERATE, r, row, k): LambdaPoly(coeffs)})):
         basis = [[s2r_entry(r, i, j) for j in range(i + 1)] for i in range(n + 1)]
-        assert st.s2r_rows(r, n, at) == _at(basis, at)
+        assert st.rows_at(st.StirlingFamily(st.S2R_DEGENERATE, r), n, at) == _at(basis, at)
         assert degen_falling_table(order + r, n, at) == _at(
             [[degen_falling(a, m) for m in range(n + 1)] for a in range(order + r + 1)], at)
         points, blocks = theorem2_blocks(r, order, n, at), theorem2_tables(r, order, n)

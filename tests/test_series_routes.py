@@ -5,10 +5,11 @@ C(k - l, k) on them as one factor (k - l)/k per sum, thm4's left side from
 its coefficients, and the numeric r-Fubini sum runs in integers;
 ``routes`` keeps the series products, the convolution, the binomial
 products, the ``XPoly`` derivatives and the ``Fraction`` loop they
-replaced, and each must agree exactly.  The harmonic values thm6, cor7
-and thm8 decide with are taken at integer l only, scaled to ints; each must
-equal the route's Q[l] value there times the scale, at l = 0..D, which fix
-a value of degree <= D in l.  The series shift and
+replaced, and each must agree exactly.  The harmonic values thm5, thm6,
+cor7 and thm8 decide with are taken at integer l only, scaled to ints; each
+must equal the route's Q[l] value there times the scale, at l = 0..D, which
+fix a value of degree <= D in l, and thm4 and thm5 must give the reports of
+their Q[l] routes.  The series shift and
 derivatives the routes take are plain functions there, tested here.
 """
 
@@ -27,10 +28,9 @@ from qlambda.fubini_bell import rfubini_numbers
 from qlambda.gfun import classical_exp, degen_exp, degen_log1p, degen_log_one_minus, inv_one_minus
 from qlambda.harmonic import (degen_hyperharmonic, harmonic_gf, harmonic_row, hyperharmonic_row,
                               running_sums)
-from qlambda.identities import (CHECK_IDS, SuiteBounds, check_cor7, check_thm4, check_thm6,
-                                harmonic_terms, run_suite)
+from qlambda.identities import (CHECK_IDS, SuiteBounds, check_cor7, check_thm4, check_thm5,
+                                check_thm6, harmonic_terms, run_suite)
 from qlambda.kernel import QL, QQ, LambdaPoly, SeriesOrderError, TruncSeries, XPoly
-from qlambda.report import first_mismatch, make_report
 from qlambda.tables import Tables, use
 
 import routes
@@ -260,25 +260,51 @@ def _random_lambda_xpoly(rng: random.Random, degmax: int) -> XPoly:
                   for _ in range(rng.randint(0, degmax) + 1)])
 
 
-def test_thm4_lhs_equals_the_derivative_route(monkeypatch):
-    # with f_{n+1} set to the route's x f' + x (x f)' - l n f, thm4 passes exactly when they agree
+def test_thm4_lhs_equals_the_derivative_route():
+    # rows n and n + 1 of S2d faulted to f / i! and to the route's x f' + x (x f)' - l n f over
+    # i!: thm4 passes there, at the points the faults' degree adds, and fails where one moves
     rng = random.Random(20)
+    fam = stirling.StirlingFamily(stirling.S2_DEGENERATE)
+    clean = stirling.triangle(fam, 21)
     for n in range(21):
         for _ in range(3):
-            f = _random_lambda_xpoly(rng, 10)
+            f = _random_lambda_xpoly(rng, n)
             polys = {n: f, n + 1: routes.thm4_lhs_by_derivatives(f, n)}
-            monkeypatch.setattr(identities, "_poly", lambda family, i, _polys=polys: _polys[i])
-            assert check_thm4(n).passed, (n, f)
+            faults = {(fam.id, 0, m, i): p.coeff(i) / math.factorial(i) - clean.entry(m, i)
+                      for m, p in polys.items() for i in range(m + 1)}
+            with use(Tables(faults)):
+                assert check_thm4(n).passed, (n, f)
+            i = rng.randint(0, n + 1)
+            faults[fam.id, 0, n + 1, i] += LambdaPoly([0, 1])
+            with use(Tables(faults)):
+                bad = check_thm4(n).counterexample
+            assert bad.location == f"polynomials: coefficient of x^{i}", (n, f, i)
 
 
-@pytest.mark.parametrize("fault", [None, (0, 4, 2), (0, 9, 9), (0, 15, 0)], ids=str)
+@pytest.mark.parametrize("fault", [None, (0, 1, 0), (0, 4, 2), (0, 9, 9), (0, 15, 0)], ids=str)
 def test_thm4_reports_equal_the_derivative_route(fault):
+    # at S2d(1, 0) the delta 1 + l makes coefficient 0 of thm4's left side at n = 1, -l (1 + l),
+    # of degree n + 1, the most the check's l = 0..D allow for
     faults = {} if fault is None else {(stirling.S2_DEGENERATE, *fault): LambdaPoly([1, 1])}
     with use(Tables(faults)):  # the Fubini polynomials sum_k k! S(n, k) x^k, off one triangle
-        rows = stirling.triangle(stirling.StirlingFamily(stirling.S2_DEGENERATE), 21).rows
-        polys = [XPoly(c * math.factorial(k) for k, c in enumerate(row)) for row in rows]
+        expected = routes.thm4_reports(20)
         for n in range(21):
-            lhs = routes.thm4_lhs_by_derivatives(polys[n], n)
-            bad = first_mismatch(lhs, polys[n + 1], "polynomials")
-            assert check_thm4(n).to_json() == make_report("thm4", {"n": n}, bad).to_json(), n
-            assert bad is None or fault[1] in (n, n + 1)
+            assert check_thm4(n).to_json() == expected[n].to_json(), n
+            assert expected[n].passed or fault[1] in (n, n + 1)
+
+
+_S1RU, _S1U = stirling.S1R_UNSIGNED_DEGENERATE, stirling.S1_UNSIGNED_DEGENERATE
+
+
+@pytest.mark.parametrize("fault", [None, (_S1RU, 1, 5, 2), (_S1RU, 3, 7, 1), (_S1RU, 1, 9, 1),
+                                   (_S1U, 0, 10, 2)], ids=str)
+def test_thm5_reports_equal_the_q_l_route(fault):
+    # n! H^(r)_n from running sums of the scaled row at points of l, against the binomial
+    # convolution in Q[l]; each failing report names the same comparison with the same values
+    faults = {} if fault is None else {fault: LambdaPoly([Fraction(1, 3), 1])}
+    with use(Tables(faults)):
+        for n in range(1, 10):
+            for r in range(1, 4):
+                expected = routes.thm5_report(n, r)
+                assert check_thm5(n, r).to_json() == expected.to_json(), (n, r)
+                assert expected.passed or fault[2] in (n, n + 1)

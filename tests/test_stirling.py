@@ -5,6 +5,8 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from qlambda import stirling as st
 from qlambda.identities import CHECK_IDS, run_suite
@@ -12,7 +14,8 @@ from qlambda.kernel import LambdaPoly
 from qlambda.tables import Tables, current, use
 
 from oracles import cycle_counts, stirling2_counts
-from routes import row_by_basis, stirling_by_basis, triangle_by_gf
+from routes import (row_by_basis, stirling_by_basis, stirling_value, triangle_by_gf,
+                    unsigned_first_kind)
 
 F2D = st.StirlingFamily(st.S2_DEGENERATE)
 F1D = st.StirlingFamily(st.S1_DEGENERATE)
@@ -35,7 +38,7 @@ def test_recurrence_examples():
         assert tri.entry(n, n) == LambdaPoly.one()
     assert tri.entry(4, 2).subs(0) == 7
     with pytest.raises(ValueError):
-        st.stirling_value(F2D, -1, 0)
+        stirling_value(F2D, -1, 0)
 
 
 def test_by_gf_examples():
@@ -49,10 +52,10 @@ def test_by_gf_examples():
 
 
 def test_unsigned_first_kind_examples():
-    assert st.unsigned_first_kind(2, 1) == LambdaPoly([1, -1])
+    assert unsigned_first_kind(2, 1) == LambdaPoly([1, -1])
     for n in range(9):
-        assert st.unsigned_first_kind(n, n) == LambdaPoly.one()
-    assert st.unsigned_first_kind(3, 1).subs(0) == 2
+        assert unsigned_first_kind(n, n) == LambdaPoly.one()
+    assert unsigned_first_kind(3, 1).subs(0) == 2
 
 
 def test_unsigned_first_kind_is_the_sign_flipped_signed_kind():
@@ -159,9 +162,27 @@ def test_first_column_two_term_split():
     fam1 = st.StirlingFamily(st.S1R_UNSIGNED_DEGENERATE, 1)
     two_lam = LambdaPoly.param() * 2
     for n in range(1, 13):
-        lhs = st.stirling_value(fam1, n, 1)
-        rhs = two_lam * st.stirling_value(fam1, n, 2) + st.unsigned_first_kind(n + 1, 2)
+        lhs = stirling_value(fam1, n, 1)
+        rhs = two_lam * stirling_value(fam1, n, 2) + unsigned_first_kind(n + 1, 2)
         assert lhs == rhs, n
+
+
+_POINT_FAMILIES = [st.StirlingFamily(fid, r) for fid, rs in (
+    (st.S2_DEGENERATE, (0,)), (st.S1_UNSIGNED_DEGENERATE, (0,)),
+    (st.S1R_UNSIGNED_DEGENERATE, range(5)), (st.S2R_DEGENERATE, range(5))) for r in rs]
+_DELTAS = hst.lists(hst.fractions(min_value=-3, max_value=3, max_denominator=3), max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fam=hst.sampled_from(_POINT_FAMILIES), n=hst.integers(0, 12), at=hst.integers(-3, 8),
+       fault=hst.none() | hst.tuples(hst.integers(0, 12), hst.integers(0, 12), _DELTAS))
+def test_point_rows_equal_the_triangle_there(fam, n, at, fault):
+    # the recurrence at a number for l against the triangle's own route (S2r's by its basis
+    # expansion) in Q[l], substituted there; a fault lands on its entry in both, or on neither
+    faults = {} if fault is None else {(*fam, *fault[:2]): LambdaPoly(fault[2])}
+    with use(Tables(faults)):
+        expected = tuple(tuple(c.subs(at) for c in row) for row in st.triangle(fam, n).rows)
+        assert st.rows_at(fam, n, at) == expected
 
 
 def test_degenerate_triangle_edge_invariants():
@@ -178,11 +199,11 @@ def test_triangle_examples_and_zero_conventions():
     assert tri.entry(2, 1) == LambdaPoly([1, -1])
     assert tri.entry(2, 2) == LambdaPoly.one()
     assert tri.entry(1, 1) == LambdaPoly.one()
-    assert st.stirling_value(F2D, 3, 9) == LambdaPoly.zero()
+    assert stirling_value(F2D, 3, 9) == LambdaPoly.zero()
     with pytest.raises(ValueError):
         tri.entry(5, 0)
     with pytest.raises(ValueError):
-        st.stirling_value(F2D, -1, 0)
+        stirling_value(F2D, -1, 0)
 
 
 def test_triangle_cache_is_idempotent_under_threads():

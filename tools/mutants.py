@@ -120,7 +120,7 @@ MUTANTS = {
         ("tests/test_identities.py::test_thm8_fails_every_instance_when_the_closed_form_fails",),
     ),
     "harmonic checks count S2r faults": (
-        OPERATORS, " if fid == family]", "]",
+        OPERATORS, " if fid in families]", "]",
         ("tests/test_identities.py::"
          "test_only_s2r_faults_raise_the_points_of_the_checks_that_read_them",),
     ),
@@ -150,20 +150,21 @@ MUTANTS = {
         "    def __repr__(self):\n        return f\"Theorem2", VALUES,
     ),
     "the plan drops thm5's triangle read": (
-        IDENTITIES,
-        "read(stirling.S1R_UNSIGNED_DEGENERATE, range(1, b.thm5_rmax + 1), b.thm5_nmax)",
-        "pass", PLANNED,
+        IDENTITIES, "read(_S1RU, range(1, b.thm5_rmax + 1), b.thm5_nmax, points)", "pass",
+        PLANNED,
     ),
     "the plan sizes the g-free tables one index short": (
         IDENTITIES, "theorem2_blocks, r, index, degmax, at)",
         "theorem2_blocks, r, index - 1, degmax, at)", PLANNED,
     ),
     "a reader builds its own triangle inside a run": (
-        STIRLING, "shared((\"triangle\", *family), triangle, family, n)", "triangle(family, n)",
-        PLANNED,
+        IDENTITIES,
+        "shared((\"rows\", family, r, at), stirling.rows_at, stirling.StirlingFamily(family, r),"
+        "\n                  top, at)",
+        "stirling.rows_at(stirling.StirlingFamily(family, r), top, at)", PLANNED,
     ),
     "thm5 builds its own harmonic row inside a run": (
-        IDENTITIES, "shared((\"harmonic\", None), harmonic_row, n)[n]", "harmonic_row(n)[n]",
+        IDENTITIES, "shared((\"harmonic\", at), harmonic_row, n, at)", "harmonic_row(n, at)",
         PLANNED,
     ),
     "a check builds its own blocks inside a run": (
@@ -180,8 +181,18 @@ MUTANTS = {
         ("tests/test_operators.py::test_shifted_tables_equal_the_term_by_term_sums",),
     ),
     "thm4's coefficient i + 1": (
-        IDENTITIES, "fn.coeff(i - 1) * i\n", "fn.coeff(i - 1) * (i + 1)\n",
+        IDENTITIES, "+ i * p for i, (c, p)", "+ (i + 1) * p for i, (c, p)",
         ("tests/test_identities.py::test_thm4_instances",),
+    ),
+    "thm4 one point fewer": (
+        IDENTITIES, "first_difference(sides, n, 1, (_S2D,))",
+        "first_difference(sides, n, 0, (_S2D,))",
+        ("tests/test_series_routes.py::test_thm4_reports_equal_the_derivative_route",),
+    ),
+    "thm5 one point fewer": (
+        IDENTITIES, "first_difference(sides, n - 2, 1, (_S1RU, _S1U))",
+        "first_difference(sides, n - 3, 1, (_S1RU, _S1U))",
+        ("tests/test_series_routes.py::test_thm5_reports_equal_the_q_l_route",),
     ),
     "a zero scalar that keeps its coefficients": (
         KERNEL, "if not other:\n                return self._zero",
@@ -201,8 +212,8 @@ MUTANTS = {
     ),
     "fault delta skipped at points": (STIRLING, "else delta.subs(at))", "else 0)", POINTS),
     "one harmonic point fewer": (
-        OPERATORS, "sides(at) for at in l_points(degree, extra, family)",
-        "sides(at) for at in l_points(degree - 1, extra, family)",
+        OPERATORS, "sides(at) for at in l_points(degree, extra, families)",
+        "sides(at) for at in l_points(degree - 1, extra, families)",
         ("tests/test_identities.py::"
          "test_a_harmonic_error_that_vanishes_at_all_but_the_last_point_is_seen",),
     ),
@@ -219,7 +230,7 @@ MUTANTS = {
         HARMONIC, "math.lcm(*range(1, nmax + 1))", "math.lcm(*range(1, nmax))", HARMONIC_POINTS,
     ),
     "the plan sizes the harmonic row one index short": (
-        IDENTITIES, "harmonic_row, nmax, at) for at", "harmonic_row, nmax - 1, at) for at",
+        IDENTITIES, "harmonic_row, top, at)", "harmonic_row, top - 1, at)",
         PLANNED,
     ),
     "a negative --x value is left to argparse": (
